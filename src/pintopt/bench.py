@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class ExperimentSpec:
     mg_pre: int = 2
     mg_post: int = 1
     mg_cycles: int = 1
-    exploit_conjugacy: bool = True
     allow_fine: bool = False
     jobs: int = 1
 
@@ -60,6 +59,11 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown inner solver {self.inner!r}")
         object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        for name in ("h_values", "gammas", "tol", "delta", "eps_value"):
+            values = getattr(self, name)
+            for value in values if isinstance(values, tuple) else (values,):
+                if value is not None and not math.isfinite(value):
+                    raise ConfigurationError(f"{name} must be a finite number, got {value}")
         for h in self.h_values:
             level = mesh_level(h)
             if level > DEFAULT_MAX_LEVEL and not self.allow_fine:
@@ -76,6 +80,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"maxit must be >= 1, got {self.maxit}")
         if self.eps_policy not in ("step", "rate", "fixed"):
             raise ConfigurationError(f"unknown damping policy {self.eps_policy!r}")
+        if not 0 < self.delta < 1:
+            raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
         if self.eps_policy == "fixed":
             if self.eps_value is None or not 0 < self.eps_value <= 1:
                 raise ConfigurationError(
@@ -157,11 +163,9 @@ class CellResult:
     converged: bool
     cpu_seconds: float
     error: float = None
-    state: np.ndarray = field(default=None, repr=False)
-    adjoint: np.ndarray = field(default=None, repr=False)
 
 
-def solve_cell(spec, gamma, h, keep_fields=False):
+def solve_cell(spec, gamma, h):
     """Assemble and solve one cell; wall time covers the GMRES loop only."""
     level = mesh_level(h)
     grid = TimeSpaceGrid.from_h(h, n=2**level)
@@ -171,10 +175,7 @@ def solve_cell(spec, gamma, h, keep_fields=False):
     ops = build_stiffness(grid, problem.a)
     op = AllAtOnceOperator(grid, ops, gamma)
     rhs = assemble_rhs(problem, grid, ops)
-    prec = RbdEpsPreconditioner(
-        grid, gamma, pick_epsilon(grid, spec), inner,
-        exploit_conjugacy=spec.exploit_conjugacy,
-    )
+    prec = RbdEpsPreconditioner(grid, gamma, pick_epsilon(grid, spec), inner)
 
     start = time.perf_counter()
     report = gmres_solve(
@@ -198,8 +199,6 @@ def solve_cell(spec, gamma, h, keep_fields=False):
         converged=report.converged,
         cpu_seconds=cpu,
         error=err,
-        state=state if keep_fields else None,
-        adjoint=adjoint if keep_fields else None,
     )
 
 
@@ -281,7 +280,3 @@ def aligned_text(results):
     ]
     return "\n".join(lines)
 
-
-def with_overrides(spec, **updates):
-    """A copy of an ExperimentSpec with the given fields replaced (re-validated)."""
-    return replace(spec, **updates)

@@ -48,6 +48,15 @@ def parse_list(value, convert):
     return tuple(convert(tok) for tok in text.split(","))
 
 
+def parse_bool(value):
+    """A YAML boolean, or the string "true"/"false" in any case; nothing else."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.strip().lower() in ("true", "false"):
+        return value.strip().lower() == "true"
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
 # maps config-file keys to ExperimentSpec fields; "h"/"gamma" hold lists
 CONFIG_KEYS = {
     "example": ("example", int),
@@ -62,8 +71,7 @@ CONFIG_KEYS = {
     "mg_pre_smooth": ("mg_pre", int),
     "mg_post_smooth": ("mg_post", int),
     "mg_cycles": ("mg_cycles", int),
-    "exploit_conjugacy": ("exploit_conjugacy", bool),
-    "allow_fine": ("allow_fine", bool),
+    "allow_fine": ("allow_fine", parse_bool),
     "jobs": ("jobs", int),
 }
 
@@ -96,10 +104,6 @@ def build_parser():
     solve.add_argument("--mg-post", type=int, default=1)
     solve.add_argument("--mg-cycles", type=int, default=1)
     solve.add_argument(
-        "--no-conjugate-pairs", action="store_true",
-        help="disable the conjugate-pair frequency shortcut",
-    )
-    solve.add_argument(
         "--allow-fine", action="store_true",
         help="permit meshes finer than 2^-6 (large runs)",
     )
@@ -130,7 +134,6 @@ def spec_from_args(args):
         mg_pre=args.mg_pre,
         mg_post=args.mg_post,
         mg_cycles=args.mg_cycles,
-        exploit_conjugacy=not args.no_conjugate_pairs,
         allow_fine=args.allow_fine,
         jobs=args.jobs,
     )
@@ -146,7 +149,10 @@ def spec_from_args(args):
             if key not in CONFIG_KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
             field, convert = CONFIG_KEYS[key]
-            kwargs[field] = convert(value)
+            try:
+                kwargs[field] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"config key {key!r}: {exc}") from None
     if kwargs["example"] is None:
         raise ConfigurationError("no example selected (flag --example or config key)")
     return ExperimentSpec(**kwargs)
@@ -168,6 +174,8 @@ def run_solve(args):
 
 
 def run_validate(args):
+    if not 0 < args.delta < 1:
+        raise ConfigurationError(f"delta must lie in (0, 1), got {args.delta}")
     results, all_passed = run_validation(delta=args.delta)
     for res in results:
         print(res)

@@ -18,6 +18,9 @@ not apply. Components:
 The fine grid needs m1 = 2^l - 1 points per dimension so the nested-grid
 hierarchy exists. A solver prepared with a fixed shift and a fixed cycle
 count is one fixed linear map, so it is safe inside non-flexible GMRES.
+:class:`MgShiftedSolver` is the backend the preconditioner sees: its
+``factor(sigmas) -> solve`` prepares one V-cycle solver per shift and routes
+each row of a stacked right-hand side to the solver of its shift.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .discretize import TimeSpaceGrid, build_stiffness
+from .shifted import stacked
 
 COARSEST_POINTS = 3
 
@@ -128,15 +132,18 @@ class VCycleSolver:
 
 
 class MgShiftedSolver:
-    """Shift-indexed factory sharing one re-discretized grid hierarchy."""
+    """Batched shifted solves: one :class:`VCycleSolver` per shift, one hierarchy."""
 
     def __init__(self, grid, coeff, pre=1, post=1, cycles=1):
         self.hierarchy = build_hierarchy(grid, coeff)
         self.tau = grid.tau
         self.pre, self.post, self.cycles = pre, post, cycles
 
-    def make(self, sigma):
-        return VCycleSolver(
-            self.hierarchy, self.tau, sigma,
-            pre=self.pre, post=self.post, cycles=self.cycles,
-        ).solve
+    def factor(self, sigmas):
+        return stacked([
+            VCycleSolver(
+                self.hierarchy, self.tau, sigma,
+                pre=self.pre, post=self.post, cycles=self.cycles,
+            ).solve
+            for sigma in sigmas
+        ])

@@ -17,10 +17,12 @@ independent complex-shifted spatial solves; the rotation factor inverts in
 closed form. One application costs O(m n log n) plus the inner solves, and
 every inner backend is a fixed linear map, so P^-1 is one too.
 
-For real vectors the shifted systems come in conjugate pairs: block n - k is
-the conjugate of block k, so only floor(n/2) + 1 solves per half are needed.
-This shortcut is exact in exact arithmetic and enabled by default; complex
-vectors always take the full path.
+Both halves share one set of floor(n/2) + 1 shifted solves. For a real
+vector, block n - k of each half is the conjugate of block k, so only the
+blocks k = 0..floor(n/2) are solved and the rest are filled by conjugation.
+The transpose half has the shifts conj(lambda_k) + alpha; because M and K are
+real, its solve equals conj(solve_k(conj b)) with the plain half's shift
+lambda_k + alpha. A complex vector is applied as its real and imaginary parts.
 """
 
 import numpy as np
@@ -73,65 +75,54 @@ def contraction_factor(delta):
 class RbdEpsPreconditioner:
     """Applies P^-1 through FFT diagonalization of the damped time coupling.
 
-    ``inner`` supplies the complex-shifted spatial solves via
-    ``inner.make(sigma) -> callable``; prepared solvers are cached per
-    distinct shift. ``exploit_conjugacy`` enables the conjugate-pair
-    shortcut for real inputs.
+    ``inner`` supplies the complex-shifted spatial solves through the batched
+    ``inner.factor(sigmas) -> solve`` of :mod:`pintopt.shifted`. One solve
+    object, for the shifts lambda_k + alpha with k = 0..floor(n/2), serves
+    both halves; it is factored on the first application, not here.
     """
 
-    def __init__(self, grid, gamma, eps, inner, exploit_conjugacy=True):
+    def __init__(self, grid, gamma, eps, inner):
         if not gamma > 0:
             raise ValueError(f"regularization weight must be positive, got {gamma}")
         self.grid = grid
         self.gamma = float(gamma)
         self.eps = float(eps)
         self.inner = inner
-        self.exploit_conjugacy = bool(exploit_conjugacy)
         self.alpha = grid.tau / np.sqrt(gamma)
         self.spectrum = eps_spectrum(grid.n, eps)
         self.size = 2 * grid.m * grid.n
-        # halves are indexed by the orientation of the time coupling:
-        # "transpose" solves (Ceps' + alpha W), "plain" solves (Ceps + alpha W)
-        self._solvers = {"transpose": {}, "plain": {}}
-
-    @property
-    def solver_count(self):
-        return sum(len(half) for half in self._solvers.values())
-
-    def _solver(self, orientation, k):
-        cache = self._solvers[orientation]
-        if k not in cache:
-            lam = self.spectrum.lambdas[k]
-            shift = np.conj(lam) if orientation == "transpose" else lam
-            cache[k] = self.inner.make(shift + self.alpha)
-        return cache[k]
-
-    def _solve_half(self, r, orientation, shortcut):
-        n, m = self.grid.n, self.grid.m
-        d = self.spectrum.scalings
-        pre, post = (1.0 / d, d) if orientation == "transpose" else (d, 1.0 / d)
-        blocks = np.fft.fft(pre[:, None] * r.reshape(n, m), axis=0, norm="ortho")
-        out = np.empty((n, m), dtype=complex)
-        top_k = n // 2 if shortcut else n - 1
-        for k in range(top_k + 1):
-            out[k] = self._solver(orientation, k)(blocks[k])
-        for k in range(top_k + 1, n):
-            out[k] = np.conj(out[n - k])
-        return (post[:, None] * np.fft.ifft(out, axis=0, norm="ortho")).reshape(-1)
+        d = self.spectrum.scalings[:, None]
+        # time scalings before the FFT, per half; after the inverse FFT they swap
+        self._scale = np.stack([1.0 / d, d])
+        self._solve = None
 
     def apply_inverse(self, r):
         """P^-1 r for a stacked vector r of length 2 m n."""
         r = np.asarray(r)
         if r.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}, got {r.shape}")
-        shortcut = self.exploit_conjugacy and not np.iscomplexobj(r)
-        half = self.size // 2
-        w_top = self._solve_half(r[:half], "transpose", shortcut)
-        w_bot = self._solve_half(r[half:], "plain", shortcut)
-        # closed-form inverse of the rotation factor (1/2) [[I, I], [-I, I]]
-        out = np.concatenate([w_top - w_bot, w_top + w_bot])
         if np.iscomplexobj(r):
-            return out
+            return self.apply_inverse(r.real) + 1j * self.apply_inverse(r.imag)
+        n, m = self.grid.n, self.grid.m
+        half = n // 2 + 1
+        if self._solve is None:
+            self._solve = self.inner.factor(self.spectrum.lambdas[:half] + self.alpha)
+        # [transpose half (Ceps' + alpha W), plain half (Ceps + alpha W)]
+        z = np.fft.fft(r.reshape(2, n, m) * self._scale, axis=1, norm="ortho")
+        # the transpose half has shifts conj(lambda_k) + alpha; M and K are real,
+        # so its solve is conj(solve_k(conj b)) with the plain half's solver
+        np.conjugate(z[0, :half], out=z[0, :half])
+        z[:, :half] = self._solve(z[:, :half])
+        np.conjugate(z[0, :half], out=z[0, :half])
+        z[:, half:] = np.conj(z[:, n - half:0:-1])
+        z = np.fft.ifft(z, axis=1, norm="ortho")
+        z *= self._scale[::-1]
+        # closed-form inverse of the rotation factor (1/2) [[I, I], [-I, I]],
+        # in place to keep the (2, n, m) temporaries few
+        top = z[0] - z[1]
+        z[1] += z[0]
+        z[0] = top
+        out = z.reshape(-1)
         residue = np.max(np.abs(out.imag))
         if residue > IMAG_RESIDUE_BOUND * max(1.0, np.max(np.abs(out.real))):
             raise FloatingPointError(

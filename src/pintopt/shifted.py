@@ -1,7 +1,7 @@
 """Inner solvers for complex-shifted spatial systems (sigma M + tau K) z = r.
 
 Applying the rotated-block-diagonal preconditioner reduces, after the time
-transform, to n independent spatial solves whose complex shifts sigma come
+transform, to independent spatial solves whose complex shifts sigma come
 from the eigenvalues of the corner-perturbed difference matrix. Three
 interchangeable backends are provided:
 
@@ -13,14 +13,30 @@ interchangeable backends are provided:
   problems.
 * the geometric multigrid backend in :mod:`pintopt.multigrid`.
 
-Each backend exposes ``make(sigma) -> callable`` so the preconditioner can
-reuse one prepared solver per distinct shift.
+Each backend exposes one batched entry point, ``factor(sigmas) -> solve``:
+it prepares every shift at once, and ``solve(rhs)`` takes a complex array
+whose last two axes are ``(len(sigmas), m)`` and solves row k of that axis
+pair with shift ``sigmas[k]``, returning an array of the same shape.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
 
 from .transforms import dst2d
+
+
+def stacked(solvers):
+    """Batched solve from per-shift solves: ``rhs[..., k, :]`` goes to solvers[k]."""
+
+    def solve(rhs):
+        out = np.empty(rhs.shape, dtype=complex)
+        for index in np.ndindex(rhs.shape[:-1]):
+            out[index] = solvers[index[-1]](rhs[index])
+        return out
+
+    return solve
 
 
 class DstShiftedSolver:
@@ -29,8 +45,8 @@ class DstShiftedSolver:
     For diffusion coefficient a = c the stiffness is c times the 5-point
     Laplacian with mesh width h = 1/(m1+1), whose eigenvalues are
     c (4 - 2 cos(i pi h) - 2 cos(j pi h)) / h^2; the orthonormal DST-I
-    diagonalizes it, so each solve costs two transforms and one pointwise
-    division.
+    diagonalizes it, so a batched solve costs two transforms of the whole
+    stack and one pointwise division by a (shifts, m1, m1) denominator.
     """
 
     def __init__(self, grid, diffusion=1.0):
@@ -39,15 +55,17 @@ class DstShiftedSolver:
         self.grid = grid
         m1, h = grid.m1, grid.h
         theta = 2.0 - 2.0 * np.cos(np.pi * h * np.arange(1, m1 + 1))
-        self.laplacian_eigs = diffusion * (theta[:, None] + theta[None, :]).ravel() / h**2
+        self.laplacian_eigs = diffusion * (theta[:, None] + theta[None, :]) / h**2
 
-    def make(self, sigma):
-        denom = sigma + self.grid.tau * self.laplacian_eigs
+    def factor(self, sigmas):
+        m1 = self.grid.m1
+        denom = np.asarray(sigmas)[:, None, None] + self.grid.tau * self.laplacian_eigs
         if np.min(np.abs(denom)) == 0.0:
-            raise ValueError(f"shift {sigma} makes the system singular")
+            raise ValueError("a shift makes the system singular")
 
         def solve(rhs):
-            return dst2d(dst2d(rhs) / denom)
+            grids = rhs.reshape(*rhs.shape[:-1], m1, m1)
+            return dst2d(dst2d(grids) / denom).reshape(rhs.shape)
 
         return solve
 
@@ -65,11 +83,11 @@ class DenseShiftedSolver:
         )
         self.tau = float(tau)
 
-    def make(self, sigma):
-        mat = sigma * self.mass + self.tau * self.stiffness
-        lu, piv = scipy.linalg.lu_factor(mat)
-
-        def solve(rhs):
-            return scipy.linalg.lu_solve((lu, piv), rhs)
-
-        return solve
+    def factor(self, sigmas):
+        return stacked([
+            functools.partial(
+                scipy.linalg.lu_solve,
+                scipy.linalg.lu_factor(sigma * self.mass + self.tau * self.stiffness),
+            )
+            for sigma in sigmas
+        ])

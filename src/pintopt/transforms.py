@@ -1,19 +1,18 @@
 """Fast transforms used by the time-parallel preconditioner.
 
-Three ingredients live here:
+Two ingredients live here:
 
 * the spectrum and scaling diagonal of the "corner-modified" lower-bidiagonal
   time-difference matrix (a circulant whose wrap-around entry is damped by a
   factor ``eps``), together with a dense copy of that matrix for validation;
-* the block FFT that applies the unitary Fourier matrix along the time
-  dimension of a time-major block vector;
 * the orthonormal 2D sine transform that diagonalizes the constant-coefficient
   five-point stiffness matrix on the unit square.
 
-Conventions, fixed once and shared by every caller: the unitary Fourier matrix
-is ``F[i, j] = theta**(i*j) / sqrt(n)`` with ``theta = exp(2j*pi/n)``, so the
-"forward" direction applies ``F*`` (which is ``numpy``'s forward FFT with
-``norm='ortho'``) and "inverse" applies ``F`` (the ortho IFFT).
+The FFT in time is applied by :mod:`pintopt.rbd`, with the convention the
+spectrum here assumes: the unitary Fourier matrix is
+``F[i, j] = theta**(i*j) / sqrt(n)`` with ``theta = exp(2j*pi/n)``, so
+``numpy``'s forward FFT with ``norm='ortho'`` applies ``F*`` and the ortho
+IFFT applies ``F``.
 """
 
 from dataclasses import dataclass
@@ -71,43 +70,12 @@ def eps_spectrum(n, eps):
     return EpsSpectrum(n=n, eps=eps, lambdas=lambdas, scalings=scalings)
 
 
-def time_block_fft(v, n, direction):
-    """Apply the unitary DFT (or its inverse) along the time-block dimension.
+def dst2d(v):
+    """Orthonormal 2D sine transform over the last two axes of ``v``.
 
-    The vector is laid out time-major: n contiguous blocks of equal spatial
-    length. "forward" multiplies by F* (ortho-normalized forward FFT),
-    "inverse" by F. Cost O(m n log n).
+    Applies S along each of the two axes, where S is the DST-I matrix with
+    entries sqrt(2/(m1+1)) * sin(j*k*pi/(m1+1)); leading axes are a batch.
+    S is involutory, so the transform is its own inverse. Complex input has
+    its real and imaginary parts transformed separately.
     """
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size % n:
-        raise ValueError(f"vector of length {v.size} is not n={n} equal blocks")
-    blocks = v.reshape(n, -1)
-    if direction == "forward":
-        out = np.fft.fft(blocks, axis=0, norm="ortho")
-    elif direction == "inverse":
-        out = np.fft.ifft(blocks, axis=0, norm="ortho")
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return out.reshape(-1)
-
-
-def dst2d(v, direction="forward"):
-    """Orthonormal 2D sine transform of a flattened m1 x m1 grid function.
-
-    Applies S ⊗ S where S is the DST-I matrix with entries
-    sqrt(2/(m1+1)) * sin(j*k*pi/(m1+1)). S is involutory, so the transform
-    is its own inverse and ``direction`` is accepted only for call-site
-    readability.
-    """
-    v = np.asarray(v)
-    m1 = int(round(np.sqrt(v.size)))
-    if m1 * m1 != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    grid = v.reshape(m1, m1)
-    if np.iscomplexobj(v):
-        re = scipy.fft.dstn(grid.real, type=1, norm="ortho")
-        im = scipy.fft.dstn(grid.imag, type=1, norm="ortho")
-        return (re + 1j * im).reshape(-1)
-    return scipy.fft.dstn(grid, type=1, norm="ortho").reshape(-1)
+    return scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1))

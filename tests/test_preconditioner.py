@@ -21,7 +21,7 @@ from pintopt.rbd import (
     rate_constant,
 )
 from pintopt.shifted import DenseShiftedSolver, DstShiftedSolver
-from pintopt.transforms import eps_circulant_matrix
+from pintopt.transforms import eps_circulant_matrix, eps_spectrum
 
 
 def ones_coeff(x1, x2):
@@ -122,17 +122,53 @@ def test_apply_inverse_linearity():
 
 
 def test_conjugate_pair_shortcut_matches_full_path():
+    # only blocks k <= n/2 are solved and the rest filled by conjugation; the
+    # dense inverse is the full path, for even and odd n
     for n in (4, 5, 8):
         grid = TimeSpaceGrid(m1=3, n=n)
-        kwargs = dict(gamma=1e-3, eps=0.25, inner=DstShiftedSolver(grid))
-        fast = RbdEpsPreconditioner(grid, exploit_conjugacy=True, **kwargs)
-        full = RbdEpsPreconditioner(grid, exploit_conjugacy=False, **kwargs)
+        ops = build_stiffness(grid, ones_coeff)
+        P = dense_preconditioner(grid, ops, 1e-3, 0.25)
+        pc = RbdEpsPreconditioner(grid, 1e-3, 0.25, inner=DstShiftedSolver(grid))
         rng = np.random.default_rng(n)
         r = rng.standard_normal(2 * grid.m * n)
-        a, b = fast.apply_inverse(r), full.apply_inverse(r)
-        assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
-        assert fast.solver_count == 2 * (n // 2 + 1)
-        assert full.solver_count == 2 * n
+        assert rel_err(pc.apply_inverse(r), np.linalg.solve(P, r)) < 1e-10
+
+
+class RecordingSolver:
+    """Fake inner backend: records factor and solve calls, solves with an LU."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.factored = []
+        self.solve_shapes = []
+
+    def factor(self, sigmas):
+        self.factored.append(np.array(sigmas))
+        solve = self.inner.factor(sigmas)
+
+        def recorded(rhs):
+            self.solve_shapes.append(rhs.shape)
+            return solve(rhs)
+
+        return recorded
+
+
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_one_lazy_factor_and_one_solve_per_apply(n):
+    grid = TimeSpaceGrid(m1=3, n=n)
+    ops = build_stiffness(grid, ones_coeff)
+    inner = RecordingSolver(DenseShiftedSolver(ops.mass, ops.stiffness, grid.tau))
+    pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=inner)
+    assert inner.factored == []  # nothing is factored at construction
+    rng = np.random.default_rng(16)
+    for apply in range(1, 4):
+        pc.apply_inverse(rng.standard_normal(2 * grid.m * n))
+        assert len(inner.factored) == 1
+        assert len(inner.solve_shapes) == apply
+    half = n // 2 + 1
+    want = eps_spectrum(n, 0.3).lambdas[:half] + pc.alpha
+    assert np.array_equal(inner.factored[0], want)
+    assert inner.solve_shapes == [(2, half, grid.m)] * 3
 
 
 def test_real_input_gives_real_output():

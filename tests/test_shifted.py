@@ -30,6 +30,12 @@ def bench_coeff(x1, x2):
     return 1e-5 * np.sin(np.pi * x1 * x2)
 
 
+def one_shift(backend, sigma):
+    """A backend's batched solve for the single shift sigma, on one vector."""
+    solve = backend.factor(np.array([sigma]))
+    return lambda r: solve(np.asarray(r, dtype=complex)[None])[0]
+
+
 def shifted_matrix(grid, coeff, sigma):
     K = build_stiffness(grid, coeff).stiffness
     return (sigma * sp.identity(grid.m) + grid.tau * K).tocsr()
@@ -43,7 +49,7 @@ def shifted_matrix(grid, coeff, sigma):
 def test_dst_solver_residual(m1, sigma):
     grid = TimeSpaceGrid(m1=m1, n=8)
     A = shifted_matrix(grid, ones_coeff, sigma)
-    solve = DstShiftedSolver(grid).make(sigma)
+    solve = one_shift(DstShiftedSolver(grid), sigma)
     rng = np.random.default_rng(m1)
     r = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
     z = solve(r)
@@ -54,7 +60,7 @@ def test_dst_solver_matches_dense_lu():
     grid = TimeSpaceGrid(m1=5, n=4)
     sigma = 0.7 - 0.2j
     A = shifted_matrix(grid, ones_coeff, sigma).toarray()
-    solve = DstShiftedSolver(grid).make(sigma)
+    solve = one_shift(DstShiftedSolver(grid), sigma)
     rng = np.random.default_rng(9)
     r = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
     want = np.linalg.solve(A, r)
@@ -63,14 +69,14 @@ def test_dst_solver_matches_dense_lu():
 
 def test_dst_solver_real_data_stays_real():
     grid = TimeSpaceGrid(m1=3, n=4)
-    solve = DstShiftedSolver(grid).make(2.0)
+    solve = one_shift(DstShiftedSolver(grid), 2.0)
     z = solve(np.arange(1.0, 10.0))
     assert np.max(np.abs(np.imag(z))) == 0.0
 
 
 def test_dst_solver_linearity():
     grid = TimeSpaceGrid(m1=7, n=2)
-    solve = DstShiftedSolver(grid).make(0.4 + 0.5j)
+    solve = one_shift(DstShiftedSolver(grid), 0.4 + 0.5j)
     rng = np.random.default_rng(2)
     r1 = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
     r2 = rng.standard_normal(grid.m)
@@ -89,7 +95,7 @@ def test_dense_solver_general_mass():
     K = sp.diags([np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)], [-1, 0, 1])
     tau = 0.125
     sigma = 0.6 + 0.3j
-    solve = DenseShiftedSolver(M, K, tau).make(sigma)
+    solve = one_shift(DenseShiftedSolver(M, K, tau), sigma)
     rng = np.random.default_rng(4)
     r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     z = solve(r)
@@ -149,7 +155,7 @@ def test_vcycle_exact_on_coarsest_grids():
     for m1 in (1, 3):
         grid = TimeSpaceGrid(m1=m1, n=4)
         sigma = 0.2 + 0.4j
-        solve = MgShiftedSolver(grid, wavy_coeff).make(sigma)
+        solve = one_shift(MgShiftedSolver(grid, wavy_coeff), sigma)
         A = shifted_matrix(grid, wavy_coeff, sigma)
         rng = np.random.default_rng(m1)
         r = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
@@ -159,7 +165,7 @@ def test_vcycle_exact_on_coarsest_grids():
 
 def test_vcycle_linearity_and_determinism():
     grid = TimeSpaceGrid(m1=7, n=4)
-    solve = MgShiftedSolver(grid, wavy_coeff).make(0.5 + 0.5j)
+    solve = one_shift(MgShiftedSolver(grid, wavy_coeff), 0.5 + 0.5j)
     rng = np.random.default_rng(5)
     r1 = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
     r2 = rng.standard_normal(grid.m)
@@ -177,7 +183,7 @@ def test_vcycle_reduction_order_one_coefficient(m1, sigma):
     # at 0.35, which also certifies the generic at-least-2x contraction
     grid = TimeSpaceGrid(m1=m1, n=32)
     A = shifted_matrix(grid, wavy_coeff, sigma)
-    solve = MgShiftedSolver(grid, wavy_coeff, pre=1, post=1, cycles=1).make(sigma)
+    solve = one_shift(MgShiftedSolver(grid, wavy_coeff, pre=1, post=1, cycles=1), sigma)
     rng = np.random.default_rng(m1)
     r = rng.standard_normal(grid.m) + 0j
     z = solve(r)
@@ -196,7 +202,7 @@ def test_vcycle_reduction_benchmark_coefficient():
         alpha = tau / np.sqrt(gamma)
         sigma = (1 - 0.9 * np.exp(2j * np.pi / 32)) + alpha
         A = shifted_matrix(grid, bench_coeff, sigma)
-        solve = MgShiftedSolver(grid, bench_coeff).make(sigma)
+        solve = one_shift(MgShiftedSolver(grid, bench_coeff), sigma)
         z = solve(r)
         assert np.linalg.norm(r - A @ z) / np.linalg.norm(r) < 1e-4
 
@@ -209,7 +215,7 @@ def test_more_cycles_reduce_residual_further():
     r = rng.standard_normal(grid.m) + 0j
     res = []
     for cycles in (1, 2, 3):
-        solve = MgShiftedSolver(grid, wavy_coeff, cycles=cycles).make(sigma)
+        solve = one_shift(MgShiftedSolver(grid, wavy_coeff, cycles=cycles), sigma)
         z = solve(r)
         res.append(np.linalg.norm(r - A @ z) / np.linalg.norm(r))
     # calibrated: 0.167, 0.070, 0.040 — later cycles gain less as the
@@ -224,3 +230,45 @@ def test_vcycle_rejects_bad_smoothing_counts():
         VCycleSolver(hier, 0.25, 1.0, pre=0)
     with pytest.raises(ValueError):
         VCycleSolver(hier, 0.25, 1.0, cycles=0)
+
+
+# --------------------------------------------------------- batched interface
+
+
+def backend(name, grid):
+    ops = build_stiffness(grid, ones_coeff)
+    if name == "dst":
+        return DstShiftedSolver(grid)
+    if name == "dense":
+        return DenseShiftedSolver(ops.mass, ops.stiffness, grid.tau)
+    return MgShiftedSolver(grid, ones_coeff)
+
+
+@pytest.mark.parametrize("name", ["dst", "dense", "mg"])
+def test_factor_solves_each_row_with_its_shift(name):
+    grid = TimeSpaceGrid(m1=7, n=4)
+    sigmas = np.array([1.0, 0.3 + 0.9j, 2.0 - 0.5j])
+    solver = backend(name, grid)
+    rng = np.random.default_rng(21)
+    rhs = rng.standard_normal((2, 3, grid.m)) + 1j * rng.standard_normal((2, 3, grid.m))
+    got = solver.factor(sigmas)(rhs)
+    assert got.shape == rhs.shape
+    for k, sigma in enumerate(sigmas):
+        single = one_shift(solver, sigma)
+        for j in range(2):
+            want = single(rhs[j, k])
+            assert np.max(np.abs(got[j, k] - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["dst", "dense", "mg"])
+def test_conjugate_shift_solves_by_conjugation(name):
+    # the identity the preconditioner's transpose half relies on: M and K are
+    # real, so the solve with shift conj(sigma) is conj(solve(conj b))
+    grid = TimeSpaceGrid(m1=7, n=4)
+    sigma = 0.3 + 0.9j
+    solver = backend(name, grid)
+    rng = np.random.default_rng(22)
+    b = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
+    want = one_shift(solver, np.conj(sigma))(b)
+    got = np.conj(one_shift(solver, sigma)(np.conj(b)))
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))

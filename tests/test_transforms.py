@@ -1,5 +1,5 @@
-"""Tests for the fast-transform layer: circulant-with-corner spectra, the
-time-direction block FFT, and the 2D orthonormal sine transform.
+"""Tests for the fast-transform layer: circulant-with-corner spectra and the
+2D orthonormal sine transform.
 
 Every nontrivial expected value here is computed by an independent dense
 oracle built inside the test (explicit DFT/DST matrices, dense eigensolves),
@@ -13,7 +13,6 @@ from pintopt.transforms import (
     dst2d,
     eps_circulant_matrix,
     eps_spectrum,
-    time_block_fft,
 )
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 
@@ -110,78 +109,46 @@ def test_spectrum_reconstructs_corner_matrix():
 
 
 # ---------------------------------------------------------------------------
-# time_block_fft
-
-
-def test_block_fft_n1_identity():
-    v = np.array([1.0 + 2.0j, -3.0j, 0.5])
-    assert np.allclose(time_block_fft(v, 1, "forward"), v)
-
-
-def test_block_fft_roundtrip():
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    back = time_block_fft(time_block_fft(v, 8, "forward"), 8, "inverse")
-    assert np.max(np.abs(back - v)) < 1e-14
-
-
-def test_block_fft_matches_dense_kron():
-    # oracle: (F ⊗ I_2) multiply with the explicit 4x4 DFT matrix
-    rng = np.random.default_rng(11)
-    m, n = 2, 4
-    v = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    F = dense_fourier(n)
-    want_inv = np.kron(F, np.eye(m)) @ v          # "inverse" applies F ⊗ I
-    want_fwd = np.kron(F.conj().T, np.eye(m)) @ v  # "forward" applies F* ⊗ I
-    assert np.max(np.abs(time_block_fft(v, n, "inverse") - want_inv)) < 1e-13
-    assert np.max(np.abs(time_block_fft(v, n, "forward") - want_fwd)) < 1e-13
-
-
-def test_block_fft_parseval():
-    rng = np.random.default_rng(23)
-    for n in (2, 4, 8):
-        v = rng.standard_normal(3 * n) + 1j * rng.standard_normal(3 * n)
-        w = time_block_fft(v, n, "forward")
-        assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-13 * np.linalg.norm(v)
-
-
-def test_block_fft_rejects_bad_length():
-    with pytest.raises(ValueError):
-        time_block_fft(np.zeros(7), 2, "forward")
-
-
-# ---------------------------------------------------------------------------
 # dst2d
 
 
 def test_dst2d_involution():
     rng = np.random.default_rng(5)
-    v = rng.standard_normal(49)
+    v = rng.standard_normal((7, 7))
     assert np.max(np.abs(dst2d(dst2d(v)) - v)) < 1e-13
 
 
 def test_dst2d_matches_dense_kron():
     rng = np.random.default_rng(13)
     m1 = 5
-    v = rng.standard_normal(m1 * m1)
+    v = rng.standard_normal((m1, m1))
     S = dense_dst(m1)
-    want = np.kron(S, S) @ v
-    assert np.max(np.abs(dst2d(v) - want)) < 1e-13
+    want = np.kron(S, S) @ v.ravel()
+    assert np.max(np.abs(dst2d(v).ravel() - want)) < 1e-13
 
 
 def test_dst2d_m1_equals_1():
-    assert np.allclose(dst2d(np.array([3.0])), [3.0])
+    assert np.allclose(dst2d(np.array([[3.0]])), [[3.0]])
 
 
 def test_dst2d_complex_input():
     rng = np.random.default_rng(17)
-    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     S = dense_dst(3)
-    want = np.kron(S, S) @ v
-    assert np.max(np.abs(dst2d(v) - want)) < 1e-13
+    want = np.kron(S, S) @ v.ravel()
+    assert np.max(np.abs(dst2d(v).ravel() - want)) < 1e-13
+
+
+def test_dst2d_transforms_each_grid_of_a_batch():
+    rng = np.random.default_rng(19)
+    v = rng.standard_normal((2, 3, 5, 5)) + 1j * rng.standard_normal((2, 3, 5, 5))
+    got = dst2d(v)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(got[index], dst2d(v[index]))
 
 
 def test_dst2d_rejects_non_square():
+    # a flat vector is not a grid: the transform needs two trailing axes
     with pytest.raises(ValueError):
         dst2d(np.zeros(8))
 
