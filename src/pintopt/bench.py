@@ -163,10 +163,16 @@ class CellResult:
     converged: bool
     cpu_seconds: float
     error: float = None
+    failure: str = None
 
 
 def solve_cell(spec, gamma, h):
-    """Assemble and solve one cell; wall time covers the GMRES loop only."""
+    """Assemble and solve one cell; wall time covers the GMRES loop only.
+
+    A FloatingPointError from the preconditioner's round-off guard fails
+    only this cell: it comes back unconverged, with no iterations or error
+    and the guard's message in ``failure``.
+    """
     level = mesh_level(h)
     grid = TimeSpaceGrid.from_h(h, n=2**level)
     problem = get_problem(f"example{spec.example}", gamma)
@@ -177,13 +183,19 @@ def solve_cell(spec, gamma, h):
     rhs = assemble_rhs(problem, grid, ops)
     prec = RbdEpsPreconditioner(grid, gamma, pick_epsilon(grid, spec), inner)
 
+    mn = grid.m * grid.n
     start = time.perf_counter()
-    report = gmres_solve(
-        op.matvec, rhs, apply_prec=prec.apply_inverse, tol=spec.tol, maxit=spec.maxit
-    )
+    try:
+        report = gmres_solve(
+            op.matvec, rhs, apply_prec=prec.apply_inverse, tol=spec.tol, maxit=spec.maxit
+        )
+    except FloatingPointError as exc:
+        return CellResult(
+            gamma=gamma, h=h, m1=grid.m1, n=grid.n, dof=2 * mn, iterations=0,
+            converged=False, cpu_seconds=time.perf_counter() - start, failure=str(exc),
+        )
     cpu = time.perf_counter() - start
 
-    mn = grid.m * grid.n
     state = report.x[:mn] / np.sqrt(gamma)
     adjoint = report.x[mn:]
     err = None

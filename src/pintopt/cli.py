@@ -166,6 +166,10 @@ def run_solve(args):
         with open(args.out, "w", newline="") as fh:
             write_csv(results, fh)
         print(f"wrote {args.out}")
+    for res in results:
+        if res.failure is not None:
+            print(f"cell gamma={res.gamma:g}, h={res.h:g} failed: {res.failure}",
+                  file=sys.stderr)
     unconverged = [r for r in results if not r.converged]
     if unconverged:
         print(f"{len(unconverged)} cell(s) did not converge", file=sys.stderr)

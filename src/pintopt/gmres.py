@@ -13,6 +13,8 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
+DEFAULT_MAXIT = 100
+
 
 @dataclass
 class SolveReport:
@@ -42,7 +44,10 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
     apply_op and apply_prec are callables mapping a vector to A v and
     P^-1 v (identity when apply_prec is None). Iterations stop when the
     preconditioned relative residual drops to ``tol`` or after ``maxit``
-    steps (default: the system size).
+    steps. The default is the smaller of the system size and
+    ``DEFAULT_MAXIT`` = 100, the command line's ``--maxit`` default: the
+    Hessenberg matrix and the basis grow with ``maxit``, so a size-long
+    default would ask for memory quadratic in the system size.
     """
     b = np.asarray(b)
     if np.iscomplexobj(b):
@@ -50,7 +55,7 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
     b = b.astype(float, copy=False)
     size = b.size
     if maxit is None:
-        maxit = size
+        maxit = min(size, DEFAULT_MAXIT)
     prec = apply_prec if apply_prec is not None else lambda v: v
 
     r0 = prec(b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretize import TimeSpaceGrid, build_stiffness
+from .discretize import TimeSpaceGrid, build_stiffness, build_time_difference
 from .gmres import gmres_solve
 from .rbd import contraction_factor, rate_constant
 from .transforms import eps_circulant_matrix
@@ -105,8 +105,7 @@ def build_bundle(n, tau, gamma, eps, mass, stiffness):
     root, root_inv = symmetric_root(mass)
     stiff_whitened = root_inv @ stiffness @ root_inv
 
-    B = np.eye(n)
-    B[np.arange(1, n), np.arange(n - 1)] = -1.0
+    B = build_time_difference(n)
     C = eps_circulant_matrix(n, eps)
 
     def couple(time_part, space_mass, space_stiff):

@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
+
+import pintopt
 
 from pintopt.bench import (
     CSV_COLUMNS,
@@ -27,6 +30,7 @@ from pintopt.cli import (
 )
 from pintopt.discretize import TimeSpaceGrid
 from pintopt.problems import get_problem
+from pintopt.rbd import RbdEpsPreconditioner
 
 FAST = dict(h_values=(2.0**-3,), gammas=(1e-4, 1e-2))
 
@@ -131,6 +135,33 @@ def test_parallel_jobs_match_sequential():
     assert [r.error for r in seq] == pytest.approx([r.error for r in par], rel=1e-12)
 
 
+def fail_guard_for_gamma(monkeypatch, gamma):
+    """Make the preconditioner's round-off guard trip in the cells of one gamma.
+
+    The patch reaches the ``jobs`` workers because the process pool forks.
+    """
+    original = RbdEpsPreconditioner.apply_inverse
+
+    def apply_inverse(self, r):
+        if self.gamma == gamma:
+            raise FloatingPointError("imaginary residue 1.000e-03 exceeds the round-off bound")
+        return original(self, r)
+
+    monkeypatch.setattr(RbdEpsPreconditioner, "apply_inverse", apply_inverse)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_guard_failure_fails_only_its_cell(monkeypatch, jobs):
+    fail_guard_for_gamma(monkeypatch, 1e-4)
+    spec = ExperimentSpec(example=1, h_values=(2.0**-3,), gammas=(1e-6, 1e-4, 1e-2), jobs=jobs)
+    rows = run_experiment(spec)
+    assert [r.gamma for r in rows] == [1e-6, 1e-4, 1e-2]
+    assert [r.converged for r in rows] == [True, False, True]
+    assert "imaginary residue" in rows[1].failure and rows[1].error is None
+    assert rows[0].failure is None and rows[2].failure is None
+    assert rows[0].error is not None and rows[2].error is not None
+
+
 def test_csv_shape_and_determinism():
     spec = ExperimentSpec(example=1, **FAST)
     text_a = csv_text(run_experiment(spec))
@@ -188,6 +219,16 @@ def test_cli_exit_nonzero_when_unconverged(capsys):
     )
     assert code == 1
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_reports_guard_failure_and_exits_one(monkeypatch, capsys):
+    fail_guard_for_gamma(monkeypatch, 1e-2)
+    code = run_cli("solve", "--example", "1", "--h", "2^-3", "--gamma", "1e-4,1e-2")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "cell gamma=0.01, h=0.125 failed: imaginary residue" in captured.err
+    assert "1 cell(s) did not converge" in captured.err
+    assert captured.out.count("yes") == 1 and captured.out.count("NO") == 1
 
 
 def test_cli_configuration_error_exit_code(capsys):
@@ -298,3 +339,14 @@ def test_cli_validate_writes_report(tmp_path, capsys):
     assert len(payload["checks"]) > 300
     sample = payload["checks"][0]
     assert set(sample) == {"name", "passed", "worst", "bound", "detail"}
+
+
+# --------------------------------------------------------- package identity
+
+
+def test_pyproject_matches_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "pintopt"
+    assert project["version"] == pintopt.__version__

@@ -92,6 +92,15 @@ def test_happy_breakdown_on_low_degree_minimal_polynomial():
     assert np.max(np.abs(report.x - b / d)) < 1e-12
 
 
+def test_default_maxit_is_capped_for_large_systems():
+    # a size-long default would preallocate a size x size Hessenberg matrix,
+    # about 320 GB here; the capped default runs in a few megabytes
+    b = np.linspace(1.0, 2.0, 200_000)
+    report = gmres_solve(lambda v: v, b, tol=1e-12)
+    assert report.converged and report.iterations == 1
+    assert np.max(np.abs(report.x - b)) < 1e-12
+
+
 def test_zero_rhs_returns_zero():
     report = gmres_solve(lambda v: 2 * v, np.zeros(7))
     assert report.converged and report.iterations == 0

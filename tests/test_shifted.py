@@ -1,20 +1,17 @@
 """Tests for the shifted inner solvers: DST-direct, dense-LU and multigrid.
 
-Oracles: dense LU solves of the explicitly assembled shifted matrix, and a
-scalar forward-substitution loop for the Gauss-Seidel smoother.
+Oracles: dense LU solves of the explicitly assembled shifted matrix, a
+scalar forward-substitution loop for the Gauss-Seidel smoother, and a dense
+V-cycle built from np.tril and Kronecker-product transfers.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
-from pintopt.multigrid import (
-    MgShiftedSolver,
-    VCycleSolver,
-    build_hierarchy,
-    prolongation_1d,
-)
+from pintopt.multigrid import MgShiftedSolver, prolongation_1d
 from pintopt.shifted import DenseShiftedSolver, DstShiftedSolver
 
 
@@ -107,9 +104,9 @@ def test_dense_solver_general_mass():
 
 
 def test_prolongation_1d_stencil():
-    P = prolongation_1d(3).toarray()
+    P = prolongation_1d(3)
     assert np.allclose(P, [[0.5], [1.0], [0.5]])
-    P7 = prolongation_1d(7).toarray()
+    P7 = prolongation_1d(7)
     # odd rows copy the coarse value, even rows average the two neighbors
     assert np.allclose(P7[1], [1, 0, 0]) and np.allclose(P7[2], [0.5, 0.5, 0])
     # each coarse point spreads total weight 0.5 + 1 + 0.5 per dimension
@@ -119,36 +116,125 @@ def test_prolongation_1d_stencil():
 
 
 def test_hierarchy_sizes_and_rejection():
-    grid = TimeSpaceGrid(m1=15, n=4)
-    levels = build_hierarchy(grid, wavy_coeff)
-    assert [lvl[0] for lvl in levels] == [15, 7, 3]
-    assert levels[-1][2] is None
+    levels = MgShiftedSolver(TimeSpaceGrid(m1=15, n=4), wavy_coeff).levels
+    assert [lvl.m1 for lvl in levels] == [15, 7, 3]
+    # only the coarsest level is solved directly; the finer ones transfer
+    assert levels[-1].dense.shape == (9, 9)
+    assert all(lvl.dense is None for lvl in levels[:-1])
+    assert [lvl.prolong.shape for lvl in levels[:-1]] == [(15, 7), (7, 3)]
     with pytest.raises(ValueError):
-        build_hierarchy(TimeSpaceGrid(m1=6, n=4), wavy_coeff)
+        MgShiftedSolver(TimeSpaceGrid(m1=6, n=4), wavy_coeff)
+
+
+def stencil_matrix(level):
+    """tau K of a level, rebuilt from its diagonal and its two coupling bands."""
+    north, west = level.couplings
+    m1 = level.m1
+    lower = sp.diags([west[1:], north[m1:]], [-1, -m1], shape=(m1 * m1, m1 * m1))
+    return (sp.diags(level.diag) + lower + lower.T).tocsr()
 
 
 def test_coarse_operators_rediscretized():
-    # the level-1 stiffness equals direct assembly on the coarser grid
-    grid = TimeSpaceGrid(m1=7, n=4)
-    levels = build_hierarchy(grid, wavy_coeff)
+    # every coarser level equals direct assembly on its own grid
+    grid = TimeSpaceGrid(m1=15, n=4)
+    levels = MgShiftedSolver(grid, wavy_coeff).levels
+    for level in levels[:-1]:
+        direct = build_stiffness(TimeSpaceGrid(m1=level.m1, n=4), wavy_coeff).stiffness
+        assert abs(stencil_matrix(level) - grid.tau * direct).max() == 0.0
     direct = build_stiffness(TimeSpaceGrid(m1=3, n=4), wavy_coeff).stiffness
-    assert (levels[1][1] != direct).nnz == 0
+    assert np.array_equal(levels[-1].dense, grid.tau * direct.toarray())
+
+
+def sweep_on_level(level, sigmas, b, z=None):
+    """One wavefront sweep on a level for every column of an (m, 2 k) stack."""
+    stencil = level.stencil(1.0 / (level.diag[:, None] + sigmas), 2)
+    z_skew = level.to_skew(np.zeros_like(b) if z is None else z)
+    level.sweep(z_skew, level.to_skew(b), stencil, from_zero=z is None)
+    return level.to_grid(z_skew)
 
 
 def test_smoother_matches_scalar_forward_substitution():
-    grid = TimeSpaceGrid(m1=3, n=4)
-    sigma = 0.8 + 0.6j
-    hier = build_hierarchy(TimeSpaceGrid(m1=7, n=4), wavy_coeff)
-    vc = VCycleSolver(hier, grid.tau, sigma, pre=1, post=1, cycles=1)
-    level = vc.levels[0]
-    A = level["matrix"].toarray()
+    # one sweep over three shifts and two right-hand sides each equals the
+    # scalar forward substitution with the lower triangle of each matrix
+    grid = TimeSpaceGrid(m1=7, n=4)
+    level = MgShiftedSolver(grid, wavy_coeff).levels[0]
+    sigmas = np.array([0.8 + 0.6j, 0.05 + 0.9j, 3.0])
     rng = np.random.default_rng(0)
-    r = rng.standard_normal(49) + 1j * rng.standard_normal(49)
-    got = level["lower"].solve(r)
-    want = np.zeros(49, dtype=complex)
-    for i in range(49):
-        want[i] = (r[i] - A[i, :i] @ want[:i]) / A[i, i]
-    assert np.max(np.abs(got - want)) < 1e-13
+    b = rng.standard_normal((49, 6)) + 1j * rng.standard_normal((49, 6))
+    got = sweep_on_level(level, sigmas, b)
+    for col in range(6):
+        A = shifted_matrix(grid, wavy_coeff, sigmas[col % 3]).toarray()
+        want = np.zeros(49, dtype=complex)
+        for i in range(49):
+            want[i] = (b[i, col] - A[i, :i] @ want[:i]) / A[i, i]
+        assert np.max(np.abs(got[:, col] - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_sweep_from_a_guess_is_lexicographic_gauss_seidel():
+    grid = TimeSpaceGrid(m1=7, n=4)
+    level = MgShiftedSolver(grid, wavy_coeff).levels[0]
+    sigmas = np.array([0.4 + 0.3j, 2.0 - 0.1j])
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((49, 4)) + 1j * rng.standard_normal((49, 4))
+    z0 = rng.standard_normal((49, 4)) + 1j * rng.standard_normal((49, 4))
+    got = sweep_on_level(level, sigmas, b, z0)
+    for col in range(4):
+        A = shifted_matrix(grid, wavy_coeff, sigmas[col % 2]).toarray()
+        z = z0[:, col].copy()
+        for i in range(49):
+            z[i] = (b[i, col] - A[i, :i] @ z[:i] - A[i, i + 1:] @ z[i + 1:]) / A[i, i]
+        assert np.max(np.abs(got[:, col] - z)) < 1e-13 * np.max(np.abs(z))
+
+
+def reference_vcycle(grid, coeff, sigma, pre, post, cycles, r):
+    """Dense V-cycles: np.tril smoother, Kronecker transfers, exact coarsest solve."""
+    sizes = [grid.m1]
+    while sizes[-1] > 3:
+        sizes.append((sizes[-1] - 1) // 2)
+    matrices = [
+        shifted_matrix(TimeSpaceGrid(m1=size, n=grid.n), coeff, sigma).toarray()
+        for size in sizes
+    ]
+
+    def interpolation(m1):
+        P = np.zeros((m1, (m1 - 1) // 2))
+        for c in range(P.shape[1]):
+            P[2 * c : 2 * c + 3, c] = [0.5, 1.0, 0.5]
+        return np.kron(P, P)
+
+    def cycle(depth, b):
+        A = matrices[depth]
+        if depth == len(sizes) - 1:
+            return np.linalg.solve(A, b)
+        lower = np.tril(A)
+        z = scipy.linalg.solve_triangular(lower, b, lower=True)
+        for _ in range(pre - 1):
+            z += scipy.linalg.solve_triangular(lower, b - A @ z, lower=True)
+        P = interpolation(sizes[depth])
+        z += P @ cycle(depth + 1, P.T @ (b - A @ z) / 16)
+        for _ in range(post):
+            z += scipy.linalg.solve_triangular(lower, b - A @ z, lower=True)
+        return z
+
+    z = cycle(0, r)
+    for _ in range(cycles - 1):
+        z = z + cycle(0, r - matrices[0] @ z)
+    return z
+
+
+@pytest.mark.parametrize("m1", [7, 15])
+@pytest.mark.parametrize("pre,post,cycles", [(1, 1, 1), (2, 1, 2)])
+def test_batched_vcycle_matches_dense_reference(m1, pre, post, cycles):
+    grid = TimeSpaceGrid(m1=m1, n=8)
+    sigmas = np.array([0.3 + 0.2j, 0.05 + 0.87j, 1.5 - 0.4j])
+    solver = MgShiftedSolver(grid, wavy_coeff, pre=pre, post=post, cycles=cycles)
+    rng = np.random.default_rng(m1)
+    rhs = rng.standard_normal((2, 3, grid.m)) + 1j * rng.standard_normal((2, 3, grid.m))
+    got = solver.factor(sigmas)(rhs)
+    for k, sigma in enumerate(sigmas):
+        for j in range(2):
+            want = reference_vcycle(grid, wavy_coeff, sigma, pre, post, cycles, rhs[j, k])
+            assert np.max(np.abs(got[j, k] - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_vcycle_exact_on_coarsest_grids():
@@ -225,11 +311,10 @@ def test_more_cycles_reduce_residual_further():
 
 
 def test_vcycle_rejects_bad_smoothing_counts():
-    hier = build_hierarchy(TimeSpaceGrid(m1=7, n=4), wavy_coeff)
-    with pytest.raises(ValueError):
-        VCycleSolver(hier, 0.25, 1.0, pre=0)
-    with pytest.raises(ValueError):
-        VCycleSolver(hier, 0.25, 1.0, cycles=0)
+    grid = TimeSpaceGrid(m1=7, n=4)
+    for counts in ({"pre": 0}, {"post": -1}, {"cycles": 0}):
+        with pytest.raises(ValueError, match="need pre >= 1, post >= 0 and cycles >= 1"):
+            MgShiftedSolver(grid, wavy_coeff, **counts)
 
 
 # --------------------------------------------------------- batched interface
