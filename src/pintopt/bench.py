@@ -87,6 +87,11 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"fixed damping needs a value in (0, 1], got {self.eps_value}"
                 )
+        if self.mg_pre < 1 or self.mg_post < 0 or self.mg_cycles < 1:
+            raise ConfigurationError(
+                "multigrid needs mg_pre >= 1, mg_post >= 0 and mg_cycles >= 1, got "
+                f"{self.mg_pre}, {self.mg_post} and {self.mg_cycles}"
+            )
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -178,9 +183,8 @@ def solve_cell(spec, gamma, h):
     problem = get_problem(f"example{spec.example}", gamma)
     inner = make_inner_solver(problem, grid, spec)
 
-    ops = build_stiffness(grid, problem.a)
-    op = AllAtOnceOperator(grid, ops, gamma)
-    rhs = assemble_rhs(problem, grid, ops)
+    op = AllAtOnceOperator(grid, build_stiffness(grid, problem.a), gamma)
+    rhs = assemble_rhs(problem, grid)
     prec = RbdEpsPreconditioner(grid, gamma, pick_epsilon(grid, spec), inner)
 
     mn = grid.m * grid.n

@@ -1,10 +1,16 @@
-"""Space-time grid, spatial operators, right-hand side and error measure.
+"""Space-time grid, stiffness matrix, right-hand side and error measure.
 
 The spatial domain is the open unit square with homogeneous Dirichlet
 boundary; space is discretized by the standard 5-point scheme with the
 diffusion coefficient sampled at staggered edge midpoints, time by backward
 Euler. Grid functions are flattened row-major with the first coordinate
 slowest: index (i-1)*m1 + (j-1) holds the value at (i*h, j*h).
+
+The time derivative and the tracking term act on grid values directly, so
+the M of the general theory is the identity here and the stiffness K is
+the only spatial matrix: the operator and the right-hand side use grid
+values as they are, and the inner solvers add their shifts straight to the
+diagonal of K.
 
 Block vectors over time are laid out time-major (block k contiguous). The
 assembled right-hand side follows the scaled coupled-system convention: the
@@ -73,26 +79,8 @@ class TimeSpaceGrid:
         return (np.arange(self.n) + offset) * self.tau
 
 
-@dataclass(frozen=True)
-class SpatialOperators:
-    """Sparse stiffness matrix and mass matrix on one time slice."""
-
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-
-
-def build_time_difference(n):
-    """Lower-bidiagonal backward-difference matrix: 1 on the diagonal, -1 below."""
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
-    B = np.eye(n)
-    idx = np.arange(1, n)
-    B[idx, idx - 1] = -1.0
-    return B
-
-
 def build_stiffness(grid, a):
-    """Assemble the 5-point staggered-coefficient stiffness matrix.
+    """Assemble the 5-point staggered-coefficient stiffness matrix (CSR).
 
     The coefficient ``a`` is evaluated at the midpoints of the four edges
     meeting each interior node; the diagonal entry is the sum of those four
@@ -144,32 +132,30 @@ def build_stiffness(grid, a):
     cols.append(idx[:, 1:].ravel())
     vals.append(-vert[:, 1:-1].ravel())
 
-    K = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals) / h**2, (np.concatenate(rows), np.concatenate(cols))),
         shape=(m, m),
     ).tocsr()
-    return SpatialOperators(stiffness=K, mass=sp.identity(m, format="csr"))
 
 
-def assemble_rhs(problem, grid, ops):
+def assemble_rhs(problem, grid):
     """Assemble the length-2mn right-hand side of the coupled system.
 
-    Top half, block k (k = 1..n): tau * M * g(., t_{k-1}).
-    Bottom half, block k: -sqrt(gamma) * (tau * M * f(., t_k) + [k == 1] M * y0).
+    Top half, block k (k = 1..n): tau * g(., t_{k-1}).
+    Bottom half, block k: -sqrt(gamma) * (tau * f(., t_k) + [k == 1] y0).
     """
     X1, X2 = grid.interior_points()
     m, n, tau = grid.m, grid.n, grid.tau
-    M = ops.mass
 
     top = np.empty(m * n)
     bot = np.empty(m * n)
     for k in range(1, n + 1):
         gk = np.asarray(problem.g(X1, X2, (k - 1) * tau), dtype=float).ravel()
         fk = np.asarray(problem.f(X1, X2, k * tau), dtype=float).ravel()
-        top[(k - 1) * m : k * m] = tau * (M @ gk)
-        fblk = tau * (M @ fk)
+        top[(k - 1) * m : k * m] = tau * gk
+        fblk = tau * fk
         if k == 1:
-            fblk = fblk + M @ np.asarray(problem.y0(X1, X2), dtype=float).ravel()
+            fblk = fblk + np.asarray(problem.y0(X1, X2), dtype=float).ravel()
         bot[(k - 1) * m : k * m] = fblk
     return np.concatenate([top, -np.sqrt(problem.gamma) * bot])
 

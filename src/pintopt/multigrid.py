@@ -89,7 +89,7 @@ class Level:
 
     def __init__(self, grid, coeff, coarsest):
         m1, tau = grid.m1, grid.tau
-        stiffness = build_stiffness(grid, coeff).stiffness
+        stiffness = build_stiffness(grid, coeff)
         self.m1 = m1
         if coarsest:
             self.dense = tau * stiffness.toarray()

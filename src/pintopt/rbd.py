@@ -97,7 +97,7 @@ class RbdEpsPreconditioner:
         self._solve = None
 
     def apply_inverse(self, r):
-        """P^-1 r for a stacked vector r of length 2 m n."""
+        """P^-1 r for a vector r of length 2 m n, both halves one after the other."""
         r = np.asarray(r)
         if r.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}, got {r.shape}")

@@ -8,8 +8,8 @@ interchangeable backends are provided:
 * :class:`DstShiftedSolver` - direct diagonalization by the orthonormal
   discrete sine transform; exact, but only valid for the constant unit
   diffusion coefficient (identity mass matrix, 5-point Laplacian).
-* :class:`DenseShiftedSolver` - LU factorization of the dense shifted
-  matrix; exact for any mass/stiffness pair, meant for small validation
+* :class:`DenseShiftedSolver` - one batched inversion of the dense shifted
+  matrices; exact for any mass/stiffness pair, meant for small validation
   problems.
 * the geometric multigrid backend in :mod:`pintopt.multigrid`.
 
@@ -19,24 +19,9 @@ whose last two axes are ``(len(sigmas), m)`` and solves row k of that axis
 pair with shift ``sigmas[k]``, returning an array of the same shape.
 """
 
-import functools
-
 import numpy as np
-import scipy.linalg
 
 from .transforms import dst2d
-
-
-def stacked(solvers):
-    """Batched solve from per-shift solves: ``rhs[..., k, :]`` goes to solvers[k]."""
-
-    def solve(rhs):
-        out = np.empty(rhs.shape, dtype=complex)
-        for index in np.ndindex(rhs.shape[:-1]):
-            out[index] = solvers[index[-1]](rhs[index])
-        return out
-
-    return solve
 
 
 class DstShiftedSolver:
@@ -71,7 +56,7 @@ class DstShiftedSolver:
 
 
 class DenseShiftedSolver:
-    """LU-factorized dense solves of (sigma M + tau K) for arbitrary M, K."""
+    """Dense solves of (sigma M + tau K) for arbitrary M, K, by explicit inverses."""
 
     def __init__(self, mass, stiffness, tau):
         self.mass = np.asarray(
@@ -84,10 +69,10 @@ class DenseShiftedSolver:
         self.tau = float(tau)
 
     def factor(self, sigmas):
-        return stacked([
-            functools.partial(
-                scipy.linalg.lu_solve,
-                scipy.linalg.lu_factor(sigma * self.mass + self.tau * self.stiffness),
-            )
-            for sigma in sigmas
-        ])
+        shifted = np.asarray(sigmas)[:, None, None] * self.mass + self.tau * self.stiffness
+        inverses = np.linalg.inv(shifted)
+
+        def solve(rhs):
+            return np.einsum("kpq,...kq->...kp", inverses, rhs)
+
+        return solve

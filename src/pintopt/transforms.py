@@ -4,7 +4,8 @@ Two ingredients live here:
 
 * the spectrum and scaling diagonal of the "corner-modified" lower-bidiagonal
   time-difference matrix (a circulant whose wrap-around entry is damped by a
-  factor ``eps``), together with a dense copy of that matrix for validation;
+  factor ``eps``; its dense copy is
+  :func:`pintopt.validation.eps_circulant_matrix`);
 * the orthonormal 2D sine transform that diagonalizes the constant-coefficient
   five-point stiffness matrix on the unit square.
 
@@ -36,33 +37,12 @@ class EpsSpectrum:
     scalings: np.ndarray
 
 
-def _check_eps(eps):
+def eps_spectrum(n, eps):
+    """Eigenvalues and similarity scalings of the corner-damped matrix, 0 < eps <= 1."""
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"damping factor must lie in (0, 1], got {eps}")
-
-
-def eps_circulant_matrix(n, eps):
-    """Dense corner-damped difference matrix (validation-scale only).
-
-    Ones on the diagonal, -1 on the first subdiagonal, and an extra ``-eps``
-    added at position (1, n). For n = 1 the corner lands on the diagonal,
-    giving the 1x1 matrix [1 - eps].
-    """
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    _check_eps(eps)
-    C = np.eye(n)
-    idx = np.arange(1, n)
-    C[idx, idx - 1] = -1.0
-    C[0, n - 1] -= eps
-    return C
-
-
-def eps_spectrum(n, eps):
-    """Eigenvalues and similarity scalings of ``eps_circulant_matrix(n, eps)``."""
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    _check_eps(eps)
     k = np.arange(n)
     theta = np.exp(2j * np.pi / n)
     lambdas = 1.0 - eps ** (1.0 / n) * theta ** (-k)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretize import TimeSpaceGrid, build_stiffness, build_time_difference
+from .discretize import TimeSpaceGrid, build_stiffness
 from .gmres import gmres_solve
 from .rbd import contraction_factor, rate_constant
-from .transforms import eps_circulant_matrix
 
 RANK_REL_TOL = 1e-10
 
@@ -39,6 +38,24 @@ class CheckResult:
         flag = "PASS" if self.passed else "FAIL"
         extra = f" ({self.detail})" if self.detail else ""
         return f"[{flag}] {self.name}: {self.worst:.3e} vs {self.bound:.3e}{extra}"
+
+
+def eps_circulant_matrix(n, eps):
+    """Dense corner-damped backward-difference matrix, 0 <= eps <= 1.
+
+    Ones on the diagonal, -1 on the first subdiagonal, and an extra ``-eps``
+    added at position (1, n). eps = 0 gives the plain backward difference B;
+    for n = 1 the corner lands on the diagonal, giving [1 - eps].
+    """
+    if n < 1:
+        raise ValueError(f"matrix size must be at least 1, got {n}")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"damping factor must lie in [0, 1], got {eps}")
+    C = np.eye(n)
+    idx = np.arange(1, n)
+    C[idx, idx - 1] = -1.0
+    C[0, n - 1] -= eps
+    return C
 
 
 def symmetric_root(mat):
@@ -105,7 +122,7 @@ def build_bundle(n, tau, gamma, eps, mass, stiffness):
     root, root_inv = symmetric_root(mass)
     stiff_whitened = root_inv @ stiffness @ root_inv
 
-    B = build_time_difference(n)
+    B = eps_circulant_matrix(n, 0.0)
     C = eps_circulant_matrix(n, eps)
 
     def couple(time_part, space_mass, space_stiff):
@@ -562,7 +579,7 @@ def run_validation(delta=0.5, verbose=False):
             grid = TimeSpaceGrid(m1=m1, n=n)
             stiff_fd = build_stiffness(
                 grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))
-            ).stiffness.toarray()
+            ).toarray()
             for gamma in (1e-8, 1e-4, 1.0):
                 for policy_name, eps in (
                     ("step", min(0.5, grid.tau / 2)),

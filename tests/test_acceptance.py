@@ -114,13 +114,13 @@ def test_criterion_4_dense_preconditioner_equivalence():
     for m1 in (1, 3):
         for n in (2, 4):
             grid = TimeSpaceGrid(m1=m1, n=n)
-            ops = build_stiffness(
+            K = build_stiffness(
                 grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))
             )
             for gamma in (1e-4, 1.0):
                 for eps in (0.5, 0.01):
                     bundle = build_bundle(
-                        n, grid.tau, gamma, eps, np.eye(grid.m), ops.stiffness
+                        n, grid.tau, gamma, eps, np.eye(grid.m), K
                     )
                     fast = RbdEpsPreconditioner(grid, gamma, eps, DstShiftedSolver(grid))
                     for _ in range(3):
@@ -165,14 +165,14 @@ def test_criterion_6_gmres_unit_properties():
 
     # final reported residual vs an independent recomputation, full stack
     grid = TimeSpaceGrid(m1=7, n=8)
-    ops = build_stiffness(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float)))
+    K = build_stiffness(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float)))
     from pintopt.discretize import assemble_rhs
     from pintopt.operators import AllAtOnceOperator
     from pintopt.problems import get_problem
 
     problem = get_problem("example1", 1e-6)
-    op = AllAtOnceOperator(grid, ops, 1e-6)
-    rhs = assemble_rhs(problem, grid, ops)
+    op = AllAtOnceOperator(grid, K, 1e-6)
+    rhs = assemble_rhs(problem, grid)
     prec = RbdEpsPreconditioner(grid, 1e-6, grid.tau / 2, DstShiftedSolver(grid))
     rep = gmres_solve(op.matvec, rhs, apply_prec=prec.apply_inverse, tol=1e-8)
     true_res = np.linalg.norm(prec.apply_inverse(rhs - op.matvec(rep.x)))

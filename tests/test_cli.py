@@ -269,6 +269,9 @@ def test_cli_config_file_overrides_flags(tmp_path):
     ("--delta", "nan"),
     ("--eps-policy", "fixed", "--eps-value", "nan"),
     ("--eps-policy", "rate", "--delta", "1.5"),
+    ("--mg-pre", "0"),
+    ("--mg-post", "-1"),
+    ("--mg-cycles", "0"),
 ])
 def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     code = run_cli("solve", "--example", "1", "--h", "2^-3", *flags)

@@ -1,4 +1,4 @@
-"""Grid, stiffness, time-difference, right-hand-side and error-measure tests.
+"""Grid, stiffness, right-hand-side and error-measure tests.
 
 The stiffness and RHS checks use independent scalar-loop oracles written here
 in the test file; the library's vectorized assembly must agree with them.
@@ -6,14 +6,12 @@ in the test file; the library's vectorized assembly must agree with them.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from pintopt.discretize import (
     DomainValidityError,
     TimeSpaceGrid,
     assemble_rhs,
     build_stiffness,
-    build_time_difference,
     error_norm,
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
@@ -80,38 +78,12 @@ def test_grid_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# time-difference matrix
-
-
-def test_time_difference_n1():
-    assert np.array_equal(build_time_difference(1), [[1.0]])
-
-
-def test_time_difference_n3():
-    want = [[1, 0, 0], [-1, 1, 0], [0, -1, 1]]
-    assert np.array_equal(build_time_difference(3), want)
-
-
-def test_time_difference_telescopes():
-    B = build_time_difference(6)
-    out = B @ np.ones(6)
-    want = np.zeros(6)
-    want[0] = 1.0
-    assert np.array_equal(out, want)
-
-
-def test_time_difference_rejects_zero():
-    with pytest.raises(ValueError):
-        build_time_difference(0)
-
-
-# ---------------------------------------------------------------------------
 # stiffness
 
 
 def test_stiffness_constant_coefficient_quarter_grid():
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
-    K = build_stiffness(grid, ones_coeff).stiffness
+    K = build_stiffness(grid, ones_coeff)
     dense = K.toarray()
     assert np.allclose(np.diag(dense), 64.0)
     offs = dense[dense != 0]
@@ -120,7 +92,7 @@ def test_stiffness_constant_coefficient_quarter_grid():
 
 def test_stiffness_single_point_grid():
     grid = TimeSpaceGrid.from_h(0.5, n=1, horizon=1.0)
-    K = build_stiffness(grid, ones_coeff).stiffness.toarray()
+    K = build_stiffness(grid, ones_coeff).toarray()
     assert np.allclose(K, [[16.0]])
     # matches the sine eigenvalue (2 - 2cos(pi/2)) * 2 / h^2 = 16
     assert np.allclose(np.linalg.eigvalsh(K), [16.0])
@@ -130,7 +102,7 @@ def test_stiffness_matches_kron_form_for_constant_coefficient():
     m1 = 5
     h = 1.0 / (m1 + 1)
     grid = TimeSpaceGrid(m1=m1, n=2, horizon=1.0)
-    K = build_stiffness(grid, ones_coeff).stiffness.toarray()
+    K = build_stiffness(grid, ones_coeff).toarray()
     T = 2 * np.eye(m1) - np.eye(m1, k=1) - np.eye(m1, k=-1)
     want = (np.kron(T, np.eye(m1)) + np.kron(np.eye(m1), T)) / h**2
     assert np.max(np.abs(K - want)) < 1e-12 / h**2
@@ -138,7 +110,7 @@ def test_stiffness_matches_kron_form_for_constant_coefficient():
 
 def test_stiffness_variable_coefficient_against_oracle():
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
-    K = build_stiffness(grid, wavy_coeff).stiffness.toarray()
+    K = build_stiffness(grid, wavy_coeff).toarray()
     want = dense_stiffness_oracle(3, lambda u, v: 1e-5 * np.sin(np.pi * u * v))
     assert np.max(np.abs(K - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -146,16 +118,11 @@ def test_stiffness_variable_coefficient_against_oracle():
 def test_stiffness_is_bitwise_symmetric_and_positive():
     for m1, coeff in [(3, ones_coeff), (3, wavy_coeff), (7, wavy_coeff)]:
         grid = TimeSpaceGrid(m1=m1, n=2, horizon=1.0)
-        K = build_stiffness(grid, coeff).stiffness
+        K = build_stiffness(grid, coeff)
+        assert K.format == "csr"
         assert (K != K.T).nnz == 0
         assert np.linalg.eigvalsh(K.toarray()).min() > 0
         assert K.nnz <= 5 * m1 * m1
-
-
-def test_stiffness_mass_is_identity():
-    grid = TimeSpaceGrid(m1=3, n=2, horizon=1.0)
-    ops = build_stiffness(grid, ones_coeff)
-    assert (ops.mass != sp.eye(9, format="csr")).nnz == 0
 
 
 def test_stiffness_rejects_nonpositive_coefficient():
@@ -171,8 +138,8 @@ def test_stiffness_accepts_boundary_vanishing_coefficient():
     # positive at every stencil sample even though it vanishes on parts of
     # the closed boundary
     grid = TimeSpaceGrid(m1=7, n=2, horizon=1.0)
-    ops = build_stiffness(grid, wavy_coeff)
-    assert np.linalg.eigvalsh(ops.stiffness.toarray()).min() > 0
+    K = build_stiffness(grid, wavy_coeff)
+    assert np.linalg.eigvalsh(K.toarray()).min() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +154,9 @@ def make_problem(f, g, y0, gamma=1.0, horizon=1.0):
 
 def test_rhs_homogeneous_data_is_zero():
     grid = TimeSpaceGrid(m1=3, n=4, horizon=1.0)
-    ops = build_stiffness(grid, ones_coeff)
     zero3 = lambda x1, x2, t: np.zeros_like(x1)
     zero2 = lambda x1, x2: np.zeros_like(x1)
-    b = assemble_rhs(make_problem(zero3, zero3, zero2, gamma=0.01), grid, ops)
+    b = assemble_rhs(make_problem(zero3, zero3, zero2, gamma=0.01), grid)
     assert b.shape == (2 * grid.m * grid.n,)
     assert np.all(b == 0)
 
@@ -198,9 +164,8 @@ def test_rhs_homogeneous_data_is_zero():
 def test_rhs_example1_scalar_loop_oracle():
     gamma = 1e-2
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
-    ops = build_stiffness(grid, ones_coeff)
     problem = get_problem("example1", gamma=gamma)
-    b = assemble_rhs(problem, grid, ops)
+    b = assemble_rhs(problem, grid)
 
     m1, m, n = grid.m1, grid.m, grid.n
     h, tau = grid.h, grid.tau
@@ -232,9 +197,8 @@ def test_rhs_example1_scalar_loop_oracle():
 
 def test_rhs_unit_gamma_bottom_half():
     grid = TimeSpaceGrid(m1=3, n=3, horizon=1.0)
-    ops = build_stiffness(grid, ones_coeff)
     problem = get_problem("example1", gamma=1.0)
-    b = assemble_rhs(problem, grid, ops)
+    b = assemble_rhs(problem, grid)
     mn = grid.m * grid.n
     # with sqrt(gamma) = 1 the bottom half is exactly minus the source stack
     f_stack = np.empty(mn)
@@ -251,7 +215,6 @@ def test_rhs_unit_gamma_bottom_half():
 def test_rhs_linear_in_data():
     rng = np.random.default_rng(2)
     grid = TimeSpaceGrid(m1=3, n=2, horizon=1.0)
-    ops = build_stiffness(grid, ones_coeff)
     c1, c2 = rng.standard_normal(2)
 
     def trig(u, v, s):
@@ -268,8 +231,8 @@ def test_rhs_linear_in_data():
         lambda u, v: c1 * (u + v) + c2 * (u * v),
         gamma=0.25,
     )
-    b = assemble_rhs(combo, grid, ops)
-    want = c1 * assemble_rhs(d1, grid, ops) + c2 * assemble_rhs(d2, grid, ops)
+    b = assemble_rhs(combo, grid)
+    want = c1 * assemble_rhs(d1, grid) + c2 * assemble_rhs(d2, grid)
     assert np.max(np.abs(b - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
 
 

@@ -141,12 +141,11 @@ def test_contraction_bound_holds_on_premise_boundary(delta):
 def test_full_stack_small_problem_converges():
     grid = TimeSpaceGrid(m1=7, n=8)
     problem = get_problem("example1", gamma=1e-6)
-    ops = build_stiffness(grid, problem.a)
-    op = AllAtOnceOperator(grid, ops, problem.gamma)
+    op = AllAtOnceOperator(grid, build_stiffness(grid, problem.a), problem.gamma)
     pc = RbdEpsPreconditioner(
         grid, problem.gamma, choose_epsilon(grid), inner=DstShiftedSolver(grid)
     )
-    b = assemble_rhs(problem, grid, ops)
+    b = assemble_rhs(problem, grid)
     report = gmres_solve(op.matvec, b, apply_prec=pc.apply_inverse, tol=1e-6)
     assert report.converged
     assert 0 < report.iterations < 20

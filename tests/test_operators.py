@@ -6,8 +6,9 @@ Oracle: explicit dense Kronecker assembly of the same operator.
 import numpy as np
 import pytest
 
-from pintopt.discretize import TimeSpaceGrid, build_stiffness, build_time_difference
+from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.operators import AllAtOnceOperator
+from pintopt.validation import eps_circulant_matrix
 
 
 def ones_coeff(x1, x2):
@@ -18,18 +19,16 @@ def wavy_coeff(x1, x2):
     return 1.0 + 0.5 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
 
 
-def dense_evolution(grid, ops):
-    """kron(B, M) + tau * kron(I, K) assembled densely."""
-    B = build_time_difference(grid.n)
-    M = ops.mass.toarray()
-    K = ops.stiffness.toarray()
-    return np.kron(B, M) + grid.tau * np.kron(np.eye(grid.n), K)
+def dense_evolution(grid, K):
+    """kron(B, I) + tau * kron(I, K) assembled densely."""
+    B = eps_circulant_matrix(grid.n, 0.0)
+    return np.kron(B, np.eye(grid.m)) + grid.tau * np.kron(np.eye(grid.n), K.toarray())
 
 
-def dense_saddle(grid, ops, gamma):
-    T = dense_evolution(grid, ops)
+def dense_saddle(grid, K, gamma):
+    T = dense_evolution(grid, K)
     alpha = grid.tau / np.sqrt(gamma)
-    W = np.kron(np.eye(grid.n), ops.mass.toarray())
+    W = np.eye(grid.m * grid.n)
     return np.block([[alpha * W, T.T], [-T, alpha * W]])
 
 
@@ -38,9 +37,9 @@ def dense_saddle(grid, ops, gamma):
 @pytest.mark.parametrize("coeff", [ones_coeff, wavy_coeff])
 def test_evolution_matches_dense(m1, n, coeff):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    ops = build_stiffness(grid, coeff)
-    T = dense_evolution(grid, ops)
-    op = AllAtOnceOperator(grid, ops, gamma=1e-3)
+    K = build_stiffness(grid, coeff)
+    T = dense_evolution(grid, K)
+    op = AllAtOnceOperator(grid, K, gamma=1e-3)
     rng = np.random.default_rng(7 * m1 + n)
     for _ in range(3):
         v = rng.standard_normal(grid.m * n)
@@ -50,8 +49,8 @@ def test_evolution_matches_dense(m1, n, coeff):
 
 def test_evolution_adjoint_identity():
     grid = TimeSpaceGrid(m1=3, n=4)
-    ops = build_stiffness(grid, wavy_coeff)
-    op = AllAtOnceOperator(grid, ops, gamma=1.0)
+    K = build_stiffness(grid, wavy_coeff)
+    op = AllAtOnceOperator(grid, K, gamma=1.0)
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = rng.standard_normal(grid.m * grid.n)
@@ -65,9 +64,9 @@ def test_evolution_adjoint_identity():
 @pytest.mark.parametrize("gamma", [1e-4, 1.0])
 def test_matvec_matches_dense(m1, n, gamma):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    ops = build_stiffness(grid, wavy_coeff)
-    A = dense_saddle(grid, ops, gamma)
-    op = AllAtOnceOperator(grid, ops, gamma=gamma)
+    K = build_stiffness(grid, wavy_coeff)
+    A = dense_saddle(grid, K, gamma)
+    op = AllAtOnceOperator(grid, K, gamma=gamma)
     rng = np.random.default_rng(m1 + 10 * n)
     for _ in range(3):
         x = rng.standard_normal(2 * grid.m * n)
@@ -77,12 +76,12 @@ def test_matvec_matches_dense(m1, n, gamma):
 
 
 def test_symmetric_part_is_scaled_mass():
-    # x' A x = alpha * x' blockdiag(I x M, I x M) x for every x: the skew
-    # coupling blocks cancel in the quadratic form
+    # x' A x = alpha * x' W x with W = I for every x: the skew coupling
+    # blocks cancel in the quadratic form
     grid = TimeSpaceGrid(m1=3, n=3)
-    ops = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(grid, ones_coeff)
     gamma = 1e-2
-    op = AllAtOnceOperator(grid, ops, gamma=gamma)
+    op = AllAtOnceOperator(grid, K, gamma=gamma)
     alpha = grid.tau / np.sqrt(gamma)
     rng = np.random.default_rng(42)
     for _ in range(5):
@@ -94,15 +93,15 @@ def test_symmetric_part_is_scaled_mass():
 
 def test_alpha_value():
     grid = TimeSpaceGrid(m1=3, n=8)
-    ops = build_stiffness(grid, ones_coeff)
-    op = AllAtOnceOperator(grid, ops, gamma=1e-4)
+    K = build_stiffness(grid, ones_coeff)
+    op = AllAtOnceOperator(grid, K, gamma=1e-4)
     assert op.alpha == pytest.approx((1.0 / 8) / 1e-2, rel=1e-15)
 
 
 def test_matvec_linearity():
     grid = TimeSpaceGrid(m1=2, n=3)
-    ops = build_stiffness(grid, wavy_coeff)
-    op = AllAtOnceOperator(grid, ops, gamma=0.1)
+    K = build_stiffness(grid, wavy_coeff)
+    op = AllAtOnceOperator(grid, K, gamma=0.1)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(op.size)
     y = rng.standard_normal(op.size)
@@ -113,8 +112,8 @@ def test_matvec_linearity():
 
 def test_matvec_rejects_wrong_length():
     grid = TimeSpaceGrid(m1=2, n=2)
-    ops = build_stiffness(grid, ones_coeff)
-    op = AllAtOnceOperator(grid, ops, gamma=1.0)
+    K = build_stiffness(grid, ones_coeff)
+    op = AllAtOnceOperator(grid, K, gamma=1.0)
     with pytest.raises(ValueError):
         op.matvec(np.zeros(op.size + 1))
     with pytest.raises(ValueError):

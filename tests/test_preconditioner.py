@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pintopt.discretize import SpatialOperators, TimeSpaceGrid, build_stiffness
+from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.rbd import (
     RbdEpsPreconditioner,
     choose_epsilon,
@@ -21,7 +21,8 @@ from pintopt.rbd import (
     rate_constant,
 )
 from pintopt.shifted import DenseShiftedSolver, DstShiftedSolver
-from pintopt.transforms import eps_circulant_matrix, eps_spectrum
+from pintopt.transforms import eps_spectrum
+from pintopt.validation import eps_circulant_matrix
 
 
 def ones_coeff(x1, x2):
@@ -32,10 +33,11 @@ def wavy_coeff(x1, x2):
     return 1.0 + 0.5 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
 
 
-def dense_preconditioner(grid, ops, gamma, eps):
+def dense_preconditioner(grid, stiffness, gamma, eps, mass=None):
+    """The dense P; the mass matrix M defaults to the scheme's identity."""
     n, m, tau = grid.n, grid.m, grid.tau
-    M = ops.mass.toarray()
-    K = ops.stiffness.toarray()
+    M = np.eye(m) if mass is None else mass.toarray()
+    K = stiffness.toarray()
     alpha = tau / np.sqrt(gamma)
     C = eps_circulant_matrix(n, eps)
     Ceps = np.kron(C, M) + tau * np.kron(np.eye(n), K)
@@ -57,8 +59,8 @@ def rel_err(got, want):
 @pytest.mark.parametrize("eps", [0.5, 0.01])
 def test_matches_dense_inverse_unit_coeff(m1, n, gamma, eps):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    ops = build_stiffness(grid, ones_coeff)
-    P = dense_preconditioner(grid, ops, gamma, eps)
+    K = build_stiffness(grid, ones_coeff)
+    P = dense_preconditioner(grid, K, gamma, eps)
     pc = RbdEpsPreconditioner(grid, gamma, eps, inner=DstShiftedSolver(grid))
     rng = np.random.default_rng(hash((m1, n)) % 2**31)
     for _ in range(3):
@@ -68,10 +70,10 @@ def test_matches_dense_inverse_unit_coeff(m1, n, gamma, eps):
 
 def test_matches_dense_inverse_variable_coeff():
     grid = TimeSpaceGrid(m1=3, n=3)
-    ops = build_stiffness(grid, wavy_coeff)
+    K = build_stiffness(grid, wavy_coeff)
     gamma, eps = 1e-3, 0.2
-    P = dense_preconditioner(grid, ops, gamma, eps)
-    inner = DenseShiftedSolver(ops.mass, ops.stiffness, grid.tau)
+    P = dense_preconditioner(grid, K, gamma, eps)
+    inner = DenseShiftedSolver(np.eye(grid.m), K, grid.tau)
     pc = RbdEpsPreconditioner(grid, gamma, eps, inner=inner)
     rng = np.random.default_rng(11)
     r = rng.standard_normal(2 * grid.m * grid.n)
@@ -88,9 +90,8 @@ def test_matches_dense_inverse_general_mass():
     K = sp.diags(
         [np.full(m - 1, -1.0), np.full(m, 2.5), np.full(m - 1, -1.0)], [-1, 0, 1]
     ).tocsr()
-    ops = SpatialOperators(stiffness=K, mass=M)
     gamma, eps = 0.25, 0.4
-    P = dense_preconditioner(grid, ops, gamma, eps)
+    P = dense_preconditioner(grid, K, gamma, eps, mass=M)
     pc = RbdEpsPreconditioner(
         grid, gamma, eps, inner=DenseShiftedSolver(M, K, grid.tau)
     )
@@ -102,8 +103,8 @@ def test_matches_dense_inverse_general_mass():
 def test_matches_dense_inverse_single_step():
     # n = 1: the corner damping lands on the diagonal, C = [1 - eps]
     grid = TimeSpaceGrid(m1=3, n=1)
-    ops = build_stiffness(grid, ones_coeff)
-    P = dense_preconditioner(grid, ops, 1.0, 0.5)
+    K = build_stiffness(grid, ones_coeff)
+    P = dense_preconditioner(grid, K, 1.0, 0.5)
     pc = RbdEpsPreconditioner(grid, 1.0, 0.5, inner=DstShiftedSolver(grid))
     rng = np.random.default_rng(13)
     r = rng.standard_normal(2 * grid.m)
@@ -126,8 +127,8 @@ def test_conjugate_pair_shortcut_matches_full_path():
     # dense inverse is the full path, for even and odd n
     for n in (4, 5, 8):
         grid = TimeSpaceGrid(m1=3, n=n)
-        ops = build_stiffness(grid, ones_coeff)
-        P = dense_preconditioner(grid, ops, 1e-3, 0.25)
+        K = build_stiffness(grid, ones_coeff)
+        P = dense_preconditioner(grid, K, 1e-3, 0.25)
         pc = RbdEpsPreconditioner(grid, 1e-3, 0.25, inner=DstShiftedSolver(grid))
         rng = np.random.default_rng(n)
         r = rng.standard_normal(2 * grid.m * n)
@@ -156,8 +157,8 @@ class RecordingSolver:
 @pytest.mark.parametrize("n", [1, 4, 5])
 def test_one_lazy_factor_and_one_solve_per_apply(n):
     grid = TimeSpaceGrid(m1=3, n=n)
-    ops = build_stiffness(grid, ones_coeff)
-    inner = RecordingSolver(DenseShiftedSolver(ops.mass, ops.stiffness, grid.tau))
+    K = build_stiffness(grid, ones_coeff)
+    inner = RecordingSolver(DenseShiftedSolver(np.eye(grid.m), K, grid.tau))
     pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=inner)
     assert inner.factored == []  # nothing is factored at construction
     rng = np.random.default_rng(16)
@@ -180,8 +181,8 @@ def test_real_input_gives_real_output():
 
 def test_complex_input_matches_dense_inverse():
     grid = TimeSpaceGrid(m1=2, n=4)
-    ops = build_stiffness(grid, ones_coeff)
-    P = dense_preconditioner(grid, ops, 0.5, 0.3)
+    K = build_stiffness(grid, ones_coeff)
+    P = dense_preconditioner(grid, K, 0.5, 0.3)
     pc = RbdEpsPreconditioner(grid, 0.5, 0.3, inner=DstShiftedSolver(grid))
     rng = np.random.default_rng(15)
     r = rng.standard_normal(2 * grid.m * 4) + 1j * rng.standard_normal(2 * grid.m * 4)

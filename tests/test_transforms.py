@@ -9,12 +9,9 @@ never by the code under test.
 import numpy as np
 import pytest
 
-from pintopt.transforms import (
-    dst2d,
-    eps_circulant_matrix,
-    eps_spectrum,
-)
+from pintopt.transforms import dst2d, eps_spectrum
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.validation import eps_circulant_matrix
 
 
 def dense_fourier(n):
@@ -31,7 +28,7 @@ def dense_dst(m1):
 
 
 # ---------------------------------------------------------------------------
-# eps_circulant_matrix
+# eps_circulant_matrix (eps = 0 is the plain backward difference B)
 
 
 def test_corner_matrix_n2_full_eps():
@@ -39,8 +36,17 @@ def test_corner_matrix_n2_full_eps():
 
 
 def test_corner_matrix_n3():
-    expected = [[1, 0, -0.5], [-1, 1, 0], [0, -1, 1]]
-    assert np.array_equal(eps_circulant_matrix(3, 0.5), expected)
+    for eps in (0.0, 0.5):
+        expected = [[1, 0, -eps], [-1, 1, 0], [0, -1, 1]]
+        assert np.array_equal(eps_circulant_matrix(3, eps), expected)
+
+
+def test_corner_matrix_telescopes():
+    # the row sums are 1 - eps in the first row and 0 below it
+    for eps in (0.0, 0.5, 1.0):
+        want = np.zeros(6)
+        want[0] = 1.0 - eps
+        assert np.array_equal(eps_circulant_matrix(6, eps) @ np.ones(6), want)
 
 
 def test_corner_matrix_eigenvalues_n2():
@@ -50,9 +56,12 @@ def test_corner_matrix_eigenvalues_n2():
 
 
 def test_corner_matrix_rejects_bad_eps():
-    for eps in (0.0, -0.5, 1.5):
+    for eps in (-0.5, 1.5):
         with pytest.raises(ValueError):
             eps_circulant_matrix(3, eps)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            eps_circulant_matrix(n, 0.0)
     with pytest.raises(ValueError):
         eps_spectrum(3, 0.0)
 
@@ -65,6 +74,9 @@ def test_spectrum_n1():
     spec = eps_spectrum(1, 0.5)
     assert np.allclose(spec.lambdas, [0.5])
     assert np.allclose(spec.scalings, [1.0])
+    # the 1x1 matrix is its own eigenvalue; eps = 0 gives B = [1]
+    for eps in (0.0, 0.5):
+        assert np.array_equal(eps_circulant_matrix(1, eps), [[1.0 - eps]])
 
 
 def test_spectrum_scalings_quarter():
@@ -159,7 +171,7 @@ def test_dst_diagonalizes_constant_coefficient_stiffness():
     h = 0.25
     m1 = 3
     grid = TimeSpaceGrid.from_h(h, n=4, horizon=1.0)
-    K = build_stiffness(grid, lambda x1, x2: np.ones_like(x1)).stiffness.toarray()
+    K = build_stiffness(grid, lambda x1, x2: np.ones_like(x1)).toarray()
     S2 = np.kron(dense_dst(m1), dense_dst(m1))
     congr = S2.T @ K @ S2
     i = np.arange(1, m1 + 1)
@@ -172,7 +184,7 @@ def test_dst_eigenvalue_formula_matches_dense_stiffness():
     for m1 in (1, 3, 7):
         h = 1.0 / (m1 + 1)
         grid = TimeSpaceGrid.from_h(h, n=2, horizon=1.0)
-        K = build_stiffness(grid, lambda x1, x2: np.ones_like(x1)).stiffness.toarray()
+        K = build_stiffness(grid, lambda x1, x2: np.ones_like(x1)).toarray()
         dense_eigs = np.sort(np.linalg.eigvalsh(K))
         i = np.arange(1, m1 + 1)
         lam1d = 2.0 - 2.0 * np.cos(i * np.pi * h)

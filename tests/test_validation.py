@@ -38,7 +38,7 @@ def constant_coefficient(x1, x2):
 
 def fd_bundle(m1, n, gamma, eps):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    stiffness = build_stiffness(grid, constant_coefficient).stiffness
+    stiffness = build_stiffness(grid, constant_coefficient)
     return grid, build_bundle(n, grid.tau, gamma, eps, np.eye(grid.m), stiffness)
 
 
@@ -72,9 +72,9 @@ def test_saddle_matches_matrix_free_operator():
     rng = np.random.default_rng(11)
     for m1, n, gamma in [(1, 2, 1e-4), (3, 3, 1.0), (2, 4, 1e-2)]:
         grid = TimeSpaceGrid(m1=m1, n=n)
-        ops = build_stiffness(grid, constant_coefficient)
-        bundle = build_bundle(n, grid.tau, gamma, 0.1, np.eye(grid.m), ops.stiffness)
-        op = AllAtOnceOperator(grid, ops, gamma)
+        K = build_stiffness(grid, constant_coefficient)
+        bundle = build_bundle(n, grid.tau, gamma, 0.1, np.eye(grid.m), K)
+        op = AllAtOnceOperator(grid, K, gamma)
         for _ in range(3):
             x = rng.standard_normal(2 * grid.m * n)
             assert np.allclose(op.matvec(x), bundle.saddle @ x, atol=1e-12)
@@ -85,11 +85,11 @@ def test_preconditioner_matches_fft_solver():
     # production path inverts
     rng = np.random.default_rng(13)
     grid = TimeSpaceGrid(m1=2, n=4)
-    ops = build_stiffness(grid, constant_coefficient)
+    K = build_stiffness(grid, constant_coefficient)
     gamma, eps = 1e-3, 0.2
-    bundle = build_bundle(grid.n, grid.tau, gamma, eps, np.eye(grid.m), ops.stiffness)
+    bundle = build_bundle(grid.n, grid.tau, gamma, eps, np.eye(grid.m), K)
     fast = RbdEpsPreconditioner(
-        grid, gamma, eps, DenseShiftedSolver(ops.mass, ops.stiffness, grid.tau)
+        grid, gamma, eps, DenseShiftedSolver(np.eye(grid.m), K, grid.tau)
     )
     for _ in range(3):
         x = rng.standard_normal(2 * grid.m * grid.n)
