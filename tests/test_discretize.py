@@ -1,4 +1,4 @@
-"""Grid, stiffness, right-hand-side and error-measure tests.
+"""Grid, time-difference, stiffness, right-hand-side and error-measure tests.
 
 The stiffness and RHS checks use independent scalar-loop oracles written here
 in the test file; the library's vectorized assembly must agree with them.
@@ -15,6 +15,7 @@ from pintopt.discretize import (
     error_norm,
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
+from pintopt.validation import eps_circulant_matrix
 
 
 def ones_coeff(x1, x2):
@@ -75,6 +76,24 @@ def test_grid_rejects_bad_inputs():
         TimeSpaceGrid(m1=3, n=0, horizon=1.0)
     with pytest.raises(ValueError):
         TimeSpaceGrid.from_h(0.3, n=4, horizon=1.0)  # 1/0.3 is not an integer
+
+
+# ---------------------------------------------------------------------------
+# time-difference matrix B (the eps = 0 case of the dense corner builder)
+
+
+def test_time_difference_n1():
+    assert np.array_equal(eps_circulant_matrix(1, 0.0), [[1.0]])
+
+
+def test_time_difference_n3():
+    want = [[1, 0, 0], [-1, 1, 0], [0, -1, 1]]
+    assert np.array_equal(eps_circulant_matrix(3, 0.0), want)
+
+
+def test_time_difference_rejects_zero():
+    with pytest.raises(ValueError):
+        eps_circulant_matrix(0, 0.0)
 
 
 # ---------------------------------------------------------------------------
