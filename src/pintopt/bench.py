@@ -174,9 +174,10 @@ class CellResult:
 def solve_cell(spec, gamma, h):
     """Assemble and solve one cell; wall time covers the GMRES loop only.
 
-    A FloatingPointError from the preconditioner's round-off guard fails
-    only this cell: it comes back unconverged, with no iterations or error
-    and the guard's message in ``failure``.
+    A FloatingPointError from the preconditioner's round-off guard, or
+    from GMRES when the operator or the preconditioner produces a NaN or
+    Inf, fails only this cell: it comes back unconverged, with no
+    iterations or error and the message in ``failure``.
     """
     level = mesh_level(h)
     grid = TimeSpaceGrid.from_h(h, n=2**level)

@@ -1,10 +1,16 @@
-"""Left-preconditioned GMRES with modified Gram-Schmidt and Givens rotations.
+"""Left-preconditioned GMRES with CGS2 orthogonalisation and Givens rotations.
 
 Full GMRES (no restarts), zero initial guess. The iteration runs on the
 left-preconditioned operator v -> P^-1 (A v); the residual history tracks
 || P^-1 (b - A x_k) ||_2 through the Givens-rotated least-squares problem,
 and the stopping test is relative to || P^-1 b ||_2. Both maps are passed
 as plain callables so sparse, matrix-free and dense operators all fit.
+
+The Krylov basis lives in one preallocated array whose row j is v_j. Each
+new direction is orthogonalised by classical Gram-Schmidt applied twice
+(CGS2): two passes of two matrix-vector products against the rows filled
+so far, which keeps the basis orthonormal to working precision like a
+two-pass modified Gram-Schmidt (Giraud, Langou & Rozloznik, 2005).
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +54,14 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
     ``DEFAULT_MAXIT`` = 100, the command line's ``--maxit`` default: the
     Hessenberg matrix and the basis grow with ``maxit``, so a size-long
     default would ask for memory quadratic in the system size.
+
+    The basis is one ``(maxit + 1, size)`` array allocated with
+    ``np.empty``, whose pages become resident only as rows are written, so
+    resident memory follows the iterations actually taken.
+
+    Raises FloatingPointError, naming the iteration, as soon as the
+    preconditioned right-hand side norm or a new Hessenberg column is not
+    finite (a NaN or Inf from the operator or the preconditioner).
     """
     b = np.asarray(b)
     if np.iscomplexobj(b):
@@ -60,35 +74,45 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
 
     r0 = prec(b)
     beta = float(np.linalg.norm(r0))
+    if not np.isfinite(beta):
+        raise FloatingPointError(
+            "GMRES iteration 0: preconditioned right-hand side is not finite"
+        )
     if beta == 0.0:
         return SolveReport(
             x=np.zeros(size), converged=True, iterations=0, residuals=[0.0]
         )
 
-    basis = [r0 / beta]
+    basis = np.empty((maxit + 1, size))
+    np.divide(r0, beta, out=basis[0])
     hess = np.zeros((maxit + 1, maxit))
     cs = np.zeros(maxit)
     sn = np.zeros(maxit)
     g = np.zeros(maxit + 1)
     g[0] = beta
     residuals = [beta]
-    converged = False
+    converged = breakdown = False
     k = 0
 
     for j in range(maxit):
-        # copy: operators are allowed to hand back their input unchanged
-        w = np.array(prec(apply_op(basis[j])), dtype=float)
-        # two-pass modified Gram-Schmidt keeps the basis orthonormal even
-        # when the new direction is almost dependent near convergence
+        w = basis[j + 1]
+        # the assignment copies: operators may hand back their input unchanged
+        w[...] = prec(apply_op(basis[j]))
+        # CGS2: a second pass restores orthogonality when the new direction
+        # is almost dependent near convergence
+        V = basis[: j + 1]
         for _ in range(2):
-            for i in range(j + 1):
-                c = basis[i] @ w
-                hess[i, j] += c
-                w -= c * basis[i]
+            c = V @ w
+            w -= c @ V
+            hess[: j + 1, j] += c
         hess[j + 1, j] = np.linalg.norm(w)
+        if not np.isfinite(hess[: j + 2, j]).all():
+            raise FloatingPointError(
+                f"GMRES iteration {j + 1}: new Hessenberg column is not finite"
+            )
         breakdown = hess[j + 1, j] <= 1e-14 * beta
         if not breakdown:
-            basis.append(w / hess[j + 1, j])
+            w /= hess[j + 1, j]
 
         for i in range(j):
             t = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
@@ -111,11 +135,13 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
             break
 
     y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k])
-    x = np.column_stack(basis[:k]) @ y
+    x = y @ basis[:k]
+    # on breakdown the last row is the unnormalised remainder, not a direction
+    directions = k if breakdown else k + 1
     return SolveReport(
         x=x,
         converged=converged,
         iterations=k,
         residuals=residuals,
-        basis=np.column_stack(basis) if keep_basis else None,
+        basis=basis[:directions].T if keep_basis else None,
     )

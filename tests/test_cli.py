@@ -5,10 +5,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pintopt
 
+from pintopt import bench
 from pintopt.bench import (
     CSV_COLUMNS,
     ConfigurationError,
@@ -158,6 +160,34 @@ def test_guard_failure_fails_only_its_cell(monkeypatch, jobs):
     assert [r.gamma for r in rows] == [1e-6, 1e-4, 1e-2]
     assert [r.converged for r in rows] == [True, False, True]
     assert "imaginary residue" in rows[1].failure and rows[1].error is None
+    assert rows[0].failure is None and rows[2].failure is None
+    assert rows[0].error is not None and rows[2].error is not None
+
+
+def nan_inner_solve_for_gamma(monkeypatch, gamma):
+    """Make the inner solves of one gamma's cells return NaN.
+
+    The patch reaches the ``jobs`` workers because the process pool forks.
+    """
+    original = bench.make_inner_solver
+
+    def make_inner_solver(problem, grid, spec):
+        inner = original(problem, grid, spec)
+        if problem.gamma == gamma:
+            inner.factor = lambda sigmas: lambda rhs: np.full_like(rhs, np.nan)
+        return inner
+
+    monkeypatch.setattr(bench, "make_inner_solver", make_inner_solver)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_non_finite_inner_solve_fails_only_its_cell(monkeypatch, jobs):
+    nan_inner_solve_for_gamma(monkeypatch, 1e-4)
+    spec = ExperimentSpec(example=1, h_values=(2.0**-3,), gammas=(1e-6, 1e-4, 1e-2), jobs=jobs)
+    rows = run_experiment(spec)
+    assert [r.gamma for r in rows] == [1e-6, 1e-4, 1e-2]
+    assert [r.converged for r in rows] == [True, False, True]
+    assert "not finite" in rows[1].failure and rows[1].error is None
     assert rows[0].failure is None and rows[2].failure is None
     assert rows[0].error is not None and rows[2].error is not None
 

@@ -63,6 +63,39 @@ def test_krylov_basis_orthonormal():
     assert np.max(np.abs(gram - np.eye(V.shape[1]))) < 1e-10
 
 
+def mgs2_residual_history(A, b, steps):
+    """Reference: Arnoldi with two-pass modified Gram-Schmidt, vector by vector."""
+    beta = np.linalg.norm(b)
+    basis = [b / beta]
+    hess = np.zeros((steps + 1, steps))
+    history = [beta]
+    for j in range(steps):
+        w = A @ basis[j]
+        for _ in range(2):
+            for i in range(j + 1):
+                c = basis[i] @ w
+                hess[i, j] += c
+                w = w - c * basis[i]
+        hess[j + 1, j] = np.linalg.norm(w)
+        basis.append(w / hess[j + 1, j])
+        rhs = np.zeros(j + 2)
+        rhs[0] = beta
+        y = np.linalg.lstsq(hess[: j + 2, : j + 1], rhs, rcond=None)[0]
+        history.append(np.linalg.norm(rhs - hess[: j + 2, : j + 1] @ y))
+    return np.array(history)
+
+
+def test_residual_history_matches_two_pass_mgs_reference():
+    # CGS2 sums in another order than MGS2, so the histories agree to
+    # round-off, not bit for bit
+    rng = np.random.default_rng(7)
+    A = np.eye(30) + 0.4 * rng.standard_normal((30, 30))
+    b = rng.standard_normal(30)
+    report = gmres_solve(lambda v: A @ v, b, tol=1e-10)
+    want = mgs2_residual_history(A, b, report.iterations)
+    assert np.max(np.abs(np.asarray(report.residuals) - want)) < 1e-10 * want[0]
+
+
 def test_residual_history_monotone_and_sized():
     rng = np.random.default_rng(4)
     A = np.eye(25) + 0.6 * rng.standard_normal((25, 25))
@@ -105,6 +138,36 @@ def test_zero_rhs_returns_zero():
     report = gmres_solve(lambda v: 2 * v, np.zeros(7))
     assert report.converged and report.iterations == 0
     assert np.array_equal(report.x, np.zeros(7))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operator_output_raises_at_its_iteration(bad):
+    calls = []
+
+    def apply_op(v):
+        calls.append(1)
+        out = np.arange(1.0, 11.0) * v
+        if len(calls) == 2:
+            out[3] = bad
+        return out
+
+    rng = np.random.default_rng(6)
+    with pytest.raises(FloatingPointError, match="iteration 2"):
+        gmres_solve(apply_op, rng.standard_normal(10), tol=1e-14)
+    assert len(calls) == 2
+
+
+def test_non_finite_preconditioned_rhs_raises_before_any_matvec():
+    calls = []
+
+    def apply_op(v):
+        calls.append(1)
+        return v
+
+    with pytest.raises(FloatingPointError, match="iteration 0"):
+        gmres_solve(apply_op, np.ones(5), apply_prec=lambda v: v * np.nan)
+    assert calls == []
 
 
 def test_rejects_complex_rhs():

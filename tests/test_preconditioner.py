@@ -172,6 +172,26 @@ def test_one_lazy_factor_and_one_solve_per_apply(n):
     assert inner.solve_shapes == [(2, half, grid.m)] * 3
 
 
+class SkewedSolver:
+    """Fake inner backend whose solves pick up a spurious complex factor."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def factor(self, sigmas):
+        solve = self.inner.factor(sigmas)
+        return lambda rhs: solve(rhs) * (1 + 1e-3j)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_imaginary_residue_guard_trips(n):
+    grid = TimeSpaceGrid(m1=3, n=n)
+    pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=SkewedSolver(DstShiftedSolver(grid)))
+    rng = np.random.default_rng(17)
+    with pytest.raises(FloatingPointError, match="imaginary residue"):
+        pc.apply_inverse(rng.standard_normal(2 * grid.m * n))
+
+
 def test_real_input_gives_real_output():
     grid = TimeSpaceGrid(m1=3, n=4)
     pc = RbdEpsPreconditioner(grid, 1.0, 0.5, inner=DstShiftedSolver(grid))
