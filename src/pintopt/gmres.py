@@ -37,12 +37,6 @@ class SolveReport:
     residuals: List[float] = field(default_factory=list)
     basis: Optional[np.ndarray] = None
 
-    @property
-    def relative_residual(self):
-        if self.residuals and self.residuals[0] > 0:
-            return self.residuals[-1] / self.residuals[0]
-        return 0.0
-
 
 def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=False):
     """Solve A x = b with left preconditioning, from a zero initial guess.

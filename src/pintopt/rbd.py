@@ -17,12 +17,22 @@ independent complex-shifted spatial solves; the rotation factor inverts in
 closed form. One application costs O(m n log n) plus the inner solves, and
 every inner backend is a fixed linear map, so P^-1 is one too.
 
-Both halves share one set of floor(n/2) + 1 shifted solves. For a real
-vector, block n - k of each half is the conjugate of block k, so only the
-blocks k = 0..floor(n/2) are solved and the rest are filled by conjugation.
-The transpose half has the shifts conj(lambda_k) + alpha; because M and K are
-real, its solve equals conj(solve_k(conj b)) with the plain half's shift
-lambda_k + alpha. A complex vector is applied as its real and imaginary parts.
+Both halves share one set of floor(n/2) + 1 shifted solves. The input is
+real, so block n - k of each half's spectrum is the conjugate of block k:
+the real-input FFT (numpy's rfft) computes only the blocks k = 0..floor(n/2),
+those are solved, and the real inverse FFT (irfft) returns the real result
+without the other half ever being formed. The transpose half has the shifts
+conj(lambda_k) + alpha; because M and K are real, its solve equals
+conj(solve_k(conj b)) with the plain half's shift lambda_k + alpha. Complex
+vectors are rejected, as GMRES solves real systems only.
+
+irfft keeps only the real part of the blocks whose shifts are real, k = 0 and,
+for even n, k = n/2. A round-off guard therefore checks, after the solves,
+that the half spectrum is finite (a NaN or Inf raises FloatingPointError
+saying "not finite") and that the imaginary parts of those blocks stay below
+IMAG_RESIDUE_BOUND times the larger of 1 and their largest real part; an
+inner solver that broke the conjugate-pair structure would otherwise go
+unseen.
 """
 
 import numpy as np
@@ -94,39 +104,52 @@ class RbdEpsPreconditioner:
         d = self.spectrum.scalings[:, None]
         # time scalings before the FFT, per half; after the inverse FFT they swap
         self._scale = np.stack([1.0 / d, d])
+        # the blocks whose shifts are real: k = 0, and k = n/2 for even n
+        self._real_blocks = [0, grid.n // 2] if grid.n % 2 == 0 else [0]
+        # factored solve and the two work buffers, made on the first apply
         self._solve = None
+        self._signal = None
+        self._spectrum = None
 
     def apply_inverse(self, r):
-        """P^-1 r for a vector r of length 2 m n, both halves one after the other."""
+        """P^-1 r for a real vector r of length 2 m n, both halves one after the other.
+
+        Returns a fresh array; ``r`` is left unchanged.
+        """
         r = np.asarray(r)
         if r.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}, got {r.shape}")
         if np.iscomplexobj(r):
-            return self.apply_inverse(r.real) + 1j * self.apply_inverse(r.imag)
+            raise TypeError("only real vectors are supported")
         n, m = self.grid.n, self.grid.m
         half = n // 2 + 1
         if self._solve is None:
             self._solve = self.inner.factor(self.spectrum.lambdas[:half] + self.alpha)
+            self._signal = np.empty((2, n, m))
+            self._spectrum = np.empty((2, half, m), dtype=complex)
         # [transpose half (Ceps' + alpha W), plain half (Ceps + alpha W)]
-        z = np.fft.fft(r.reshape(2, n, m) * self._scale, axis=1, norm="ortho")
+        signal = np.multiply(r.reshape(2, n, m), self._scale, out=self._signal)
+        z = np.fft.rfft(signal, axis=1, norm="ortho", out=self._spectrum)
         # the transpose half has shifts conj(lambda_k) + alpha; M and K are real,
         # so its solve is conj(solve_k(conj b)) with the plain half's solver
-        np.conjugate(z[0, :half], out=z[0, :half])
-        z[:, :half] = self._solve(z[:, :half])
-        np.conjugate(z[0, :half], out=z[0, :half])
-        z[:, half:] = np.conj(z[:, n - half:0:-1])
-        z = np.fft.ifft(z, axis=1, norm="ortho")
-        z *= self._scale[::-1]
-        # closed-form inverse of the rotation factor (1/2) [[I, I], [-I, I]],
-        # in place to keep the (2, n, m) temporaries few
-        top = z[0] - z[1]
-        z[1] += z[0]
-        z[0] = top
-        out = z.reshape(-1)
-        residue = np.max(np.abs(out.imag))
-        if residue > IMAG_RESIDUE_BOUND * max(1.0, np.max(np.abs(out.real))):
+        np.conjugate(z[0], out=z[0])
+        z = self._solve(z)
+        np.conjugate(z[0], out=z[0])
+        # irfft drops the imaginary part of the real-shift blocks, so check it here
+        if not np.isfinite(z).all():
+            raise FloatingPointError("inner solves returned values that are not finite")
+        edge = z[:, self._real_blocks]
+        residue = np.max(np.abs(edge.imag))
+        if residue > IMAG_RESIDUE_BOUND * max(1.0, np.max(np.abs(edge.real))):
             raise FloatingPointError(
                 f"imaginary residue {residue:.3e} exceeds the round-off bound; "
                 "inner solves lost the conjugate-pair structure"
             )
-        return np.ascontiguousarray(out.real)
+        signal = np.fft.irfft(z, n=n, axis=1, norm="ortho", out=self._signal)
+        signal *= self._scale[::-1]
+        # closed-form inverse of the rotation factor (1/2) [[I, I], [-I, I]]
+        out = np.empty((2, n, m))
+        np.subtract(signal[0], signal[1], out=out[0])
+        np.add(signal[0], signal[1], out=out[1])
+        return out.reshape(-1)
+

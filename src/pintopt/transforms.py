@@ -13,7 +13,10 @@ The FFT in time is applied by :mod:`pintopt.rbd`, with the convention the
 spectrum here assumes: the unitary Fourier matrix is
 ``F[i, j] = theta**(i*j) / sqrt(n)`` with ``theta = exp(2j*pi/n)``, so
 ``numpy``'s forward FFT with ``norm='ortho'`` applies ``F*`` and the ortho
-IFFT applies ``F``.
+IFFT applies ``F``. For real input, ``numpy.fft.rfft`` with ``norm='ortho'``
+gives the first ``n // 2 + 1`` rows of ``F*`` applied to it, and
+``irfft(..., n=n, norm='ortho')`` applies ``F`` to the conjugate-symmetric
+extension of such a half spectrum, keeping the real part.
 """
 
 from dataclasses import dataclass
@@ -50,12 +53,14 @@ def eps_spectrum(n, eps):
     return EpsSpectrum(n=n, eps=eps, lambdas=lambdas, scalings=scalings)
 
 
-def dst2d(v):
+def dst2d(v, overwrite_x=False):
     """Orthonormal 2D sine transform over the last two axes of ``v``.
 
     Applies S along each of the two axes, where S is the DST-I matrix with
     entries sqrt(2/(m1+1)) * sin(j*k*pi/(m1+1)); leading axes are a batch.
     S is involutory, so the transform is its own inverse. Complex input has
-    its real and imaginary parts transformed separately.
+    its real and imaginary parts transformed separately. With
+    ``overwrite_x`` the transform may run in the memory of ``v``, which is
+    then destroyed.
     """
-    return scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1))
+    return scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1), overwrite_x=overwrite_x)

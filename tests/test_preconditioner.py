@@ -9,6 +9,8 @@ W = I x M, applied through numpy.linalg.solve. The fast path must reproduce
 the dense inverse to 1e-10 relative on every configuration below.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -54,7 +56,7 @@ def rel_err(got, want):
 
 
 @pytest.mark.parametrize("m1", [1, 3])
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("gamma", [1e-4, 1.0])
 @pytest.mark.parametrize("eps", [0.5, 0.01])
 def test_matches_dense_inverse_unit_coeff(m1, n, gamma, eps):
@@ -123,8 +125,8 @@ def test_apply_inverse_linearity():
 
 
 def test_conjugate_pair_shortcut_matches_full_path():
-    # only blocks k <= n/2 are solved and the rest filled by conjugation; the
-    # dense inverse is the full path, for even and odd n
+    # only blocks k <= n/2 are solved, and irfft stands for their conjugates;
+    # the dense inverse is the full path, for even and odd n
     for n in (4, 5, 8):
         grid = TimeSpaceGrid(m1=3, n=n)
         K = build_stiffness(grid, ones_coeff)
@@ -192,6 +194,84 @@ def test_imaginary_residue_guard_trips(n):
         pc.apply_inverse(rng.standard_normal(2 * grid.m * n))
 
 
+class LastShiftSkewedSolver(SkewedSolver):
+    """Fake inner backend that skews only the solve of the last shift."""
+
+    def factor(self, sigmas):
+        solve = self.inner.factor(sigmas)
+
+        def skewed(rhs):
+            out = solve(rhs)
+            out[..., -1, :] *= 1 + 1e-3j
+            return out
+
+        return skewed
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_imaginary_residue_guard_sees_the_nyquist_block(n):
+    # for even n the last solved block k = n/2 has a real shift too, and
+    # irfft would silently drop its imaginary part
+    grid = TimeSpaceGrid(m1=3, n=n)
+    pc = RbdEpsPreconditioner(
+        grid, 1e-2, 0.3, inner=LastShiftSkewedSolver(DstShiftedSolver(grid))
+    )
+    rng = np.random.default_rng(18)
+    with pytest.raises(FloatingPointError, match="imaginary residue"):
+        pc.apply_inverse(rng.standard_normal(2 * grid.m * n))
+
+
+class FilledSolver:
+    """Fake inner backend whose solves return a constant, such as nan + 0j."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def factor(self, sigmas):
+        return lambda rhs: np.full_like(rhs, self.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_inner_solve_trips_the_guard(value):
+    # nan + 0j has no imaginary residue, so only a finiteness check sees it
+    grid = TimeSpaceGrid(m1=3, n=4)
+    pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=FilledSolver(value))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        pc.apply_inverse(np.ones(2 * grid.m * grid.n))
+
+
+def test_apply_leaves_its_input_and_earlier_outputs_unchanged():
+    # the work buffers are reused across applies; what goes in and what
+    # came out of an earlier apply must not alias them
+    grid = TimeSpaceGrid(m1=3, n=4)
+    pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=DstShiftedSolver(grid))
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(2 * grid.m * grid.n)
+    x_copy = x.copy()
+    first = pc.apply_inverse(x)
+    first_copy = first.copy()
+    assert np.array_equal(x, x_copy)
+    second = pc.apply_inverse(rng.standard_normal(x.size))
+    assert np.array_equal(first, first_copy)
+    assert not np.shares_memory(first, second)
+
+
+def test_warm_apply_allocation_budget():
+    # one warm apply allocates the returned vector and the solved half
+    # spectrum, not a handful of full-size complex temporaries
+    grid = TimeSpaceGrid(m1=15, n=16)
+    pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=DstShiftedSolver(grid))
+    r = np.random.default_rng(20).standard_normal(pc.size)
+    pc.apply_inverse(r)
+    tracemalloc.start()
+    try:
+        pc.apply_inverse(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * r.nbytes
+
+
 def test_real_input_gives_real_output():
     grid = TimeSpaceGrid(m1=3, n=4)
     pc = RbdEpsPreconditioner(grid, 1.0, 0.5, inner=DstShiftedSolver(grid))
@@ -199,16 +279,12 @@ def test_real_input_gives_real_output():
     assert out.dtype == np.float64
 
 
-def test_complex_input_matches_dense_inverse():
+def test_complex_input_is_rejected():
+    # GMRES solves real systems only, so the preconditioner takes real vectors
     grid = TimeSpaceGrid(m1=2, n=4)
-    K = build_stiffness(grid, ones_coeff)
-    P = dense_preconditioner(grid, K, 0.5, 0.3)
     pc = RbdEpsPreconditioner(grid, 0.5, 0.3, inner=DstShiftedSolver(grid))
-    rng = np.random.default_rng(15)
-    r = rng.standard_normal(2 * grid.m * 4) + 1j * rng.standard_normal(2 * grid.m * 4)
-    got = pc.apply_inverse(r)
-    want = np.linalg.solve(P, r)
-    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+    with pytest.raises(TypeError, match="real"):
+        pc.apply_inverse(np.ones(2 * grid.m * 4, dtype=complex))
 
 
 def test_rejects_bad_arguments():

@@ -346,6 +346,20 @@ def test_factor_solves_each_row_with_its_shift(name):
 
 
 @pytest.mark.parametrize("name", ["dst", "dense", "mg"])
+def test_solve_leaves_rhs_unchanged(name):
+    # the sine-transform solve runs its second transform in place; that must
+    # be its own intermediate, never the caller's right-hand side
+    grid = TimeSpaceGrid(m1=7, n=4)
+    solve = backend(name, grid).factor(np.array([1.0, 0.3 + 0.9j]))
+    rng = np.random.default_rng(23)
+    rhs = rng.standard_normal((2, 2, grid.m)) + 1j * rng.standard_normal((2, 2, grid.m))
+    rhs_copy = rhs.copy()
+    got = solve(rhs)
+    assert np.array_equal(rhs, rhs_copy)
+    assert not np.shares_memory(got, rhs)
+
+
+@pytest.mark.parametrize("name", ["dst", "dense", "mg"])
 def test_conjugate_shift_solves_by_conjugation(name):
     # the identity the preconditioner's transpose half relies on: M and K are
     # real, so the solve with shift conj(sigma) is conj(solve(conj b))
