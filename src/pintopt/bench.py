@@ -9,7 +9,7 @@ too so the command-line front end stays a thin argument parser.
 
 import concurrent.futures
 import csv
-import io
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -219,22 +219,14 @@ def solve_cell(spec, gamma, h):
     )
 
 
-def _solve_cell_args(packed):
-    spec_kwargs, gamma, h = packed
-    return solve_cell(ExperimentSpec(**spec_kwargs), gamma, h)
-
-
 def run_experiment(spec):
     """Run every (h, gamma) cell of the sweep, h outermost, in table order."""
     cells = [(h, gamma) for h in spec.h_values for gamma in spec.gammas]
     if spec.jobs == 1 or len(cells) <= 1:
         return [solve_cell(spec, gamma, h) for h, gamma in cells]
-    spec_kwargs = {
-        name: getattr(spec, name) for name in spec.__dataclass_fields__
-    }
-    packed = [(spec_kwargs, gamma, h) for h, gamma in cells]
+    hs, gammas = zip(*cells)
     with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-        return list(pool.map(_solve_cell_args, packed))
+        return list(pool.map(solve_cell, itertools.repeat(spec), gammas, hs))
 
 
 # ------------------------------------------------------------- formatting
@@ -271,12 +263,6 @@ def write_csv(results, stream):
     writer.writeheader()
     for res in results:
         writer.writerow(result_row(res))
-
-
-def csv_text(results):
-    buf = io.StringIO()
-    write_csv(results, buf)
-    return buf.getvalue()
 
 
 def aligned_text(results):

@@ -30,7 +30,7 @@ def parse_h_token(token):
         base, _, exponent = text.partition("^")
         try:
             return float(base) ** float(exponent)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ConfigurationError(f"cannot parse mesh size {token!r}") from None
     try:
         return float(text)
@@ -39,13 +39,17 @@ def parse_h_token(token):
 
 
 def parse_list(value, convert):
-    """Comma-separated string (or an actual list) to a tuple of numbers."""
-    if isinstance(value, (list, tuple)):
+    """Comma-separated string, a list, or one bare number to a tuple of numbers."""
+    if isinstance(value, (int, float)):
+        value = [value]
+    elif isinstance(value, str):
+        value = value.split(",") if value.strip() else []
+    elif not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, a comma string or a number, got {value!r}")
+    try:
         return tuple(convert(str(v)) for v in value)
-    text = value.strip()
-    if not text:
-        return ()
-    return tuple(convert(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def parse_bool(value):

@@ -74,10 +74,6 @@ class TimeSpaceGrid:
         xs = np.arange(1, self.m1 + 1) * self.h
         return np.meshgrid(xs, xs, indexing="ij")
 
-    def times(self, offset=0):
-        """Time levels (offset + k) * tau for k = 0..n-1."""
-        return (np.arange(self.n) + offset) * self.tau
-
 
 def build_stiffness(grid, a):
     """Assemble the 5-point staggered-coefficient stiffness matrix (CSR).

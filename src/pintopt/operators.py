@@ -8,8 +8,10 @@ sqrt(gamma), the discrete optimality system reads
 
 with alpha = tau / sqrt(gamma) and the space-time evolution matrix
 T = B x I + tau I x K, where B is the backward-difference bidiagonal and K
-the stiffness matrix. This module applies T, T' and the full 2mn x 2mn
-operator without ever forming Kronecker products.
+the stiffness matrix. The operator applies the full 2mn x 2mn matrix on a
+(2, n, m) view of its input without ever forming Kronecker products: T u
+and T' w share one evolution buffer, and the two halves of the result are
+written into one fresh output.
 """
 
 import numpy as np
@@ -23,38 +25,27 @@ class AllAtOnceOperator:
             raise ValueError(f"regularization weight must be positive, got {gamma}")
         self.grid = grid
         self.stiffness = stiffness
-        self.gamma = float(gamma)
         self.alpha = grid.tau / np.sqrt(gamma)
         self.size = 2 * grid.m * grid.n
 
-    def _blocks(self, v):
-        n, m = self.grid.n, self.grid.m
-        v = np.asarray(v)
-        if v.shape != (n * m,):
-            raise ValueError(f"expected a vector of length {n * m}, got {v.shape}")
-        return v.reshape(n, m)
-
-    def apply_evolution(self, v):
-        """(B x I + tau I x K) v: backward difference in time, stiffness in space."""
-        V = self._blocks(v)
-        out = V + self.grid.tau * self.stiffness.dot(V.T).T
-        out[1:] -= V[:-1]
-        return out.ravel()
-
-    def apply_evolution_t(self, v):
-        """Transpose of :meth:`apply_evolution`."""
-        V = self._blocks(v)
-        out = V + self.grid.tau * self.stiffness.dot(V.T).T
-        out[:-1] -= V[1:]
-        return out.ravel()
-
     def matvec(self, x):
-        """Apply the full 2mn x 2mn saddle-point matrix."""
+        """Apply the full 2mn x 2mn saddle-point matrix; returns a fresh array."""
         x = np.asarray(x)
         if x.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}, got {x.shape}")
-        half = self.size // 2
-        u, w = x[:half], x[half:]
-        top = self.alpha * u + self.apply_evolution_t(w)
-        bot = -self.apply_evolution(u) + self.alpha * w
-        return np.concatenate([top, bot])
+        n, m = self.grid.n, self.grid.m
+        X = x.reshape(2, n, m)
+        # evo[0] = T u and evo[1] = T' w: the same tau K product plus identity,
+        # then the backward difference or its transpose in time
+        evo = np.empty((2, n, m))
+        for half in range(2):
+            np.multiply(self.grid.tau, self.stiffness.dot(X[half].T).T, out=evo[half])
+        evo += X
+        evo[0, 1:] -= X[0, :-1]
+        evo[1, :-1] -= X[1, 1:]
+        out = np.empty((2, n, m))
+        np.multiply(self.alpha, X[0], out=out[0])
+        out[0] += evo[1]
+        np.multiply(self.alpha, X[1], out=out[1])
+        out[1] -= evo[0]
+        return out.reshape(-1)

@@ -15,7 +15,19 @@ circulant through the geometric scaling diag(eps^(k/n)), so each half of the
 block-diagonal factor is solved by a scale / FFT-in-time sandwich around n
 independent complex-shifted spatial solves; the rotation factor inverts in
 closed form. One application costs O(m n log n) plus the inner solves, and
-every inner backend is a fixed linear map, so P^-1 is one too.
+every inner backend is a fixed linear map, so P^-1 is one too. The spectrum
+of C and its similarity scalings come in closed form from
+:func:`eps_spectrum`; the dense copy of C is
+:func:`pintopt.validation.eps_circulant_matrix`.
+
+The FFT in time follows the convention that spectrum assumes: the unitary
+Fourier matrix is ``F[i, j] = theta**(i*j) / sqrt(n)`` with
+``theta = exp(2j*pi/n)``, so ``numpy``'s forward FFT with ``norm='ortho'``
+applies ``F*`` and the ortho IFFT applies ``F``. For real input,
+``numpy.fft.rfft`` with ``norm='ortho'`` gives the first ``n // 2 + 1`` rows
+of ``F*`` applied to it, and ``irfft(..., n=n, norm='ortho')`` applies ``F``
+to the conjugate-symmetric extension of such a half spectrum, keeping the
+real part.
 
 Both halves share one set of floor(n/2) + 1 shifted solves. The input is
 real, so block n - k of each half's spectrum is the conjugate of block k:
@@ -35,11 +47,39 @@ inner solver that broke the conjugate-pair structure would otherwise go
 unseen.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .transforms import eps_spectrum
-
 IMAG_RESIDUE_BOUND = 1e-11
+
+
+@dataclass(frozen=True)
+class EpsSpectrum:
+    """Closed-form eigendata of the corner-damped time-difference matrix.
+
+    lambdas[k] = 1 - eps**(1/n) * theta**(-k) for k = 0..n-1, and scalings
+    holds the diagonal ``eps**((k-1)/n)`` (1-indexed k) of the similarity
+    that carries the matrix to circulant form.
+    """
+
+    n: int
+    eps: float
+    lambdas: np.ndarray
+    scalings: np.ndarray
+
+
+def eps_spectrum(n, eps):
+    """Eigenvalues and similarity scalings of the corner-damped matrix, 0 < eps <= 1."""
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"damping factor must lie in (0, 1], got {eps}")
+    k = np.arange(n)
+    theta = np.exp(2j * np.pi / n)
+    lambdas = 1.0 - eps ** (1.0 / n) * theta ** (-k)
+    scalings = eps ** (k / n)
+    return EpsSpectrum(n=n, eps=eps, lambdas=lambdas, scalings=scalings)
 
 
 def rate_constant(delta, tau, horizon):
@@ -95,8 +135,6 @@ class RbdEpsPreconditioner:
         if not gamma > 0:
             raise ValueError(f"regularization weight must be positive, got {gamma}")
         self.grid = grid
-        self.gamma = float(gamma)
-        self.eps = float(eps)
         self.inner = inner
         self.alpha = grid.tau / np.sqrt(gamma)
         self.spectrum = eps_spectrum(grid.n, eps)

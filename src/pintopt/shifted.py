@@ -2,16 +2,18 @@
 
 Applying the rotated-block-diagonal preconditioner reduces, after the time
 transform, to independent spatial solves whose complex shifts sigma come
-from the eigenvalues of the corner-perturbed difference matrix. Three
-interchangeable backends are provided:
+from the eigenvalues of the corner-perturbed difference matrix. Two
+interchangeable backends run in the solver:
 
 * :class:`DstShiftedSolver` - direct diagonalization by the orthonormal
-  discrete sine transform; exact, but only valid for the constant unit
-  diffusion coefficient (identity mass matrix, 5-point Laplacian).
-* :class:`DenseShiftedSolver` - one batched inversion of the dense shifted
-  matrices; exact for any mass/stiffness pair, meant for small validation
-  problems.
-* the geometric multigrid backend in :mod:`pintopt.multigrid`.
+  discrete sine transform :func:`dst2d`; exact, but only valid for a
+  constant diffusion coefficient (identity mass matrix, 5-point Laplacian).
+* the geometric multigrid backend in :mod:`pintopt.multigrid`, for any
+  positive coefficient.
+
+The tests add a third with the same interface, a dense oracle that inverts
+(sigma M + tau K) explicitly for any mass/stiffness pair
+(``tests/dense_backend.py``).
 
 Each backend exposes one batched entry point, ``factor(sigmas) -> solve``:
 it prepares every shift at once, and ``solve(rhs)`` takes a complex array
@@ -20,8 +22,20 @@ pair with shift ``sigmas[k]``, returning an array of the same shape.
 """
 
 import numpy as np
+import scipy.fft
 
-from .transforms import dst2d
+
+def dst2d(v, overwrite_x=False):
+    """Orthonormal 2D sine transform over the last two axes of ``v``.
+
+    Applies S along each of the two axes, where S is the DST-I matrix with
+    entries sqrt(2/(m1+1)) * sin(j*k*pi/(m1+1)); leading axes are a batch.
+    S is involutory, so the transform is its own inverse. Complex input has
+    its real and imaginary parts transformed separately. With
+    ``overwrite_x`` the transform may run in the memory of ``v``, which is
+    then destroyed.
+    """
+    return scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1), overwrite_x=overwrite_x)
 
 
 class DstShiftedSolver:
@@ -50,6 +64,8 @@ class DstShiftedSolver:
             raise ValueError("a shift makes the system singular")
         inverse = 1.0 / denom
 
+        # dst2d is looked up in the module at call time, so a wrapper set on
+        # pintopt.shifted.dst2d (the benchmark tracer's seam) sees every call
         def solve(rhs):
             grids = dst2d(rhs.reshape(*rhs.shape[:-1], m1, m1))
             grids *= inverse
@@ -57,25 +73,3 @@ class DstShiftedSolver:
 
         return solve
 
-
-class DenseShiftedSolver:
-    """Dense solves of (sigma M + tau K) for arbitrary M, K, by explicit inverses."""
-
-    def __init__(self, mass, stiffness, tau):
-        self.mass = np.asarray(
-            mass.toarray() if hasattr(mass, "toarray") else mass, dtype=float
-        )
-        self.stiffness = np.asarray(
-            stiffness.toarray() if hasattr(stiffness, "toarray") else stiffness,
-            dtype=float,
-        )
-        self.tau = float(tau)
-
-    def factor(self, sigmas):
-        shifted = np.asarray(sigmas)[:, None, None] * self.mass + self.tau * self.stiffness
-        inverses = np.linalg.inv(shifted)
-
-        def solve(rhs):
-            return np.einsum("kpq,...kq->...kp", inverses, rhs)
-
-        return solve

@@ -1,6 +1,7 @@
 """Benchmark driver and command-line behavior on desk-size grids."""
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -16,11 +17,11 @@ from pintopt.bench import (
     ConfigurationError,
     ExperimentSpec,
     constant_diffusion_value,
-    csv_text,
     mesh_level,
     run_experiment,
     solve_cell,
     three_significant,
+    write_csv,
 )
 from pintopt.cli import (
     build_parser,
@@ -35,6 +36,12 @@ from pintopt.problems import get_problem
 from pintopt.rbd import RbdEpsPreconditioner
 
 FAST = dict(h_values=(2.0**-3,), gammas=(1e-4, 1e-2))
+
+
+def csv_text(results):
+    buf = io.StringIO()
+    write_csv(results, buf)
+    return buf.getvalue()
 
 
 # ------------------------------------------------------------ spec checks
@@ -140,12 +147,14 @@ def test_parallel_jobs_match_sequential():
 def fail_guard_for_gamma(monkeypatch, gamma):
     """Make the preconditioner's round-off guard trip in the cells of one gamma.
 
-    The patch reaches the ``jobs`` workers because the process pool forks.
+    The preconditioner keeps no gamma, so its cells are told apart by
+    alpha = tau / sqrt(gamma). The patch reaches the ``jobs`` workers because
+    the process pool forks.
     """
     original = RbdEpsPreconditioner.apply_inverse
 
     def apply_inverse(self, r):
-        if self.gamma == gamma:
+        if self.alpha == self.grid.tau / np.sqrt(gamma):
             raise FloatingPointError("imaginary residue 1.000e-03 exceeds the round-off bound")
         return original(self, r)
 
@@ -292,6 +301,30 @@ def test_cli_config_file_overrides_flags(tmp_path):
     assert rows[0]["gamma"] == "0.0001"
 
 
+@pytest.mark.parametrize("line,column,value", [
+    ("h: 0.125", "h", "0.125"),
+    ("gamma: 1.0", "gamma", "1"),
+    ("gamma: 1", "gamma", "1"),
+])
+def test_cli_config_file_accepts_a_scalar_for_a_list_key(tmp_path, line, column, value):
+    # a bare YAML number is a one-element list, not a traceback
+    cfg = tmp_path / "scalar.yaml"
+    cfg.write_text(f"example: 1\n{line}\nout: {tmp_path / 'scalar.csv'}\n")
+    code = run_cli("solve", "--h", "2^-3", "--gamma", "1e-4,1e-2", "--config", str(cfg))
+    assert code == 0
+    rows = list(csv.DictReader((tmp_path / "scalar.csv").read_text().splitlines()))
+    assert rows[0][column] == value
+    assert len(rows) == (2 if column == "h" else 1)
+
+
+def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
+    cfg = tmp_path / "null.yaml"
+    cfg.write_text("example: 1\ngamma:\n")
+    assert run_cli("solve", "--h", "2^-3", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "gamma" in err
+
+
 @pytest.mark.parametrize("flags", [
     ("--tol", "nan"),
     ("--gamma", "1e-4,inf"),
@@ -302,6 +335,10 @@ def test_cli_config_file_overrides_flags(tmp_path):
     ("--mg-pre", "0"),
     ("--mg-post", "-1"),
     ("--mg-cycles", "0"),
+    ("--h", "10^400"),
+    ("--gamma", "abc"),
+    ("--gamma", "1e-4,"),
+    ("--h", "2^-3,x"),
 ])
 def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     code = run_cli("solve", "--example", "1", "--h", "2^-3", *flags)
@@ -383,3 +420,15 @@ def test_pyproject_matches_package_version():
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["name"] == "pintopt"
     assert project["version"] == pintopt.__version__
+
+
+def test_readme_layout_names_every_module():
+    # the README's module map must list exactly the modules in src/pintopt
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    _, _, listing = block.partition("src/pintopt/\n")
+    listing = listing.partition("\ntests/")[0]
+    named = {line.split()[0] for line in listing.splitlines() if line.strip()}
+    modules = {p.name for p in (root / "src" / "pintopt").glob("*.py")} - {"__init__.py"}
+    assert named == modules

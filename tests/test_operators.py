@@ -1,6 +1,8 @@
 """Tests for the matrix-free all-at-once saddle-point operator.
 
-Oracle: explicit dense Kronecker assembly of the same operator.
+Oracle: explicit dense Kronecker assembly of the same operator. The
+evolution blocks T and T' are read off ``matvec`` on vectors with one zero
+half: matvec([u; 0]) = [alpha u; -T u] and matvec([0; w]) = [T' w; alpha w].
 """
 
 import numpy as np
@@ -25,6 +27,17 @@ def dense_evolution(grid, K):
     return np.kron(B, np.eye(grid.m)) + grid.tau * np.kron(np.eye(grid.n), K.toarray())
 
 
+def evolution_blocks(op, u, w):
+    """(T u, T' w) from two matvecs, each on a vector with one zero half."""
+    zero = np.zeros_like(u)
+    half = u.size
+    left = op.matvec(np.concatenate([u, zero]))
+    right = op.matvec(np.concatenate([zero, w]))
+    assert np.array_equal(left[:half], op.alpha * u)
+    assert np.array_equal(right[half:], op.alpha * w)
+    return -left[half:], right[:half]
+
+
 def dense_saddle(grid, K, gamma):
     T = dense_evolution(grid, K)
     alpha = grid.tau / np.sqrt(gamma)
@@ -43,8 +56,9 @@ def test_evolution_matches_dense(m1, n, coeff):
     rng = np.random.default_rng(7 * m1 + n)
     for _ in range(3):
         v = rng.standard_normal(grid.m * n)
-        assert np.max(np.abs(op.apply_evolution(v) - T @ v)) < 1e-12
-        assert np.max(np.abs(op.apply_evolution_t(v) - T.T @ v)) < 1e-12
+        Tv, Ttv = evolution_blocks(op, v, v)
+        assert np.max(np.abs(Tv - T @ v)) < 1e-12
+        assert np.max(np.abs(Ttv - T.T @ v)) < 1e-12
 
 
 def test_evolution_adjoint_identity():
@@ -55,8 +69,9 @@ def test_evolution_adjoint_identity():
     for _ in range(5):
         u = rng.standard_normal(grid.m * grid.n)
         v = rng.standard_normal(grid.m * grid.n)
-        lhs = u @ op.apply_evolution(v)
-        rhs = op.apply_evolution_t(u) @ v
+        Tv, Ttu = evolution_blocks(op, v, u)
+        lhs = u @ Tv
+        rhs = Ttu @ v
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -116,5 +131,17 @@ def test_matvec_rejects_wrong_length():
     op = AllAtOnceOperator(grid, K, gamma=1.0)
     with pytest.raises(ValueError):
         op.matvec(np.zeros(op.size + 1))
-    with pytest.raises(ValueError):
-        op.apply_evolution(np.zeros(3))
+
+
+def test_matvec_leaves_input_unchanged_and_returns_fresh():
+    grid = TimeSpaceGrid(m1=3, n=4)
+    K = build_stiffness(grid, wavy_coeff)
+    op = AllAtOnceOperator(grid, K, gamma=1e-2)
+    x = np.random.default_rng(5).standard_normal(op.size)
+    saved = x.copy()
+    first = op.matvec(x)
+    second = op.matvec(x)
+    assert np.array_equal(x, saved)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, x) and not np.shares_memory(second, x)

@@ -14,16 +14,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from dense_backend import DenseShiftedSolver
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.rbd import (
     RbdEpsPreconditioner,
     choose_epsilon,
     contraction_factor,
+    eps_spectrum,
     rate_constant,
 )
-from pintopt.shifted import DenseShiftedSolver, DstShiftedSolver
-from pintopt.transforms import eps_spectrum
+from pintopt.shifted import DstShiftedSolver
 from pintopt.validation import eps_circulant_matrix
 
 

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from dense_backend import DenseShiftedSolver
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.multigrid import MgShiftedSolver, prolongation_1d
-from pintopt.shifted import DenseShiftedSolver, DstShiftedSolver
+from pintopt.shifted import DstShiftedSolver
 
 
 def ones_coeff(x1, x2):

@@ -1,5 +1,6 @@
-"""Tests for the fast-transform layer: circulant-with-corner spectra and the
-2D orthonormal sine transform.
+"""Tests for the two fast transforms: the closed-form spectrum of the
+corner-damped difference matrix (:func:`pintopt.rbd.eps_spectrum`) and the
+2D orthonormal sine transform (:func:`pintopt.shifted.dst2d`).
 
 Every nontrivial expected value here is computed by an independent dense
 oracle built inside the test (explicit DFT/DST matrices, dense eigensolves),
@@ -9,8 +10,9 @@ never by the code under test.
 import numpy as np
 import pytest
 
-from pintopt.transforms import dst2d, eps_spectrum
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.rbd import eps_spectrum
+from pintopt.shifted import dst2d
 from pintopt.validation import eps_circulant_matrix
 
 

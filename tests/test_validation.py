@@ -8,11 +8,11 @@ sweep runs.
 
 import numpy as np
 import pytest
+from dense_backend import DenseShiftedSolver
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.operators import AllAtOnceOperator
 from pintopt.rbd import RbdEpsPreconditioner, rate_constant
-from pintopt.shifted import DenseShiftedSolver
 from pintopt.validation import (
     CheckResult,
     build_bundle,
