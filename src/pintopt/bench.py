@@ -21,7 +21,7 @@ from .gmres import gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
 from .problems import get_problem
-from .rbd import RbdEpsPreconditioner, choose_epsilon
+from .rbd import EPS_POLICIES, RbdEpsPreconditioner, choose_epsilon
 from .shifted import DstShiftedSolver
 
 DEFAULT_MAX_LEVEL = 6  # finest default mesh is h = 2^-6; finer is opt-in
@@ -35,7 +35,10 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A validated sweep description: which cells to run and how."""
+    """A validated sweep description: which cells to run and how.
+
+    Its defaults are the only defaults of ``pintopt solve``.
+    """
 
     example: int
     h_values: tuple = (2.0**-5,)
@@ -78,15 +81,17 @@ class ExperimentSpec:
             raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
         if self.maxit < 1:
             raise ConfigurationError(f"maxit must be >= 1, got {self.maxit}")
-        if self.eps_policy not in ("step", "rate", "fixed"):
+        if self.eps_policy not in EPS_POLICIES:
             raise ConfigurationError(f"unknown damping policy {self.eps_policy!r}")
         if not 0 < self.delta < 1:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.eps_policy == "fixed":
-            if self.eps_value is None or not 0 < self.eps_value <= 1:
-                raise ConfigurationError(
-                    f"fixed damping needs a value in (0, 1], got {self.eps_value}"
-                )
+        fixed = self.eps_policy == "fixed"
+        if fixed and (self.eps_value is None or not 0 < self.eps_value <= 1):
+            raise ConfigurationError(
+                f"fixed damping needs a value in (0, 1], got {self.eps_value}"
+            )
+        if not fixed and self.eps_value is not None:
+            raise ConfigurationError(f"eps_value is for fixed damping, not {self.eps_policy!r}")
         if self.mg_pre < 1 or self.mg_post < 0 or self.mg_cycles < 1:
             raise ConfigurationError(
                 "multigrid needs mg_pre >= 1, mg_post >= 0 and mg_cycles >= 1, got "
@@ -108,35 +113,29 @@ def mesh_level(h):
     return level
 
 
-def constant_diffusion_value(problem, grid):
-    """The constant value of the diffusion coefficient, or None if it varies.
+def constant_diffusion_value(stiffness, grid):
+    """c when the stiffness K is c times the 5-point Laplacian, else None.
 
-    Samples the coefficient at the same staggered edge points the assembly
-    uses, plus interior nodes, so any variation the discrete operator can
-    see is detected.
+    That is exactly the case in which the sine transform diagonalizes K:
+    4 c / h^2 on the diagonal, -c / h^2 for each of the four grid
+    neighbours, and no other entry.
     """
-    h, m1 = grid.h, grid.m1
-    edges = (np.arange(m1 + 1) + 0.5) * h
-    nodes = (np.arange(m1) + 1) * h
-    samples = [
-        np.asarray(problem.a(e1, e2), dtype=float).ravel()
-        for e1, e2 in (
-            np.meshgrid(edges, nodes, indexing="ij"),
-            np.meshgrid(nodes, edges, indexing="ij"),
-            np.meshgrid(nodes, nodes, indexing="ij"),
-        )
-    ]
-    flat = np.concatenate(samples)
-    value = float(flat[0])
-    if np.max(np.abs(flat - value)) > 1e-12 * max(1.0, abs(value)):
+    m1 = grid.m1
+    unit = stiffness.diagonal()[0] / 4.0  # c / h^2
+    # couplings within a grid row: none between the last and the next first point
+    along = np.where(np.arange(1, m1 * m1) % m1 == 0, 0.0, -unit)
+    for offset, band in ((0, 4 * unit), (1, along), (-1, along), (m1, -unit), (-m1, -unit)):
+        if np.max(np.abs(stiffness.diagonal(offset) - band), initial=0.0) > 1e-12 * unit:
+            return None
+    if stiffness.count_nonzero() != m1 * m1 + 4 * m1 * (m1 - 1):
         return None
-    return value
+    return float(unit * grid.h**2)
 
 
-def make_inner_solver(problem, grid, spec):
-    """Build the frequency-solve factory, failing fast on incompatibility."""
+def make_inner_solver(problem, grid, stiffness, spec):
+    """Build the shifted-solve backend, failing fast on incompatibility."""
     if spec.inner == "dst":
-        value = constant_diffusion_value(problem, grid)
+        value = constant_diffusion_value(stiffness, grid)
         if value is None:
             raise ConfigurationError(
                 "the sine-transform inner solver requires a constant diffusion "
@@ -147,12 +146,6 @@ def make_inner_solver(problem, grid, spec):
     return MgShiftedSolver(
         grid, problem.a, pre=spec.mg_pre, post=spec.mg_post, cycles=spec.mg_cycles
     )
-
-
-def pick_epsilon(grid, spec):
-    if spec.eps_policy == "fixed":
-        return spec.eps_value
-    return choose_epsilon(grid, policy=spec.eps_policy, delta=spec.delta)
 
 
 @dataclass(frozen=True)
@@ -182,11 +175,13 @@ def solve_cell(spec, gamma, h):
     level = mesh_level(h)
     grid = TimeSpaceGrid.from_h(h, n=2**level)
     problem = get_problem(f"example{spec.example}", gamma)
-    inner = make_inner_solver(problem, grid, spec)
+    stiffness = build_stiffness(grid, problem.a)
+    inner = make_inner_solver(problem, grid, stiffness, spec)
 
-    op = AllAtOnceOperator(grid, build_stiffness(grid, problem.a), gamma)
+    op = AllAtOnceOperator(grid, stiffness, gamma)
     rhs = assemble_rhs(problem, grid)
-    prec = RbdEpsPreconditioner(grid, gamma, pick_epsilon(grid, spec), inner)
+    eps = choose_epsilon(grid, spec.eps_policy, spec.delta, spec.eps_value)
+    prec = RbdEpsPreconditioner(grid, gamma, eps, inner)
 
     mn = grid.m * grid.n
     start = time.perf_counter()

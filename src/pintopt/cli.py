@@ -2,39 +2,32 @@
 
 ``solve`` runs a (gamma, h) sweep of one registered example and emits an
 aligned table (stdout) plus optionally CSV; ``validate`` runs the dense
-theorem checks and writes a machine-readable JSON report. A YAML config
-file can override any solve flag. Exit codes: 0 success, 1 unconverged
-solve or failed check, 2 invalid configuration.
+theorem checks and writes a machine-readable JSON report. Each solve
+setting is one row of :data:`SETTINGS`: its flag, its YAML config key, the
+``ExperimentSpec`` field it sets and the converter that a flag string and a
+YAML value both go through. Config keys override flags. Exit codes: 0
+success, 1 unconverged solve or failed check, 2 invalid configuration.
 """
 
 import argparse
 import json
+import os
 import sys
+from collections import namedtuple
+from dataclasses import asdict
 
 import yaml
 
-from .bench import (
-    ConfigurationError,
-    ExperimentSpec,
-    aligned_text,
-    run_experiment,
-    write_csv,
-)
+from .bench import ConfigurationError, ExperimentSpec, aligned_text, run_experiment, write_csv
 from .validation import run_validation
 
 
 def parse_h_token(token):
     """Accept '2^-5', '2**-5' or a plain float literal like '0.03125'."""
-    text = token.strip().replace("**", "^")
-    if "^" in text:
-        base, _, exponent = text.partition("^")
-        try:
-            return float(base) ** float(exponent)
-        except (ValueError, OverflowError):
-            raise ConfigurationError(f"cannot parse mesh size {token!r}") from None
+    base, power, exponent = token.strip().replace("**", "^").partition("^")
     try:
-        return float(text)
-    except ValueError:
+        return float(base) ** float(exponent) if power else float(base)
+    except (ValueError, OverflowError):
         raise ConfigurationError(f"cannot parse mesh size {token!r}") from None
 
 
@@ -46,10 +39,7 @@ def parse_list(value, convert):
         value = value.split(",") if value.strip() else []
     elif not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list, a comma string or a number, got {value!r}")
-    try:
-        return tuple(convert(str(v)) for v in value)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    return tuple(convert(str(v)) for v in value)
 
 
 def parse_bool(value):
@@ -61,23 +51,45 @@ def parse_bool(value):
     raise ValueError(f"expected true or false, got {value!r}")
 
 
-# maps config-file keys to ExperimentSpec fields; "h"/"gamma" hold lists
-CONFIG_KEYS = {
-    "example": ("example", int),
-    "h": ("h_values", lambda v: parse_list(v, parse_h_token)),
-    "gamma": ("gammas", lambda v: parse_list(v, float)),
-    "inner_solver": ("inner", str),
-    "tol": ("tol", float),
-    "maxit": ("maxit", int),
-    "epsilon_policy": ("eps_policy", str),
-    "epsilon_value": ("eps_value", float),
-    "delta": ("delta", float),
-    "mg_pre_smooth": ("mg_pre", int),
-    "mg_post_smooth": ("mg_post", int),
-    "mg_cycles": ("mg_cycles", int),
-    "allow_fine": ("allow_fine", parse_bool),
-    "jobs": ("jobs", int),
-}
+def integer(value):
+    """An int, an integral float or an integer string; never a boolean."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def number(value):
+    """A float from a number or a numeric string; never a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+# one row per solve setting: a flag string and a YAML value go through the
+# same converter into the field; defaults live on ExperimentSpec alone. "out",
+# the CSV path, is the one field that is not ExperimentSpec's
+Setting = namedtuple("Setting", "flag key field convert help")
+
+SETTINGS = (
+    Setting("--example", "example", "example", integer, "problem to solve, 1 or 2 (required)"),
+    Setting("--h", "h", "h_values", lambda v: parse_list(v, parse_h_token),
+            "comma list of mesh sizes, e.g. 2^-5,2^-6"),
+    Setting("--gamma", "gamma", "gammas", lambda v: parse_list(v, float),
+            "comma list of regularization weights"),
+    Setting("--inner", "inner_solver", "inner", str, "shifted-solve backend, dst or mg"),
+    Setting("--tol", "tol", "tol", number, "GMRES relative-residual tolerance"),
+    Setting("--maxit", "maxit", "maxit", integer, "GMRES iteration cap"),
+    Setting("--eps-policy", "epsilon_policy", "eps_policy", str,
+            "damping: step = min(1/2, tau/2), rate = certified rate, fixed = --eps-value"),
+    Setting("--eps-value", "epsilon_value", "eps_value", number, "fixed damping, in (0, 1]"),
+    Setting("--delta", "delta", "delta", number, "parameter of the rate policy, in (0, 1)"),
+    Setting("--mg-pre", "mg_pre_smooth", "mg_pre", integer, "multigrid pre-smoothing sweeps"),
+    Setting("--mg-post", "mg_post_smooth", "mg_post", integer, "multigrid post-smoothing sweeps"),
+    Setting("--mg-cycles", "mg_cycles", "mg_cycles", integer, "V-cycles per inner solve"),
+    Setting("--allow-fine", "allow_fine", "allow_fine", parse_bool, "permit h < 2^-6 (slow)"),
+    Setting("--jobs", "jobs", "jobs", integer, "parallel (gamma, h) cells"),
+    Setting("--out", "out", "out", str, "write results as CSV here"),
+)
 
 
 def build_parser():
@@ -88,31 +100,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a (gamma, h) benchmark sweep")
-    solve.add_argument("--example", type=int, choices=(1, 2), required=False)
-    solve.add_argument("--h", default="2^-5", help="comma list of mesh sizes, e.g. 2^-5,2^-6")
-    solve.add_argument(
-        "--gamma", default="1e-10,1e-8,1e-6,1e-4,1e-2,1",
-        help="comma list of regularization weights",
-    )
-    solve.add_argument("--inner", choices=("dst", "mg"), default="dst")
-    solve.add_argument("--tol", type=float, default=1e-6)
-    solve.add_argument("--maxit", type=int, default=100)
-    solve.add_argument(
-        "--eps-policy", choices=("step", "rate", "fixed"), default="step",
-        help="damping size: step = min(1/2, tau/2), rate = certified-rate "
-        "constant, fixed = --eps-value",
-    )
-    solve.add_argument("--eps-value", type=float, default=None)
-    solve.add_argument("--delta", type=float, default=0.5)
-    solve.add_argument("--mg-pre", type=int, default=2)
-    solve.add_argument("--mg-post", type=int, default=1)
-    solve.add_argument("--mg-cycles", type=int, default=1)
-    solve.add_argument(
-        "--allow-fine", action="store_true",
-        help="permit meshes finer than 2^-6 (large runs)",
-    )
-    solve.add_argument("--jobs", type=int, default=1, help="parallel (gamma, h) cells")
-    solve.add_argument("--out", default=None, help="write results as CSV here")
+    for s in SETTINGS:
+        kind = {"action": "store_true"} if s.convert is parse_bool else {"metavar": s.key.upper()}
+        solve.add_argument(s.flag, dest=s.field, default=argparse.SUPPRESS, help=s.help, **kind)
     solve.add_argument("--config", default=None, help="YAML file overriding these flags")
 
     validate = sub.add_parser("validate", help="run the dense theorem checks")
@@ -124,46 +114,58 @@ def build_parser():
     return parser
 
 
-def spec_from_args(args):
-    kwargs = dict(
-        example=args.example,
-        h_values=parse_list(args.h, parse_h_token),
-        gammas=parse_list(args.gamma, float),
-        inner=args.inner,
-        tol=args.tol,
-        maxit=args.maxit,
-        eps_policy=args.eps_policy,
-        eps_value=args.eps_value,
-        delta=args.delta,
-        mg_pre=args.mg_pre,
-        mg_post=args.mg_post,
-        mg_cycles=args.mg_cycles,
-        allow_fine=args.allow_fine,
-        jobs=args.jobs,
-    )
-    if args.config is not None:
-        with open(args.config) as fh:
+def load_config(path):
+    """The mapping a YAML config file holds; any failure is a ConfigurationError."""
+    try:
+        with open(path) as fh:
             loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
-            raise ConfigurationError(f"config file {args.config} must hold a mapping")
-        for key, value in loaded.items():
-            if key == "out":
-                args.out = str(value)
-                continue
-            if key not in CONFIG_KEYS:
-                raise ConfigurationError(f"unknown config key {key!r}")
-            field, convert = CONFIG_KEYS[key]
-            try:
-                kwargs[field] = convert(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"config key {key!r}: {exc}") from None
-    if kwargs["example"] is None:
+    except (OSError, UnicodeError, yaml.YAMLError) as exc:
+        detail = getattr(exc, "strerror", None) or " ".join(str(exc).split())
+        raise ConfigurationError(f"cannot read config file {path}: {detail}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigurationError(f"config file {path} must hold a mapping")
+    return loaded
+
+
+def spec_from_args(args):
+    """The ExperimentSpec of the flags given, with the config file's keys over them.
+
+    Sets ``args.out`` to the CSV path of either route, or None.
+    """
+    config = {} if args.config is None else load_config(args.config)
+    keys = {s.key for s in SETTINGS}
+    for key in config:
+        if key not in keys:
+            raise ConfigurationError(f"unknown config key {key!r}")
+    fields = {}
+    for s in SETTINGS:
+        if s.key in config:
+            source, value = f"config key {s.key!r}", config[s.key]
+        elif hasattr(args, s.field):
+            source, value = s.flag, getattr(args, s.field)
+        else:
+            continue
+        try:
+            fields[s.field] = s.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{source}: {exc}") from None
+    args.out = fields.pop("out", None)
+    if "example" not in fields:
         raise ConfigurationError("no example selected (flag --example or config key)")
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**fields)
+
+
+def check_writable(path):
+    """Fail before any solve when ``path`` cannot be written as a file."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ConfigurationError(f"cannot write {path}: not a file in a writable directory")
 
 
 def run_solve(args):
     spec = spec_from_args(args)
+    if args.out is not None:
+        check_writable(args.out)
     results = run_experiment(spec)
     print(aligned_text(results))
     if args.out is not None:
@@ -184,6 +186,7 @@ def run_solve(args):
 def run_validate(args):
     if not 0 < args.delta < 1:
         raise ConfigurationError(f"delta must lie in (0, 1), got {args.delta}")
+    check_writable(args.report)
     results, all_passed = run_validation(delta=args.delta)
     for res in results:
         print(res)
@@ -192,16 +195,7 @@ def run_validate(args):
     report = {
         "all_passed": all_passed,
         "delta": args.delta,
-        "checks": [
-            {
-                "name": res.name,
-                "passed": res.passed,
-                "worst": res.worst,
-                "bound": res.bound,
-                "detail": res.detail,
-            }
-            for res in results
-        ],
+        "checks": [asdict(res) for res in results],
     }
     with open(args.report, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -25,8 +25,10 @@ per shift. Components:
 * residual: a sweep solves its lower triangle exactly against the old upper
   neighbors, so right after the last pre-sweep b - A z is the upper
   couplings applied to the change of z, two products per anti-diagonal;
-* transfers: bilinear prolongation P and restriction R = P'/4, dense 1D
-  matrices applied per dimension as P @ field @ P' and R @ field @ R'.
+* transfers: bilinear prolongation P and full-weighting restriction
+  R = P'/2, dense 1D matrices applied per dimension as P @ field @ P' and
+  R @ field @ R', so the 2D restriction is (P x P)'/4, the variational
+  partner of bilinear interpolation.
 
 Fields are complex (points, batch) arrays: batch column l k + j holds the
 l-th right-hand side of shift j, and real weights multiply the interleaved
@@ -130,7 +132,7 @@ class Level:
         ]
 
         self.prolong = prolongation_1d(m1)
-        self.restrict = self.prolong.T / 4
+        self.restrict = self.prolong.T / 2
 
     def to_skew(self, field):
         """A (m1^2, ...) field in skewed order, zero positions included."""

@@ -95,17 +95,23 @@ def rate_constant(delta, tau, horizon):
     return root / (root + 2.0 * np.sqrt(horizon))
 
 
-def choose_epsilon(grid, policy="step", delta=0.5):
+EPS_POLICIES = ("step", "rate", "fixed")
+
+
+def choose_epsilon(grid, policy="step", delta=0.5, value=None):
     """Corner damping factor for a grid, by policy.
 
     "step": half the time step, capped at 1/2 — the practical default.
     "rate": the value of :func:`rate_constant` at the given delta, which
     certifies a residual contraction factor of :func:`contraction_factor`.
+    "fixed": ``value`` itself.
     """
     if policy == "step":
         return min(0.5, grid.tau / 2.0)
     if policy == "rate":
         return rate_constant(delta, grid.tau, grid.horizon)
+    if policy == "fixed":
+        return value
     raise ValueError(f"unknown policy {policy!r}")
 
 

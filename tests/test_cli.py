@@ -24,6 +24,7 @@ from pintopt.bench import (
     write_csv,
 )
 from pintopt.cli import (
+    SETTINGS,
     build_parser,
     main,
     parse_bool,
@@ -31,7 +32,7 @@ from pintopt.cli import (
     parse_list,
     spec_from_args,
 )
-from pintopt.discretize import TimeSpaceGrid
+from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.problems import get_problem
 from pintopt.rbd import RbdEpsPreconditioner
 
@@ -89,8 +90,15 @@ def test_mesh_level_parses_powers_of_two():
 
 def test_constant_diffusion_detection():
     grid = TimeSpaceGrid(m1=7, n=4)
-    assert constant_diffusion_value(get_problem("example1", 1e-4), grid) == 1.0
-    assert constant_diffusion_value(get_problem("example2", 1e-4), grid) is None
+
+    def detect(coeff):
+        return constant_diffusion_value(build_stiffness(grid, coeff), grid)
+
+    assert detect(get_problem("example1", 1e-4).a) == 1.0
+    assert detect(get_problem("example2", 1e-4).a) is None
+    assert detect(lambda x1, x2: np.full(np.shape(x1), 3.0)) == 3.0
+    # one edge sample off the constant changes two diagonal and two coupling entries
+    assert detect(lambda x1, x2: np.where((x1 == 0.0625) & (x2 == 0.125), 3.5, 3.0)) is None
 
 
 # ------------------------------------------------------------- formatting
@@ -180,8 +188,8 @@ def nan_inner_solve_for_gamma(monkeypatch, gamma):
     """
     original = bench.make_inner_solver
 
-    def make_inner_solver(problem, grid, spec):
-        inner = original(problem, grid, spec)
+    def make_inner_solver(problem, grid, stiffness, spec):
+        inner = original(problem, grid, stiffness, spec)
         if problem.gamma == gamma:
             inner.factor = lambda sigmas: lambda rhs: np.full_like(rhs, np.nan)
         return inner
@@ -339,12 +347,128 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--gamma", "abc"),
     ("--gamma", "1e-4,"),
     ("--h", "2^-3,x"),
+    ("--tol", "abc"),
+    ("--example", "1.9"),
+    ("--example", "3"),
+    ("--maxit", "1.5"),
+    ("--mg-pre", "2.5"),
+    ("--jobs", "true"),
+    ("--inner", "cg"),
+    ("--eps-value", "0.1"),
+    ("--eps-policy", "rate", "--eps-value", "0.1"),
 ])
 def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     code = run_cli("solve", "--example", "1", "--h", "2^-3", *flags)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lines", [
+    "maxit: 1.5",
+    "example: 1.9",
+    "example: true",
+    "jobs: true",
+    "mg_pre_smooth: 2.5",
+    "mg_cycles: false",
+    "tol: true",
+    "tol: abc",
+    "delta: .nan",
+    "epsilon_value: 0.1",
+    "epsilon_policy: rate\nepsilon_value: 0.1",
+])
+def test_cli_config_rejects_non_integral_and_boolean_values(tmp_path, lines, capsys):
+    cfg = tmp_path / "strict.yaml"
+    cfg.write_text(f"example: 1\nh: 2^-3\n{lines}\n")
+    assert run_cli("solve", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [None, "h: [2^-3\n", "example: [1\n  - 2\n"])
+def test_cli_config_file_errors_exit_two(tmp_path, text, capsys):
+    # a missing file (None) and two YAML syntax errors
+    cfg = tmp_path / "sweep.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    assert run_cli("solve", "--example", "1", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert str(cfg) in err
+
+
+def never_solve(monkeypatch):
+    def solve_cell(*args):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(bench, "solve_cell", solve_cell)
+
+
+@pytest.mark.parametrize("route", ["flag", "config", "directory"])
+def test_cli_checks_out_path_before_solving(tmp_path, monkeypatch, route, capsys):
+    never_solve(monkeypatch)
+    out = tmp_path / "missing" / "results.csv"
+    argv = ["solve", "--example", "1", "--h", "2^-3"]
+    if route == "flag":
+        argv += ["--out", str(out)]
+    elif route == "config":
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"out: {out}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        out = tmp_path
+        argv += ["--out", str(out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_validate_checks_report_path_before_running(tmp_path, monkeypatch, capsys):
+    def run_validation(delta):
+        raise AssertionError("the checks ran")
+
+    monkeypatch.setattr(pintopt.cli, "run_validation", run_validation)
+    report = tmp_path / "missing" / "report.json"
+    assert run_cli("validate", "--report", str(report)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not report.parent.exists()
+
+
+# a value for every setting, none of them its default, as a flag would spell it
+PARITY_VALUES = {
+    "example": "2", "h": "2^-3,2^-4", "gamma": "1e-3", "inner_solver": "mg",
+    "tol": "1e-7", "maxit": "7", "epsilon_policy": "fixed", "epsilon_value": "0.25",
+    "delta": "0.3", "mg_pre_smooth": "3", "mg_post_smooth": "2", "mg_cycles": "2",
+    "allow_fine": "true", "jobs": "2", "out": "parity.csv",
+}
+
+
+def test_every_setting_has_the_same_meaning_as_flag_and_config_key(tmp_path):
+    fields = set(ExperimentSpec.__dataclass_fields__)
+    assert {s.field for s in SETTINGS} == fields | {"out"}
+    assert {s.key for s in SETTINGS} == set(PARITY_VALUES)
+    argv = ["solve"]
+    for s in SETTINGS:
+        argv += [s.flag] if s.key == "allow_fine" else [s.flag, PARITY_VALUES[s.key]]
+    by_flag = build_parser().parse_args(argv)
+    cfg = tmp_path / "parity.yaml"
+    cfg.write_text("".join(f"{key}: {value}\n" for key, value in PARITY_VALUES.items()))
+    by_key = build_parser().parse_args(["solve", "--config", str(cfg)])
+    spec = spec_from_args(by_flag)
+    assert spec == spec_from_args(by_key)
+    assert by_flag.out == by_key.out == "parity.csv"
+    default = ExperimentSpec(example=1)
+    for s in SETTINGS:
+        if s.field != "out":
+            assert getattr(spec, s.field) != getattr(default, s.field), s.key
+
+
+def test_solve_defaults_live_on_the_spec():
+    args = build_parser().parse_args(["solve", "--example", "1"])
+    assert spec_from_args(args) == ExperimentSpec(example=1)
+    assert args.out is None
 
 
 def test_parse_bool_is_strict():

@@ -319,6 +319,10 @@ def test_rate_policy_value():
     assert choose_epsilon(grid, policy="rate", delta=0.5) == want
 
 
+def test_fixed_policy_returns_its_value():
+    assert choose_epsilon(TimeSpaceGrid(m1=3, n=8), policy="fixed", value=0.3) == 0.3
+
+
 def test_rate_policy_rejects_bad_delta():
     with pytest.raises(ValueError):
         rate_constant(0.0, 0.125, 1.0)

@@ -212,7 +212,7 @@ def reference_vcycle(grid, coeff, sigma, pre, post, cycles, r):
         for _ in range(pre - 1):
             z += scipy.linalg.solve_triangular(lower, b - A @ z, lower=True)
         P = interpolation(sizes[depth])
-        z += P @ cycle(depth + 1, P.T @ (b - A @ z) / 16)
+        z += P @ cycle(depth + 1, P.T @ (b - A @ z) / 4)
         for _ in range(post):
             z += scipy.linalg.solve_triangular(lower, b - A @ z, lower=True)
         return z
