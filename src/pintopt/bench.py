@@ -49,9 +49,6 @@ class ExperimentSpec:
     eps_policy: str = "step"
     eps_value: float = None
     delta: float = 0.5
-    mg_pre: int = 2
-    mg_post: int = 1
-    mg_cycles: int = 1
     allow_fine: bool = False
     jobs: int = 1
 
@@ -92,11 +89,6 @@ class ExperimentSpec:
             )
         if not fixed and self.eps_value is not None:
             raise ConfigurationError(f"eps_value is for fixed damping, not {self.eps_policy!r}")
-        if self.mg_pre < 1 or self.mg_post < 0 or self.mg_cycles < 1:
-            raise ConfigurationError(
-                "multigrid needs mg_pre >= 1, mg_post >= 0 and mg_cycles >= 1, got "
-                f"{self.mg_pre}, {self.mg_post} and {self.mg_cycles}"
-            )
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -143,9 +135,7 @@ def make_inner_solver(problem, grid, stiffness, spec):
                 "(use the multigrid inner solver instead)"
             )
         return DstShiftedSolver(grid, diffusion=value)
-    return MgShiftedSolver(
-        grid, problem.a, pre=spec.mg_pre, post=spec.mg_post, cycles=spec.mg_cycles
-    )
+    return MgShiftedSolver(grid, problem.a)
 
 
 @dataclass(frozen=True)
@@ -169,8 +159,9 @@ def solve_cell(spec, gamma, h):
 
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
-    Inf, fails only this cell: it comes back unconverged, with no
-    iterations or error and the message in ``failure``.
+    Inf, fails only this cell, and so does a MemoryError, such as a GMRES
+    basis too large for this machine: the cell comes back unconverged,
+    with no iterations or error and the message in ``failure``.
     """
     level = mesh_level(h)
     grid = TimeSpaceGrid.from_h(h, n=2**level)
@@ -189,7 +180,7 @@ def solve_cell(spec, gamma, h):
         report = gmres_solve(
             op.matvec, rhs, apply_prec=prec.apply_inverse, tol=spec.tol, maxit=spec.maxit
         )
-    except FloatingPointError as exc:
+    except (FloatingPointError, MemoryError) as exc:
         return CellResult(
             gamma=gamma, h=h, m1=grid.m1, n=grid.n, dof=2 * mn, iterations=0,
             converged=False, cpu_seconds=time.perf_counter() - start, failure=str(exc),

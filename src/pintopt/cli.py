@@ -65,6 +65,13 @@ def number(value):
     return float(value)
 
 
+def file_path(value):
+    """A non-empty string; a YAML null or number is no path."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a file path, got {value!r}")
+    return value
+
+
 # one row per solve setting: a flag string and a YAML value go through the
 # same converter into the field; defaults live on ExperimentSpec alone. "out",
 # the CSV path, is the one field that is not ExperimentSpec's
@@ -83,12 +90,9 @@ SETTINGS = (
             "damping: step = min(1/2, tau/2), rate = certified rate, fixed = --eps-value"),
     Setting("--eps-value", "epsilon_value", "eps_value", number, "fixed damping, in (0, 1]"),
     Setting("--delta", "delta", "delta", number, "parameter of the rate policy, in (0, 1)"),
-    Setting("--mg-pre", "mg_pre_smooth", "mg_pre", integer, "multigrid pre-smoothing sweeps"),
-    Setting("--mg-post", "mg_post_smooth", "mg_post", integer, "multigrid post-smoothing sweeps"),
-    Setting("--mg-cycles", "mg_cycles", "mg_cycles", integer, "V-cycles per inner solve"),
     Setting("--allow-fine", "allow_fine", "allow_fine", parse_bool, "permit h < 2^-6 (slow)"),
     Setting("--jobs", "jobs", "jobs", integer, "parallel (gamma, h) cells"),
-    Setting("--out", "out", "out", str, "write results as CSV here"),
+    Setting("--out", "out", "out", file_path, "write results as CSV here"),
 )
 
 
@@ -106,7 +110,10 @@ def build_parser():
     solve.add_argument("--config", default=None, help="YAML file overriding these flags")
 
     validate = sub.add_parser("validate", help="run the dense theorem checks")
-    validate.add_argument("--delta", type=float, default=0.5)
+    validate.add_argument(
+        "--delta", default=ExperimentSpec.delta,
+        help="parameter of the rate policy, in (0, 1)",
+    )
     validate.add_argument(
         "--report", default="validation_report.json",
         help="machine-readable JSON report path",
@@ -184,17 +191,21 @@ def run_solve(args):
 
 
 def run_validate(args):
-    if not 0 < args.delta < 1:
-        raise ConfigurationError(f"delta must lie in (0, 1), got {args.delta}")
+    try:
+        delta = number(args.delta)
+    except ValueError as exc:
+        raise ConfigurationError(f"--delta: {exc}") from None
+    if not 0 < delta < 1:
+        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     check_writable(args.report)
-    results, all_passed = run_validation(delta=args.delta)
+    results, all_passed = run_validation(delta=delta)
     for res in results:
         print(res)
     passed = sum(res.passed for res in results)
     print(f"\n{passed}/{len(results)} checks passed")
     report = {
         "all_passed": all_passed,
-        "delta": args.delta,
+        "delta": delta,
         "checks": [asdict(res) for res in results],
     }
     with open(args.report, "w") as fh:

@@ -44,10 +44,11 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
     apply_op and apply_prec are callables mapping a vector to A v and
     P^-1 v (identity when apply_prec is None). Iterations stop when the
     preconditioned relative residual drops to ``tol`` or after ``maxit``
-    steps. The default is the smaller of the system size and
-    ``DEFAULT_MAXIT`` = 100, the command line's ``--maxit`` default: the
-    Hessenberg matrix and the basis grow with ``maxit``, so a size-long
-    default would ask for memory quadratic in the system size.
+    steps. ``maxit`` defaults to ``DEFAULT_MAXIT`` = 100, the command
+    line's ``--maxit`` default, and is capped at the system size, the
+    largest Krylov space there is: the Hessenberg matrix and the basis
+    grow with ``maxit``, so a size-long default would ask for memory
+    quadratic in the system size.
 
     The basis is one ``(maxit + 1, size)`` array allocated with
     ``np.empty``, whose pages become resident only as rows are written, so
@@ -62,8 +63,7 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
         raise TypeError("only real systems are supported")
     b = b.astype(float, copy=False)
     size = b.size
-    if maxit is None:
-        maxit = min(size, DEFAULT_MAXIT)
+    maxit = min(size, DEFAULT_MAXIT if maxit is None else maxit)
     prec = apply_prec if apply_prec is not None else lambda v: v
 
     r0 = prec(b)

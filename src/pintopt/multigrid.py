@@ -15,13 +15,13 @@ per shift. Components:
 * ``factor`` adds each shift to the diagonal of every level and inverts the
   coarsest level (3 or fewer points per dimension) densely, one small
   matrix per shift;
-* smoother: lexicographic forward Gauss-Seidel, one or more pre-sweeps (the
-  first from zero) and configurable post-sweeps. Point (i, j) needs the new
-  values at (i-1, j) and (i, j-1), both on the anti-diagonal i + j = d - 1,
-  and the old values at (i+1, j) and (i, j+1), both on d + 1. Sweeping
-  d = 0, 1, ... updates a whole anti-diagonal, for every shift and every
-  right-hand side, in one vector operation and gives exactly the
-  lexicographic values;
+* smoother: lexicographic forward Gauss-Seidel, ``PRE_SWEEPS`` = 2
+  pre-sweeps (the first from zero) and ``POST_SWEEPS`` = 1 post-sweep.
+  Point (i, j) needs the new values at (i-1, j) and (i, j-1), both on the
+  anti-diagonal i + j = d - 1, and the old values at (i+1, j) and
+  (i, j+1), both on d + 1. Sweeping d = 0, 1, ... updates a whole
+  anti-diagonal, for every shift and every right-hand side, in one vector
+  operation and gives exactly the lexicographic values;
 * residual: a sweep solves its lower triangle exactly against the old upper
   neighbors, so right after the last pre-sweep b - A z is the upper
   couplings applied to the change of z, two products per anti-diagonal;
@@ -38,8 +38,8 @@ two zero positions that stand for the Dirichlet boundary, so each neighbor
 of a run is a slice of the run before or after it.
 
 The fine grid needs m1 = 2^l - 1 points per dimension so the nested-grid
-hierarchy exists. Prepared shifts and a fixed cycle count make one fixed
-linear map, so the solve is safe inside non-flexible GMRES.
+hierarchy exists. Prepared shifts and one V(2,1) cycle per solve make one
+fixed linear map, so the solve is safe inside non-flexible GMRES.
 """
 
 from collections import namedtuple
@@ -49,6 +49,9 @@ import numpy as np
 from .discretize import TimeSpaceGrid, build_stiffness
 
 COARSEST_POINTS = 3
+# the V(2,1) schedule: Gauss-Seidel sweeps before and after the coarse correction
+PRE_SWEEPS = 2
+POST_SWEEPS = 1
 
 # a level's shifted operator in skewed order, repeated over the batch: the
 # complex reciprocal of the shifted diagonal, (positions, batch), and the
@@ -200,9 +203,7 @@ class Level:
 class MgShiftedSolver:
     """Batched shifted solves by V-cycles on one re-discretized hierarchy."""
 
-    def __init__(self, grid, coeff, pre=1, post=1, cycles=1):
-        if pre < 1 or post < 0 or cycles < 1:
-            raise ValueError("need pre >= 1, post >= 0 and cycles >= 1")
+    def __init__(self, grid, coeff):
         m1 = grid.m1
         if m1 & (m1 + 1) != 0:
             raise ValueError(
@@ -218,7 +219,6 @@ class MgShiftedSolver:
             )
             for size in sizes
         ]
-        self.pre, self.post, self.cycles = pre, post, cycles
 
     def factor(self, sigmas):
         sigmas = np.asarray(sigmas, dtype=complex)
@@ -241,16 +241,12 @@ class MgShiftedSolver:
                     level.stencil(inv_diag, batch)
                     for level, inv_diag in zip(self.levels, inv_diags)
                 ] + [coarse_inverse]
-            ops = prepared[batch]
-            z = self._cycle(0, ops, b)
-            for _ in range(self.cycles - 1):
-                z = self._cycle(0, ops, b, z)
-            return z.T.reshape(rhs.shape)
+            return self._cycle(0, prepared[batch], b).T.reshape(rhs.shape)
 
         return solve
 
-    def _cycle(self, depth, ops, b, z=None):
-        """One V-cycle on level depth from the initial guess z (zero when None)."""
+    def _cycle(self, depth, ops, b):
+        """One V-cycle on level depth from a zero initial guess."""
         level = self.levels[depth]
         if level.dense is not None:
             k = ops[depth].shape[0]
@@ -259,16 +255,16 @@ class MgShiftedSolver:
             return np.ascontiguousarray(z).reshape(b.shape)
         stencil = ops[depth]
         b_skew = level.to_skew(b)
-        z_skew = np.zeros_like(b_skew) if z is None else level.to_skew(z)
-        for sweep in range(self.pre):
-            if sweep == self.pre - 1:
+        z_skew = np.zeros_like(b_skew)
+        for sweep in range(PRE_SWEEPS):
+            if sweep == PRE_SWEEPS - 1:
                 change = z_skew.copy()
-            level.sweep(z_skew, b_skew, stencil, from_zero=z is None and sweep == 0)
+            level.sweep(z_skew, b_skew, stencil, from_zero=sweep == 0)
         change -= z_skew
         residual = level.to_grid(level.sweep_residual(change, stencil))
         defect = sandwich(level.restrict, residual)
         correction = sandwich(level.prolong, self._cycle(depth + 1, ops, defect))
         z_skew[level.skew_index] += correction
-        for _ in range(self.post):
+        for _ in range(POST_SWEEPS):
             level.sweep(z_skew, b_skew, stencil)
         return level.to_grid(z_skew)

@@ -209,6 +209,26 @@ def test_non_finite_inner_solve_fails_only_its_cell(monkeypatch, jobs):
     assert rows[0].error is not None and rows[2].error is not None
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_memory_error_fails_only_its_cell(monkeypatch, jobs):
+    # a GMRES basis too large for the machine ends its own cell, not the sweep;
+    # the patch reaches the ``jobs`` workers because the process pool forks
+    original = bench.gmres_solve
+
+    def gmres_solve(apply_op, b, **kwargs):
+        op = apply_op.__self__
+        if op.alpha == op.grid.tau / np.sqrt(1e-4):
+            raise MemoryError("Unable to allocate 584. GiB for an array")
+        return original(apply_op, b, **kwargs)
+
+    monkeypatch.setattr(bench, "gmres_solve", gmres_solve)
+    spec = ExperimentSpec(example=1, h_values=(2.0**-3,), gammas=(1e-6, 1e-4, 1e-2), jobs=jobs)
+    rows = run_experiment(spec)
+    assert [r.converged for r in rows] == [True, False, True]
+    assert "Unable to allocate" in rows[1].failure and rows[1].iterations == 0
+    assert rows[0].error is not None and rows[2].error is not None
+
+
 def test_csv_shape_and_determinism():
     spec = ExperimentSpec(example=1, **FAST)
     text_a = csv_text(run_experiment(spec))
@@ -266,6 +286,18 @@ def test_cli_exit_nonzero_when_unconverged(capsys):
     )
     assert code == 1
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_huge_maxit_is_capped_at_the_system_size(tmp_path):
+    # a (maxit + 1, N) GMRES basis for maxit = 1e8 would need 584 GiB; the
+    # Krylov space cannot exceed N, so the run is the default one
+    runs = {}
+    for name, extra in (("default", ()), ("huge", ("--maxit", "100000000"))):
+        out = tmp_path / f"{name}.csv"
+        argv = ("solve", "--example", "1", "--h", "2^-3", "--out", str(out), *extra)
+        assert run_cli(*argv) == 0
+        runs[name] = [row["iter"] for row in csv.DictReader(out.read_text().splitlines())]
+    assert runs["huge"] == runs["default"]
 
 
 def test_cli_reports_guard_failure_and_exits_one(monkeypatch, capsys):
@@ -340,9 +372,9 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--delta", "nan"),
     ("--eps-policy", "fixed", "--eps-value", "nan"),
     ("--eps-policy", "rate", "--delta", "1.5"),
-    ("--mg-pre", "0"),
-    ("--mg-post", "-1"),
-    ("--mg-cycles", "0"),
+    ("--maxit", "0"),
+    ("--tol", "0"),
+    ("--jobs", "0"),
     ("--h", "10^400"),
     ("--gamma", "abc"),
     ("--gamma", "1e-4,"),
@@ -351,7 +383,7 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--example", "1.9"),
     ("--example", "3"),
     ("--maxit", "1.5"),
-    ("--mg-pre", "2.5"),
+    ("--jobs", "2.5"),
     ("--jobs", "true"),
     ("--inner", "cg"),
     ("--eps-value", "0.1"),
@@ -369,8 +401,8 @@ def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     "example: 1.9",
     "example: true",
     "jobs: true",
-    "mg_pre_smooth: 2.5",
-    "mg_cycles: false",
+    "jobs: 2.5",
+    "maxit: false",
     "tol: true",
     "tol: abc",
     "delta: .nan",
@@ -424,6 +456,19 @@ def test_cli_checks_out_path_before_solving(tmp_path, monkeypatch, route, capsys
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("line", ["out:", "out: 3", "out: ''"])
+def test_cli_config_rejects_an_out_that_is_no_path(tmp_path, monkeypatch, line, capsys):
+    # a YAML null must not become the file name "None"
+    never_solve(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(f"example: 1\nh: 2^-3\n{line}\n")
+    assert run_cli("solve", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1 and "out" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.yaml"]
+
+
 def test_cli_validate_checks_report_path_before_running(tmp_path, monkeypatch, capsys):
     def run_validation(delta):
         raise AssertionError("the checks ran")
@@ -440,8 +485,7 @@ def test_cli_validate_checks_report_path_before_running(tmp_path, monkeypatch, c
 PARITY_VALUES = {
     "example": "2", "h": "2^-3,2^-4", "gamma": "1e-3", "inner_solver": "mg",
     "tol": "1e-7", "maxit": "7", "epsilon_policy": "fixed", "epsilon_value": "0.25",
-    "delta": "0.3", "mg_pre_smooth": "3", "mg_post_smooth": "2", "mg_cycles": "2",
-    "allow_fine": "true", "jobs": "2", "out": "parity.csv",
+    "delta": "0.3", "allow_fine": "true", "jobs": "2", "out": "parity.csv",
 }
 
 
@@ -522,6 +566,15 @@ def test_cli_validate_rejects_delta_outside_unit_interval(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_cli_validate_delta_goes_through_the_shared_converter(tmp_path, capsys):
+    assert build_parser().parse_args(["validate"]).delta == ExperimentSpec.delta
+    report = tmp_path / "report.json"
+    assert run_cli("validate", "--delta", "abc", "--report", str(report)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not report.exists()
+
+
 def test_cli_validate_writes_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = run_cli("validate", "--report", str(report))
@@ -556,3 +609,15 @@ def test_readme_layout_names_every_module():
     named = {line.split()[0] for line in listing.splitlines() if line.strip()}
     modules = {p.name for p in (root / "src" / "pintopt").glob("*.py")} - {"__init__.py"}
     assert named == modules
+
+
+def test_readme_settings_table_names_every_setting():
+    # the README's settings table must list exactly the solve flags and keys
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    table = readme.split("| flag | YAML key |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    flags = {flag.strip().strip("`") for flag, _ in rows}
+    keys = {key.strip().strip("`") for _, key in rows} - {"—"}
+    assert flags == {s.flag for s in SETTINGS} | {"--config"}
+    assert keys == {s.key for s in SETTINGS}
