@@ -15,14 +15,15 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
+from . import shifted
 from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm
 from .gmres import gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
 from .problems import get_problem
 from .rbd import EPS_POLICIES, RbdEpsPreconditioner, choose_epsilon
-from .shifted import DstShiftedSolver
 
 DEFAULT_MAX_LEVEL = 6  # finest default mesh is h = 2^-6; finer is opt-in
 
@@ -134,7 +135,7 @@ def make_inner_solver(problem, grid, stiffness, spec):
                 "coefficient; this problem's coefficient varies in space "
                 "(use the multigrid inner solver instead)"
             )
-        return DstShiftedSolver(grid, diffusion=value)
+        return shifted.DstShiftedSolver(grid, diffusion=value)
     return MgShiftedSolver(grid, problem.a)
 
 
@@ -157,6 +158,15 @@ class CellResult:
 def solve_cell(spec, gamma, h):
     """Assemble and solve one cell; wall time covers the GMRES loop only.
 
+    A cell with the sine-transform backend is solved in the sine basis:
+    the stiffness handed to the operator is the diagonal Lambda of
+    ``DstShiftedSolver.laplacian_eigs``, ``assemble_rhs`` rotates the
+    right-hand side once with ``shifted.dst2d`` and ``error_norm`` rotates
+    the state and the adjoint back, so GMRES, the matvec and the
+    preconditioner run no sine transform. The transform is orthogonal, so
+    the iterates are those of the physical-basis solve up to round-off.
+    Multigrid cells are solved in the physical basis.
+
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
     Inf, fails only this cell, and so does a MemoryError, such as a GMRES
@@ -168,9 +178,14 @@ def solve_cell(spec, gamma, h):
     problem = get_problem(f"example{spec.example}", gamma)
     stiffness = build_stiffness(grid, problem.a)
     inner = make_inner_solver(problem, grid, stiffness, spec)
+    transform = None
+    if spec.inner == "dst":
+        # read at call time, so a wrapper set on shifted.dst2d sees every rotation
+        transform = shifted.dst2d
+        stiffness = sp.diags(inner.laplacian_eigs, format="csr")
 
     op = AllAtOnceOperator(grid, stiffness, gamma)
-    rhs = assemble_rhs(problem, grid)
+    rhs = assemble_rhs(problem, grid, transform)
     eps = choose_epsilon(grid, spec.eps_policy, spec.delta, spec.eps_value)
     prec = RbdEpsPreconditioner(grid, gamma, eps, inner)
 
@@ -191,7 +206,7 @@ def solve_cell(spec, gamma, h):
     adjoint = report.x[mn:]
     err = None
     if problem.exact_y is not None and problem.exact_p is not None:
-        err = float(error_norm(state, adjoint, problem, grid))
+        err = float(error_norm(state, adjoint, problem, grid, transform))
     return CellResult(
         gamma=gamma,
         h=h,

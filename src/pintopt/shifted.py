@@ -5,14 +5,19 @@ transform, to independent spatial solves whose complex shifts sigma come
 from the eigenvalues of the corner-perturbed difference matrix. Two
 interchangeable backends run in the solver:
 
-* :class:`DstShiftedSolver` - direct diagonalization by the orthonormal
-  discrete sine transform :func:`dst2d`; exact, but only valid for a
-  constant diffusion coefficient (identity mass matrix, 5-point Laplacian).
+* :class:`DstShiftedSolver` - the constant-diffusion case in the sine
+  basis. The orthonormal discrete sine transform :func:`dst2d` diagonalizes
+  the 5-point Laplacian, K = S Lambda S, so a cell with constant diffusion
+  is solved entirely on S-transformed vectors (``pintopt.bench.solve_cell``
+  rotates the right-hand side once and the solution back once). There K is
+  the diagonal Lambda and each shifted solve is one pointwise division; no
+  transform runs inside the Krylov loop.
 * the geometric multigrid backend in :mod:`pintopt.multigrid`, for any
-  positive coefficient.
+  positive coefficient, in the physical basis.
 
-The tests add a third with the same interface, a dense oracle that inverts
-(sigma M + tau K) explicitly for any mass/stiffness pair
+The tests add a dense oracle that inverts (sigma M + tau K) explicitly for
+any mass/stiffness pair, and a physical-basis sine-transform solve that
+wraps :class:`DstShiftedSolver` in two :func:`dst2d` calls
 (``tests/dense_backend.py``).
 
 Each backend exposes one batched entry point, ``factor(sigmas) -> solve``:
@@ -25,28 +30,29 @@ import numpy as np
 import scipy.fft
 
 
-def dst2d(v, overwrite_x=False):
+def dst2d(v):
     """Orthonormal 2D sine transform over the last two axes of ``v``.
 
     Applies S along each of the two axes, where S is the DST-I matrix with
     entries sqrt(2/(m1+1)) * sin(j*k*pi/(m1+1)); leading axes are a batch.
     S is involutory, so the transform is its own inverse. Complex input has
-    its real and imaginary parts transformed separately. With
-    ``overwrite_x`` the transform may run in the memory of ``v``, which is
-    then destroyed.
+    its real and imaginary parts transformed separately.
     """
-    return scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1), overwrite_x=overwrite_x)
+    return scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1))
 
 
 class DstShiftedSolver:
-    """Sine-transform diagonalization of (sigma I + tau K), constant diffusion.
+    """Solves (sigma I + tau Lambda), the constant-diffusion system in the sine basis.
 
     For diffusion coefficient a = c the stiffness is c times the 5-point
-    Laplacian with mesh width h = 1/(m1+1), whose eigenvalues are
-    c (4 - 2 cos(i pi h) - 2 cos(j pi h)) / h^2; the orthonormal DST-I
-    diagonalizes it, so a batched solve costs two transforms of the whole
-    stack and one pointwise product with the reciprocal of a (shifts, m1, m1)
-    denominator, which ``factor`` stores once.
+    Laplacian with mesh width h = 1/(m1+1), and the orthonormal DST-I
+    diagonalizes it: K = S Lambda S, where ``laplacian_eigs`` holds Lambda,
+    c (4 - 2 cos(i pi h) - 2 cos(j pi h)) / h^2, as a length-m vector in
+    the row-major order of the grid functions. The right-hand sides and
+    solutions of ``solve`` are S-transformed vectors, so a batched solve is
+    one pointwise product with the reciprocal of the (shifts, m)
+    denominator, which ``factor`` stores once. A physical-basis solve is
+    dst2d, this solve, dst2d.
     """
 
     def __init__(self, grid, diffusion=1.0):
@@ -55,21 +61,16 @@ class DstShiftedSolver:
         self.grid = grid
         m1, h = grid.m1, grid.h
         theta = 2.0 - 2.0 * np.cos(np.pi * h * np.arange(1, m1 + 1))
-        self.laplacian_eigs = diffusion * (theta[:, None] + theta[None, :]) / h**2
+        self.laplacian_eigs = (diffusion * (theta[:, None] + theta[None, :]) / h**2).ravel()
 
     def factor(self, sigmas):
-        m1 = self.grid.m1
-        denom = np.asarray(sigmas)[:, None, None] + self.grid.tau * self.laplacian_eigs
+        denom = np.asarray(sigmas)[:, None] + self.grid.tau * self.laplacian_eigs
         if np.min(np.abs(denom)) == 0.0:
             raise ValueError("a shift makes the system singular")
         inverse = 1.0 / denom
 
-        # dst2d is looked up in the module at call time, so a wrapper set on
-        # pintopt.shifted.dst2d (the benchmark tracer's seam) sees every call
         def solve(rhs):
-            grids = dst2d(rhs.reshape(*rhs.shape[:-1], m1, m1))
-            grids *= inverse
-            return dst2d(grids, overwrite_x=True).reshape(rhs.shape)
+            return rhs * inverse
 
         return solve
 

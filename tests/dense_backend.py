@@ -1,4 +1,4 @@
-"""Dense test oracle for the batched shifted-solve interface.
+"""Test references for the batched shifted-solve interface.
 
 :class:`DenseShiftedSolver` has the ``factor(sigmas) -> solve`` interface of
 the backends in :mod:`pintopt.shifted`, but inverts the dense shifted
@@ -6,9 +6,16 @@ matrices (sigma M + tau K) explicitly. It is exact for any mass/stiffness
 pair, so the tests use it on small problems to check the fast backends and
 the preconditioner, including with a general (non-identity) mass matrix that
 the solver itself never sees.
+
+:class:`PhysicalDstSolver` solves the constant-diffusion system in the
+physical basis, with the 5-point stiffness K itself: it wraps the
+production sine-basis solve of :class:`pintopt.shifted.DstShiftedSolver`
+in one :func:`pintopt.shifted.dst2d` before and one after, K = S Lambda S.
 """
 
 import numpy as np
+
+from pintopt.shifted import DstShiftedSolver, dst2d
 
 
 class DenseShiftedSolver:
@@ -32,3 +39,20 @@ class DenseShiftedSolver:
             return np.einsum("kpq,...kq->...kp", inverses, rhs)
 
         return solve
+
+
+class PhysicalDstSolver:
+    """(sigma I + tau K) z = r for the 5-point K: dst2d, the diagonal solve, dst2d."""
+
+    def __init__(self, grid, diffusion=1.0):
+        self.grid = grid
+        self.diagonal = DstShiftedSolver(grid, diffusion)
+
+    def factor(self, sigmas):
+        m1 = self.grid.m1
+        solve_diagonal = self.diagonal.factor(sigmas)
+
+        def rotate(v):
+            return dst2d(v.reshape(*v.shape[:-1], m1, m1)).reshape(v.shape)
+
+        return lambda rhs: rotate(solve_diagonal(rotate(rhs)))

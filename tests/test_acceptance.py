@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 import pytest
+from dense_backend import PhysicalDstSolver
 
 from pintopt.bench import ExperimentSpec, run_experiment, solve_cell
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.gmres import gmres_solve
 from pintopt.rbd import RbdEpsPreconditioner
-from pintopt.shifted import DstShiftedSolver
 from pintopt.validation import build_bundle, run_validation
 
 GAMMAS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
@@ -122,7 +122,7 @@ def test_criterion_4_dense_preconditioner_equivalence():
                     bundle = build_bundle(
                         n, grid.tau, gamma, eps, np.eye(grid.m), K
                     )
-                    fast = RbdEpsPreconditioner(grid, gamma, eps, DstShiftedSolver(grid))
+                    fast = RbdEpsPreconditioner(grid, gamma, eps, PhysicalDstSolver(grid))
                     for _ in range(3):
                         r = rng.standard_normal(2 * grid.m * n)
                         got = fast.apply_inverse(r)
@@ -173,7 +173,7 @@ def test_criterion_6_gmres_unit_properties():
     problem = get_problem("example1", 1e-6)
     op = AllAtOnceOperator(grid, K, 1e-6)
     rhs = assemble_rhs(problem, grid)
-    prec = RbdEpsPreconditioner(grid, 1e-6, grid.tau / 2, DstShiftedSolver(grid))
+    prec = RbdEpsPreconditioner(grid, 1e-6, grid.tau / 2, PhysicalDstSolver(grid))
     rep = gmres_solve(op.matvec, rhs, apply_prec=prec.apply_inverse, tol=1e-8)
     true_res = np.linalg.norm(prec.apply_inverse(rhs - op.matvec(rep.x)))
     res_dev = abs(rep.residuals[-1] - true_res) / rep.residuals[0]

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_backend import PhysicalDstSolver
 
 import pintopt
 
-from pintopt import bench
+from pintopt import bench, shifted
 from pintopt.bench import (
     CSV_COLUMNS,
     ConfigurationError,
@@ -32,9 +33,16 @@ from pintopt.cli import (
     parse_list,
     spec_from_args,
 )
-from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.discretize import (
+    TimeSpaceGrid,
+    assemble_rhs,
+    build_stiffness,
+    error_norm,
+)
+from pintopt.gmres import gmres_solve
+from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
-from pintopt.rbd import RbdEpsPreconditioner
+from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon
 
 FAST = dict(h_values=(2.0**-3,), gammas=(1e-4, 1e-2))
 
@@ -135,6 +143,42 @@ def test_mg_inner_solves_variable_coefficient():
     res = solve_cell(ExperimentSpec(example=2, inner="mg"), 1e-4, 2.0**-3)
     assert res.converged
     assert res.error < 0.1
+
+
+def physical_basis_cell(spec, gamma, h):
+    """The cell solved with the 5-point stiffness and the physical-basis DST solve."""
+    grid = TimeSpaceGrid.from_h(h, n=round(1 / h))
+    problem = get_problem(f"example{spec.example}", gamma)
+    op = AllAtOnceOperator(grid, build_stiffness(grid, problem.a), gamma)
+    prec = RbdEpsPreconditioner(grid, gamma, choose_epsilon(grid), PhysicalDstSolver(grid))
+    report = gmres_solve(
+        op.matvec, assemble_rhs(problem, grid), apply_prec=prec.apply_inverse,
+        tol=spec.tol, maxit=spec.maxit,
+    )
+    mn = grid.m * grid.n
+    error = error_norm(report.x[:mn] / np.sqrt(gamma), report.x[mn:], problem, grid)
+    return report.iterations, error
+
+
+@pytest.mark.parametrize("gamma", [1e-10, 1e-2])
+def test_sine_basis_cell_matches_the_physical_basis(gamma, monkeypatch):
+    # the cell runs in the sine basis: the same iterates as the physical-basis
+    # solve, and dst2d only to rotate the rhs, the state and the adjoint,
+    # however many iterations the cell takes
+    calls = []
+    original = shifted.dst2d
+
+    def counted(v):
+        calls.append(v.shape)
+        return original(v)
+
+    spec = ExperimentSpec(example=1)
+    want_iterations, want_error = physical_basis_cell(spec, gamma, 2.0**-4)
+    monkeypatch.setattr(shifted, "dst2d", counted)
+    res = solve_cell(spec, gamma, 2.0**-4)
+    assert res.iterations == want_iterations
+    assert res.error == pytest.approx(want_error, rel=1e-12)
+    assert len(calls) == 3
 
 
 def test_rows_run_in_table_order():
@@ -621,3 +665,15 @@ def test_readme_settings_table_names_every_setting():
     keys = {key.strip().strip("`") for _, key in rows} - {"—"}
     assert flags == {s.flag for s in SETTINGS} | {"--config"}
     assert keys == {s.key for s in SETTINGS}
+
+
+def test_readme_python_example_runs():
+    # the README's Python API block must run and print what its comment says
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    printed = []
+    exec(block, {"print": lambda *args: printed.append(args)})
+    ((iterations, label, e_h),) = printed
+    assert (iterations, label) == (8, "iterations, e_h =")
+    assert three_significant(e_h) == "1.54e-2"

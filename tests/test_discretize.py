@@ -15,6 +15,7 @@ from pintopt.discretize import (
     error_norm,
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
+from pintopt.shifted import dst2d
 from pintopt.validation import eps_circulant_matrix
 
 
@@ -317,3 +318,77 @@ def test_error_norm_requires_exact_solution():
     mn = grid.m * grid.n
     with pytest.raises(ValueError):
         error_norm(np.zeros(mn), np.zeros(mn), problem, grid)
+
+
+# ---------------------------------------------------------------------------
+# all levels at once
+
+
+def rhs_level_loop(problem, grid):
+    """The right-hand side assembled one time level at a time."""
+    X1, X2 = grid.interior_points()
+    m, n, tau = grid.m, grid.n, grid.tau
+    top = np.empty(m * n)
+    bot = np.empty(m * n)
+    for k in range(1, n + 1):
+        gk = np.asarray(problem.g(X1, X2, (k - 1) * tau), dtype=float).ravel()
+        fk = np.asarray(problem.f(X1, X2, k * tau), dtype=float).ravel()
+        top[(k - 1) * m : k * m] = tau * gk
+        fblk = tau * fk
+        if k == 1:
+            fblk = fblk + np.asarray(problem.y0(X1, X2), dtype=float).ravel()
+        bot[(k - 1) * m : k * m] = fblk
+    return np.concatenate([top, -np.sqrt(problem.gamma) * bot])
+
+
+def error_level_loop(y, p, problem, grid):
+    """The worst-level error measured one time level at a time."""
+    X1, X2 = grid.interior_points()
+    m, n = grid.m, grid.n
+    y = y.reshape(n, m)
+    p = p.reshape(n, m)
+    worst = 0.0
+    for k in range(1, n + 1):
+        ey = y[k - 1] - problem.exact_y(X1, X2, k * grid.tau).ravel()
+        ep = p[k - 1] - problem.exact_p(X1, X2, (k - 1) * grid.tau).ravel()
+        worst = max(worst, float(ey @ ey), float(ep @ ep))
+    return grid.h * np.sqrt(worst)
+
+
+@pytest.mark.parametrize("level", [3, 5])
+@pytest.mark.parametrize("example", [1, 2])
+def test_all_levels_at_once_match_the_level_loop(example, level):
+    # sampling with times shaped (n, 1, 1) must give the loop's numbers exactly
+    grid = TimeSpaceGrid.from_h(2.0**-level, n=2**level)
+    problem = get_problem(f"example{example}", gamma=1e-4)
+    assert np.array_equal(assemble_rhs(problem, grid), rhs_level_loop(problem, grid))
+    rng = np.random.default_rng(level)
+    mn = grid.m * grid.n
+    y = rng.standard_normal(mn) * 1e-3
+    p = rng.standard_normal(mn) * 1e-3
+    assert error_norm(y, p, problem, grid) == error_level_loop(y, p, problem, grid)
+
+
+def test_transform_rotates_rhs_once_and_solution_back():
+    grid = TimeSpaceGrid.from_h(2.0**-4, n=16)
+    problem = get_problem("example2", gamma=1e-2)
+    m1, n = grid.m1, grid.n
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape)
+        return dst2d(v)
+
+    b = assemble_rhs(problem, grid, counted)
+    plain = assemble_rhs(problem, grid).reshape(2, n, m1, m1)
+    assert np.array_equal(b, dst2d(plain).reshape(-1))
+    assert calls == [(2, n, m1, m1)]
+
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(grid.m * n) * 1e-3
+    p = rng.standard_normal(grid.m * n) * 1e-3
+    rotated = [dst2d(v.reshape(n, m1, m1)).reshape(-1) for v in (y, p)]
+    calls.clear()
+    got = error_norm(*rotated, problem, grid, counted)
+    assert calls == [(n, m1, m1)] * 2
+    assert got == pytest.approx(error_norm(y, p, problem, grid), rel=1e-12)

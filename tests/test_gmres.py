@@ -8,13 +8,13 @@ premise boundary.
 
 import numpy as np
 import pytest
+from dense_backend import PhysicalDstSolver
 
 from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness
 from pintopt.gmres import SolveReport, gmres_solve
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
 from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon, contraction_factor
-from pintopt.shifted import DstShiftedSolver
 
 
 def test_identity_converges_in_one_iteration():
@@ -206,7 +206,7 @@ def test_full_stack_small_problem_converges():
     problem = get_problem("example1", gamma=1e-6)
     op = AllAtOnceOperator(grid, build_stiffness(grid, problem.a), problem.gamma)
     pc = RbdEpsPreconditioner(
-        grid, problem.gamma, choose_epsilon(grid), inner=DstShiftedSolver(grid)
+        grid, problem.gamma, choose_epsilon(grid), inner=PhysicalDstSolver(grid)
     )
     b = assemble_rhs(problem, grid)
     report = gmres_solve(op.matvec, b, apply_prec=pc.apply_inverse, tol=1e-6)

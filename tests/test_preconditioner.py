@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from dense_backend import DenseShiftedSolver
+from dense_backend import DenseShiftedSolver, PhysicalDstSolver
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.rbd import (
@@ -64,7 +64,7 @@ def test_matches_dense_inverse_unit_coeff(m1, n, gamma, eps):
     grid = TimeSpaceGrid(m1=m1, n=n)
     K = build_stiffness(grid, ones_coeff)
     P = dense_preconditioner(grid, K, gamma, eps)
-    pc = RbdEpsPreconditioner(grid, gamma, eps, inner=DstShiftedSolver(grid))
+    pc = RbdEpsPreconditioner(grid, gamma, eps, inner=PhysicalDstSolver(grid))
     rng = np.random.default_rng(hash((m1, n)) % 2**31)
     for _ in range(3):
         r = rng.standard_normal(2 * grid.m * n)
@@ -108,7 +108,7 @@ def test_matches_dense_inverse_single_step():
     grid = TimeSpaceGrid(m1=3, n=1)
     K = build_stiffness(grid, ones_coeff)
     P = dense_preconditioner(grid, K, 1.0, 0.5)
-    pc = RbdEpsPreconditioner(grid, 1.0, 0.5, inner=DstShiftedSolver(grid))
+    pc = RbdEpsPreconditioner(grid, 1.0, 0.5, inner=PhysicalDstSolver(grid))
     rng = np.random.default_rng(13)
     r = rng.standard_normal(2 * grid.m)
     assert rel_err(pc.apply_inverse(r), np.linalg.solve(P, r)) < 1e-10
@@ -132,7 +132,7 @@ def test_conjugate_pair_shortcut_matches_full_path():
         grid = TimeSpaceGrid(m1=3, n=n)
         K = build_stiffness(grid, ones_coeff)
         P = dense_preconditioner(grid, K, 1e-3, 0.25)
-        pc = RbdEpsPreconditioner(grid, 1e-3, 0.25, inner=DstShiftedSolver(grid))
+        pc = RbdEpsPreconditioner(grid, 1e-3, 0.25, inner=PhysicalDstSolver(grid))
         rng = np.random.default_rng(n)
         r = rng.standard_normal(2 * grid.m * n)
         assert rel_err(pc.apply_inverse(r), np.linalg.solve(P, r)) < 1e-10
