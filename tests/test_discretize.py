@@ -15,7 +15,6 @@ from pintopt.discretize import (
     error_norm,
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
-from pintopt.shifted import dst2d
 from pintopt.validation import eps_circulant_matrix
 
 
@@ -368,27 +367,3 @@ def test_all_levels_at_once_match_the_level_loop(example, level):
     p = rng.standard_normal(mn) * 1e-3
     assert error_norm(y, p, problem, grid) == error_level_loop(y, p, problem, grid)
 
-
-def test_transform_rotates_rhs_once_and_solution_back():
-    grid = TimeSpaceGrid.from_h(2.0**-4, n=16)
-    problem = get_problem("example2", gamma=1e-2)
-    m1, n = grid.m1, grid.n
-    calls = []
-
-    def counted(v):
-        calls.append(v.shape)
-        return dst2d(v)
-
-    b = assemble_rhs(problem, grid, counted)
-    plain = assemble_rhs(problem, grid).reshape(2, n, m1, m1)
-    assert np.array_equal(b, dst2d(plain).reshape(-1))
-    assert calls == [(2, n, m1, m1)]
-
-    rng = np.random.default_rng(3)
-    y = rng.standard_normal(grid.m * n) * 1e-3
-    p = rng.standard_normal(grid.m * n) * 1e-3
-    rotated = [dst2d(v.reshape(n, m1, m1)).reshape(-1) for v in (y, p)]
-    calls.clear()
-    got = error_norm(*rotated, problem, grid, counted)
-    assert calls == [(n, m1, m1)] * 2
-    assert got == pytest.approx(error_norm(y, p, problem, grid), rel=1e-12)
