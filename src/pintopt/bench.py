@@ -171,7 +171,9 @@ def solve_cell(spec, gamma, h):
     from GMRES when the operator or the preconditioner produces a NaN or
     Inf, fails only this cell, and so does a MemoryError, such as a GMRES
     basis too large for this machine: the cell comes back unconverged,
-    with no iterations or error and the message in ``failure``.
+    with no iterations or error and the message in ``failure``. A cell
+    that GMRES leaves unconverged keeps its iterations and error, and its
+    ``failure`` names the last iteration and the relative residual.
     """
     level = mesh_level(h)
     grid = TimeSpaceGrid.from_h(h, n=2**level)
@@ -207,6 +209,12 @@ def solve_cell(spec, gamma, h):
     err = None
     if problem.exact_y is not None and problem.exact_p is not None:
         err = float(error_norm(state, adjoint, problem, grid, transform))
+    failure = None
+    if not report.converged:
+        failure = (
+            f"GMRES stopped unconverged at iteration {report.iterations}: preconditioned "
+            f"relative residual {report.residuals[-1] / report.residuals[0]:.3e} > tol {spec.tol:g}"
+        )
     return CellResult(
         gamma=gamma,
         h=h,
@@ -217,6 +225,7 @@ def solve_cell(spec, gamma, h):
         converged=report.converged,
         cpu_seconds=cpu,
         error=err,
+        failure=failure,
     )
 
 

@@ -28,7 +28,9 @@ class SolveReport:
 
     ``residuals[k]`` is the preconditioned residual norm after k iterations
     (``residuals[0]`` is the preconditioned rhs norm), so the achieved
-    relative residual is ``residuals[-1] / residuals[0]``.
+    relative residual is ``residuals[-1] / residuals[0]``. ``basis`` holds
+    the orthonormal Krylov directions as rows, a view of the solver's own
+    array: k + 1 of them after k iterations, k after a breakdown.
     """
 
     x: np.ndarray
@@ -38,14 +40,16 @@ class SolveReport:
     basis: Optional[np.ndarray] = None
 
 
-def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=False):
+def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
     """Solve A x = b with left preconditioning, from a zero initial guess.
 
     apply_op and apply_prec are callables mapping a vector to A v and
     P^-1 v (identity when apply_prec is None). Iterations stop when the
     preconditioned relative residual drops to ``tol`` or after ``maxit``
-    steps. ``maxit`` defaults to ``DEFAULT_MAXIT`` = 100, the command
-    line's ``--maxit`` default, and is capped at the system size, the
+    steps. A breakdown, a new direction that lies numerically in the span
+    of the basis, also stops them; it counts as converged only when the
+    residual test holds. ``maxit`` defaults to ``DEFAULT_MAXIT`` = 100, the
+    command line's ``--maxit`` default, and is capped at the system size, the
     largest Krylov space there is: the Hessenberg matrix and the basis
     grow with ``maxit``, so a size-long default would ask for memory
     quadratic in the system size.
@@ -74,7 +78,8 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
         )
     if beta == 0.0:
         return SolveReport(
-            x=np.zeros(size), converged=True, iterations=0, residuals=[0.0]
+            x=np.zeros(size), converged=True, iterations=0, residuals=[0.0],
+            basis=np.empty((0, size)),
         )
 
     basis = np.empty((maxit + 1, size))
@@ -104,7 +109,9 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
             raise FloatingPointError(
                 f"GMRES iteration {j + 1}: new Hessenberg column is not finite"
             )
-        breakdown = hess[j + 1, j] <= 1e-14 * beta
+        # happy breakdown: orthogonalisation left almost nothing of w. The
+        # basis is orthonormal, so the column's norm is w's norm before it
+        breakdown = hess[j + 1, j] <= 1e-14 * np.linalg.norm(hess[: j + 2, j])
         if not breakdown:
             w /= hess[j + 1, j]
 
@@ -124,8 +131,8 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
 
         residuals.append(abs(g[j + 1]))
         k = j + 1
-        if residuals[-1] <= tol * beta or breakdown:
-            converged = True
+        converged = residuals[-1] <= tol * beta
+        if converged or breakdown:
             break
 
     y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k])
@@ -137,5 +144,5 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, keep_basis=F
         converged=converged,
         iterations=k,
         residuals=residuals,
-        basis=basis[:directions].T if keep_basis else None,
+        basis=basis[:directions],
     )

@@ -25,17 +25,21 @@ per shift. Components:
 * residual: a sweep solves its lower triangle exactly against the old upper
   neighbors, so right after the last pre-sweep b - A z is the upper
   couplings applied to the change of z, two products per anti-diagonal;
-* transfers: bilinear prolongation P and full-weighting restriction
-  R = P'/2, dense 1D matrices applied per dimension as P @ field @ P' and
-  R @ field @ R', so the 2D restriction is (P x P)'/4, the variational
-  partner of bilinear interpolation.
+* transfers: bilinear prolongation P, a sparse matrix from the coarse
+  level's skewed order to this level's, and full-weighting restriction
+  R = P'/4, the variational partner of bilinear interpolation. Coarse
+  point (I, J) gives weight w[a] w[b] to fine point (2I+a, 2J+b), with
+  w = (1/2, 1, 1/2).
 
-Fields are complex (points, batch) arrays: batch column l k + j holds the
+Fields are complex (positions, batch) arrays: batch column l k + j holds the
 l-th right-hand side of shift j, and real weights multiply the interleaved
-real/imaginary view, (points, 2 batch). Inside a level the points are
-stored skewed: anti-diagonal d is one contiguous run of positions, between
-two zero positions that stand for the Dirichlet boundary, so each neighbor
-of a run is a slice of the run before or after it.
+real/imaginary view, (positions, 2 batch). Every level but the coarsest
+stores its points skewed: anti-diagonal d is one contiguous run of
+positions, between two zero positions that stand for the Dirichlet
+boundary, so each neighbor of a run is a slice of the run before or after
+it. The coarsest level keeps grid order. A solve scatters its right-hand
+sides into skewed order once and gathers the result once; the transfers
+map skewed order to skewed order, so the V-cycle itself never converts.
 
 The fine grid needs m1 = 2^l - 1 points per dimension so the nested-grid
 hierarchy exists. Prepared shifts and one V(2,1) cycle per solve make one
@@ -45,6 +49,7 @@ fixed linear map, so the solve is safe inside non-flexible GMRES.
 from collections import namedtuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discretize import TimeSpaceGrid, build_stiffness
 
@@ -61,43 +66,21 @@ POST_SWEEPS = 1
 Stencil = namedtuple("Stencil", "inv_diag north west")
 
 
-def prolongation_1d(m1):
-    """Dense 1D bilinear interpolation from (m1-1)//2 coarse to m1 fine points.
-
-    Odd fine points coincide with coarse points; even fine points average the
-    two coarse neighbors (missing neighbors are homogeneous boundary values).
-    """
-    if m1 < 3 or m1 % 2 == 0:
-        raise ValueError(f"cannot coarsen a grid with m1={m1}")
-    coarse = np.arange((m1 - 1) // 2)
-    prolong = np.zeros((m1, coarse.size))
-    prolong[2 * coarse + 1, coarse] = 1.0
-    prolong[2 * coarse, coarse] = 0.5
-    prolong[2 * coarse + 2, coarse] = 0.5
-    return prolong
-
-
-def sandwich(op, field):
-    """op @ F @ op' for the grid F of each batch column of an (m1^2, batch) stack.
-
-    ``op`` is real, so both products run as real matrix products on the
-    interleaved real/imaginary view of the stack.
-    """
-    rows, cols = op.shape
-    flat = field.view(float).reshape(cols, -1)
-    half = (op @ flat).reshape(rows, cols, -1)
-    return (op @ half).reshape(rows * rows, -1).view(complex)
-
-
 class Level:
-    """One grid of the hierarchy: stencil bands of tau K, skewed order, transfers."""
+    """One grid of the hierarchy: stencil bands of tau K, skewed order, transfers.
 
-    def __init__(self, grid, coeff, coarsest):
+    ``coarse`` is the next coarser level; without one this is the coarsest
+    level, solved densely, whose skewed order is the grid order.
+    """
+
+    def __init__(self, grid, coeff, coarse=None):
         m1, tau = grid.m1, grid.tau
         stiffness = build_stiffness(grid, coeff)
         self.m1 = m1
-        if coarsest:
+        if coarse is None:
             self.dense = tau * stiffness.toarray()
+            self.skew_size = m1 * m1
+            self.skew_index = np.arange(m1 * m1)
             return
         self.dense = None
         self.diag = tau * stiffness.diagonal(0)
@@ -134,8 +117,16 @@ class Level:
             for n, *row in zip(count[e].tolist(), *(o.tolist() for o in offsets))
         ]
 
-        self.prolong = prolongation_1d(m1)
-        self.restrict = self.prolong.T / 2
+        # coarse point (I, J) gives w[a] w[b] to fine point (2I+a, 2J+b)
+        w = np.array([0.5, 1.0, 0.5])
+        ci, cj = np.divmod(np.arange(coarse.m1**2), coarse.m1)
+        a, b = np.divmod(np.arange(9), 3)
+        fine = self.skew_index[(2 * ci[:, None] + a) * m1 + 2 * cj[:, None] + b]
+        self.prolong = sp.csr_matrix(
+            (np.tile(w[a] * w[b], ci.size), (fine.ravel(), np.repeat(coarse.skew_index, 9))),
+            shape=(self.skew_size, coarse.skew_size),
+        )
+        self.restrict = self.prolong.T / 4
 
     def to_skew(self, field):
         """A (m1^2, ...) field in skewed order, zero positions included."""
@@ -212,13 +203,13 @@ class MgShiftedSolver:
         sizes = [m1]
         while sizes[-1] > COARSEST_POINTS:
             sizes.append((sizes[-1] - 1) // 2)
-        self.levels = [
-            Level(
-                TimeSpaceGrid(m1=size, n=grid.n, horizon=grid.horizon), coeff,
-                coarsest=size == sizes[-1],
-            )
-            for size in sizes
-        ]
+        # coarsest first: each level's transfers need the next coarser level
+        self.levels = []
+        coarse = None
+        for size in reversed(sizes):
+            level_grid = TimeSpaceGrid(m1=size, n=grid.n, horizon=grid.horizon)
+            coarse = Level(level_grid, coeff, coarse)
+            self.levels.insert(0, coarse)
 
     def factor(self, sigmas):
         sigmas = np.asarray(sigmas, dtype=complex)
@@ -234,19 +225,20 @@ class MgShiftedSolver:
             *_, k, m = rhs.shape
             if k != sigmas.size:
                 raise ValueError(f"expected {sigmas.size} shifts on axis -2, got {k}")
-            b = np.ascontiguousarray(rhs.reshape(-1, m).T, dtype=complex)
+            top = self.levels[0]
+            b = top.to_skew(rhs.reshape(-1, m).T.astype(complex, copy=False))
             batch = b.shape[1] // k
             if batch not in prepared:
                 prepared[batch] = [
                     level.stencil(inv_diag, batch)
                     for level, inv_diag in zip(self.levels, inv_diags)
                 ] + [coarse_inverse]
-            return self._cycle(0, prepared[batch], b).T.reshape(rhs.shape)
+            return top.to_grid(self._cycle(0, prepared[batch], b)).T.reshape(rhs.shape)
 
         return solve
 
     def _cycle(self, depth, ops, b):
-        """One V-cycle on level depth from a zero initial guess."""
+        """One V-cycle on level depth from a zero initial guess, in its skewed order."""
         level = self.levels[depth]
         if level.dense is not None:
             k = ops[depth].shape[0]
@@ -254,17 +246,16 @@ class MgShiftedSolver:
             z = np.einsum("kpq,qlk->plk", ops[depth], grouped)
             return np.ascontiguousarray(z).reshape(b.shape)
         stencil = ops[depth]
-        b_skew = level.to_skew(b)
-        z_skew = np.zeros_like(b_skew)
+        z = np.zeros_like(b)
         for sweep in range(PRE_SWEEPS):
             if sweep == PRE_SWEEPS - 1:
-                change = z_skew.copy()
-            level.sweep(z_skew, b_skew, stencil, from_zero=sweep == 0)
-        change -= z_skew
-        residual = level.to_grid(level.sweep_residual(change, stencil))
-        defect = sandwich(level.restrict, residual)
-        correction = sandwich(level.prolong, self._cycle(depth + 1, ops, defect))
-        z_skew[level.skew_index] += correction
+                change = z.copy()
+            level.sweep(z, b, stencil, from_zero=sweep == 0)
+        change -= z
+        residual = level.sweep_residual(change, stencil).view(float)
+        defect = (level.restrict @ residual).view(complex)
+        correction = level.prolong @ self._cycle(depth + 1, ops, defect).view(float)
+        z += correction.view(complex)
         for _ in range(POST_SWEEPS):
-            level.sweep(z_skew, b_skew, stencil)
-        return level.to_grid(z_skew)
+            level.sweep(z, b, stencil)
+        return z

@@ -29,10 +29,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ParabolicControlProblem:
-    """Data of one tracking-type control problem on (0,1)^2 x (0, horizon)."""
+    """Data of one tracking-type control problem on (0,1)^2 x (0,1)."""
 
     gamma: float
-    horizon: float
     a: Callable
     f: Callable
     g: Callable
@@ -44,8 +43,6 @@ class ParabolicControlProblem:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError(f"regularization weight must be positive, got {self.gamma}")
-        if not self.horizon > 0:
-            raise ValueError(f"time horizon must be positive, got {self.horizon}")
 
 
 def _example1(gamma):
@@ -54,7 +51,6 @@ def _example1(gamma):
 
     return ParabolicControlProblem(
         gamma=gamma,
-        horizon=1.0,
         a=lambda x1, x2: np.ones_like(np.asarray(x1, dtype=float)),
         f=lambda x1, x2, t: (2 * np.pi**2 - 1) * np.exp(-t) * shape(x1, x2),
         g=lambda x1, x2, t: np.exp(-t) * shape(x1, x2),
@@ -104,7 +100,6 @@ def _example2(gamma):
 
     return ParabolicControlProblem(
         gamma=gamma,
-        horizon=1.0,
         a=lambda x1, x2: c * np.sin(np.pi * x1 * x2),
         f=f,
         g=g,

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .discretize import TimeSpaceGrid, build_stiffness
 from .gmres import gmres_solve
-from .rbd import contraction_factor, rate_constant
+from .rbd import choose_epsilon, contraction_factor, rate_constant
 
 RANK_REL_TOL = 1e-10
 
@@ -566,7 +566,7 @@ def laplacian_1d(m):
     ) * (m + 1) ** 2
 
 
-def run_validation(delta=0.5, verbose=False):
+def run_validation(delta=0.5):
     """Full theorem sweep over small grids, weights and damping policies.
 
     Returns (results, all_passed). Configurations cover square grids with
@@ -581,10 +581,8 @@ def run_validation(delta=0.5, verbose=False):
                 grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))
             ).toarray()
             for gamma in (1e-8, 1e-4, 1.0):
-                for policy_name, eps in (
-                    ("step", min(0.5, grid.tau / 2)),
-                    ("rate", rate_constant(delta, grid.tau, grid.horizon)),
-                ):
+                for policy_name in ("step", "rate"):
+                    eps = choose_epsilon(grid, policy_name, delta)
                     tag = f"m1={m1} n={n} gamma={gamma:g} eps[{policy_name}]={eps:.3g}"
                     bundle = build_bundle(n, grid.tau, gamma, eps, np.eye(grid.m), stiff_fd)
                     batch = [
@@ -636,7 +634,4 @@ def run_validation(delta=0.5, verbose=False):
     results.append(
         check_vanishing_damping(4, 0.25, 1e-2, np.eye(9), laplacian_1d(9))
     )
-    if verbose:
-        for res in results:
-            print(res)
     return results, all(res.passed for res in results)

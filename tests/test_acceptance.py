@@ -159,9 +159,9 @@ def test_criterion_6_gmres_unit_properties():
     basis_mat = rng.standard_normal((40, 40))
     spd = basis_mat @ basis_mat.T + 40 * np.eye(40)
     b = rng.standard_normal(40)
-    report = gmres_solve(lambda v: spd @ v, b, tol=1e-12, maxit=40, keep_basis=True)
-    Q = report.basis  # columns are the Krylov directions
-    orth = np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])))
+    report = gmres_solve(lambda v: spd @ v, b, tol=1e-12, maxit=40)
+    Q = report.basis  # rows are the Krylov directions
+    orth = np.max(np.abs(Q @ Q.T - np.eye(Q.shape[0])))
 
     # final reported residual vs an independent recomputation, full stack
     grid = TimeSpaceGrid(m1=7, n=8)

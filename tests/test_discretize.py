@@ -165,10 +165,8 @@ def test_stiffness_accepts_boundary_vanishing_coefficient():
 # right-hand side
 
 
-def make_problem(f, g, y0, gamma=1.0, horizon=1.0):
-    return ParabolicControlProblem(
-        gamma=gamma, horizon=horizon, a=ones_coeff, f=f, g=g, y0=y0
-    )
+def make_problem(f, g, y0, gamma=1.0):
+    return ParabolicControlProblem(gamma=gamma, a=ones_coeff, f=f, g=g, y0=y0)
 
 
 def test_rhs_homogeneous_data_is_zero():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from dense_backend import PhysicalDstSolver
 
+from pintopt import bench
 from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness
 from pintopt.gmres import SolveReport, gmres_solve
 from pintopt.operators import AllAtOnceOperator
@@ -57,10 +58,10 @@ def test_krylov_basis_orthonormal():
     rng = np.random.default_rng(3)
     A = np.eye(30) + 0.4 * rng.standard_normal((30, 30))
     b = rng.standard_normal(30)
-    report = gmres_solve(lambda v: A @ v, b, tol=1e-10, keep_basis=True)
-    V = report.basis
-    gram = V.T @ V
-    assert np.max(np.abs(gram - np.eye(V.shape[1]))) < 1e-10
+    report = gmres_solve(lambda v: A @ v, b, tol=1e-10)
+    V = report.basis  # rows are the Krylov directions
+    gram = V @ V.T
+    assert np.max(np.abs(gram - np.eye(V.shape[0]))) < 1e-10
 
 
 def mgs2_residual_history(A, b, steps):
@@ -114,6 +115,7 @@ def test_maxit_reached_reports_unconverged():
     report = gmres_solve(lambda v: A @ v, b, tol=1e-14, maxit=5)
     assert not report.converged and report.iterations == 5
     assert len(report.residuals) == 6
+    assert report.basis.shape == (6, 40)
 
 
 def test_happy_breakdown_on_low_degree_minimal_polynomial():
@@ -123,6 +125,22 @@ def test_happy_breakdown_on_low_degree_minimal_polynomial():
     report = gmres_solve(lambda v: d * v, b, tol=1e-13)
     assert report.converged and report.iterations <= 3
     assert np.max(np.abs(report.x - b / d)) < 1e-12
+    # the remainder left by a breakdown is no direction
+    assert report.basis.shape[0] == report.iterations
+
+
+def test_breakdown_test_does_not_depend_on_the_rhs_scale():
+    # measured against the norm of b, the first, perfectly independent,
+    # direction of a large right-hand side would look like a breakdown;
+    # GMRES is scale invariant, so both runs must agree
+    rng = np.random.default_rng(7)
+    A = np.eye(30) + 0.4 * rng.standard_normal((30, 30))
+    b = rng.standard_normal(30)
+    small = gmres_solve(lambda v: A @ v, b, tol=1e-10)
+    large = gmres_solve(lambda v: A @ v, 1e20 * b, tol=1e-10)
+    assert small.converged and large.converged
+    assert large.iterations == small.iterations > 1
+    assert np.linalg.norm(1e20 * b - A @ large.x) <= 1e-9 * np.linalg.norm(1e20 * b)
 
 
 def test_default_maxit_is_capped_for_large_systems():
@@ -216,3 +234,33 @@ def test_full_stack_small_problem_converges():
     true_res = np.linalg.norm(pc.apply_inverse(b - op.matvec(report.x)))
     assert abs(true_res - report.residuals[-1]) < 1e-8 * report.residuals[0]
     assert isinstance(report, SolveReport)
+
+
+def test_huge_gamma_cell_converges_only_on_its_true_residual(monkeypatch):
+    # example 1 at h = 2^-4, gamma = 1e30: alpha = tau / sqrt(gamma) is far
+    # below round-off against T, and a breakdown test relative to the
+    # right-hand side stops this cell after one iteration with a true
+    # relative residual of 0.70; "converged" must mean the residual test held
+    seen = {}
+
+    def recording_gmres(apply_op, b, **kwargs):
+        report = gmres_solve(apply_op, b, **kwargs)
+        seen["residual"] = np.linalg.norm(b - apply_op(report.x)) / np.linalg.norm(b)
+        return report
+
+    monkeypatch.setattr(bench, "gmres_solve", recording_gmres)
+    spec = bench.ExperimentSpec(example=1, gammas=(1e30,), h_values=(2.0**-4,))
+    cell = bench.solve_cell(spec, 1e30, 2.0**-4)
+    if cell.converged:
+        assert cell.failure is None
+        assert seen["residual"] <= spec.tol
+    else:
+        assert f"iteration {cell.iterations}" in cell.failure
+
+
+def test_unconverged_cell_names_its_iteration_and_residual():
+    spec = bench.ExperimentSpec(example=1, gammas=(1e-4,), h_values=(2.0**-3,), maxit=2)
+    cell = bench.solve_cell(spec, 1e-4, 2.0**-3)
+    assert not cell.converged and cell.iterations == 2
+    assert "\n" not in cell.failure
+    assert "iteration 2" in cell.failure and "relative residual" in cell.failure

@@ -68,7 +68,7 @@ def test_exact_solution_boundary_and_endpoint_structure(name):
     # initial condition is the t=0 trace of the exact state
     assert np.allclose(problem.exact_y(xs, xs, 0.0), problem.y0(xs, xs), atol=1e-15)
     # adjoint vanishes at the final time
-    assert np.max(np.abs(problem.exact_p(xs, xs, problem.horizon))) < 1e-15
+    assert np.max(np.abs(problem.exact_p(xs, xs, 1.0))) < 1e-15
     # both vanish on the boundary of the square
     for edge in (np.zeros(7), np.ones(7)):
         assert np.max(np.abs(problem.exact_y(edge, xs, 0.3))) < 1e-15

@@ -13,7 +13,7 @@ from dense_backend import DenseShiftedSolver, PhysicalDstSolver
 
 from pintopt import multigrid
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
-from pintopt.multigrid import MgShiftedSolver, prolongation_1d
+from pintopt.multigrid import MgShiftedSolver
 from pintopt.shifted import DstShiftedSolver
 
 
@@ -105,25 +105,41 @@ def test_dense_solver_general_mass():
 # ---------------------------------------------------------------- multigrid
 
 
+def interpolation_1d(m1):
+    """Dense 1D bilinear interpolation from (m1 - 1) // 2 coarse to m1 fine points."""
+    P = np.zeros((m1, (m1 - 1) // 2))
+    for c in range(P.shape[1]):
+        P[2 * c : 2 * c + 3, c] = [0.5, 1.0, 0.5]
+    return P
+
+
 def test_prolongation_1d_stencil():
-    P = prolongation_1d(3)
-    assert np.allclose(P, [[0.5], [1.0], [0.5]])
-    P7 = prolongation_1d(7)
-    # odd rows copy the coarse value, even rows average the two neighbors
-    assert np.allclose(P7[1], [1, 0, 0]) and np.allclose(P7[2], [0.5, 0.5, 0])
-    # each coarse point spreads total weight 0.5 + 1 + 0.5 per dimension
-    assert np.allclose(P7.sum(axis=0), 2.0)
-    with pytest.raises(ValueError):
-        prolongation_1d(4)
+    # each level's prolongation is the Kronecker square of the 1D stencil,
+    # permuted from the coarse level's skewed order into this level's, and
+    # its restriction is exactly a quarter of the transpose
+    assert np.array_equal(interpolation_1d(3), [[0.5], [1.0], [0.5]])
+    levels = MgShiftedSolver(TimeSpaceGrid(m1=15, n=4), wavy_coeff).levels
+    for fine, coarse in zip(levels, levels[1:]):
+        P1 = interpolation_1d(fine.m1)
+        P = fine.prolong.toarray()
+        assert np.array_equal(P[np.ix_(fine.skew_index, coarse.skew_index)], np.kron(P1, P1))
+        # zero positions receive and give nothing
+        assert not np.delete(P, fine.skew_index, axis=0).any()
+        assert not np.delete(P, coarse.skew_index, axis=1).any()
+        assert abs(fine.restrict - fine.prolong.T / 4).max() == 0.0
 
 
 def test_hierarchy_sizes_and_rejection():
     levels = MgShiftedSolver(TimeSpaceGrid(m1=15, n=4), wavy_coeff).levels
     assert [lvl.m1 for lvl in levels] == [15, 7, 3]
-    # only the coarsest level is solved directly; the finer ones transfer
+    # only the coarsest level is solved directly, in grid order; the finer
+    # ones transfer from the next coarser level's skewed order
     assert levels[-1].dense.shape == (9, 9)
+    assert np.array_equal(levels[-1].skew_index, np.arange(9))
     assert all(lvl.dense is None for lvl in levels[:-1])
-    assert [lvl.prolong.shape for lvl in levels[:-1]] == [(15, 7), (7, 3)]
+    for fine, coarse in zip(levels, levels[1:]):
+        assert fine.prolong.shape == (fine.skew_size, coarse.skew_size)
+        assert fine.restrict.shape == (coarse.skew_size, fine.skew_size)
     with pytest.raises(ValueError):
         MgShiftedSolver(TimeSpaceGrid(m1=6, n=4), wavy_coeff)
 
