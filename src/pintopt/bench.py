@@ -235,7 +235,8 @@ def run_experiment(spec):
     if spec.jobs == 1 or len(cells) <= 1:
         return [solve_cell(spec, gamma, h) for h, gamma in cells]
     hs, gammas = zip(*cells)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    # at most one process per cell: a forking pool starts all its workers at once
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(cells))) as pool:
         return list(pool.map(solve_cell, itertools.repeat(spec), gammas, hs))
 
 

@@ -12,9 +12,11 @@ per shift. Components:
   level's grid, so the coarse operators are re-discretized from the same
   coefficient. K is symmetric, so the couplings to (i+1, j) and (i, j+1)
   are the same bands shifted by one point;
-* ``factor`` adds each shift to the diagonal of every level and inverts the
-  coarsest level (3 or fewer points per dimension) densely, one small
-  matrix per shift;
+* ``factor`` adds each shift to the diagonal of every level, one reciprocal
+  column per shift, and inverts the coarsest level (3 or fewer points per
+  dimension) densely, one small matrix per shift. Each stencil is stored
+  once and broadcast over every shift and right-hand side, so nothing in
+  a solve depends on how many right-hand sides it gets;
 * smoother: lexicographic forward Gauss-Seidel, ``PRE_SWEEPS`` = 2
   pre-sweeps (the first from zero) and ``POST_SWEEPS`` = 1 post-sweep.
   Point (i, j) needs the new values at (i-1, j) and (i, j-1), both on the
@@ -46,8 +48,6 @@ hierarchy exists. Prepared shifts and one V(2,1) cycle per solve make one
 fixed linear map, so the solve is safe inside non-flexible GMRES.
 """
 
-from collections import namedtuple
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -57,13 +57,6 @@ COARSEST_POINTS = 3
 # the V(2,1) schedule: Gauss-Seidel sweeps before and after the coarse correction
 PRE_SWEEPS = 2
 POST_SWEEPS = 1
-
-# a level's shifted operator in skewed order, repeated over the batch: the
-# complex reciprocal of the shifted diagonal, (positions, batch), and the
-# real couplings to (i-1, j) and to (i, j-1), (positions, 2 batch). The
-# coupling of a point to (i+1, j) is the north weight stored at (i+1, j), and
-# to (i, j+1) the west weight stored at (i, j+1)
-Stencil = namedtuple("Stencil", "inv_diag north west")
 
 
 class Level:
@@ -84,12 +77,6 @@ class Level:
             return
         self.dense = None
         self.diag = tau * stiffness.diagonal(0)
-        # couplings of (i, j) to (i-1, j) and to (i, j-1), zero where that
-        # neighbor is a boundary point; the diagonal -1 of K is already zero
-        # from (i, 0) to (i-1, m1-1)
-        self.couplings = np.zeros((2, m1 * m1))
-        self.couplings[0, m1:] = tau * stiffness.diagonal(-m1)
-        self.couplings[1, 1:] = tau * stiffness.diagonal(-1)
 
         # anti-diagonal d = -1 .. 2 m1 - 1 holds the points of grid rows
         # first[d] .. first[d] + count[d] - 1 at the skewed positions
@@ -102,6 +89,15 @@ class Level:
         self.skew_size = start[-1]
         i, j = np.divmod(np.arange(m1 * m1), m1)
         self.skew_index = start[i + j + 1] + 1 + i - first[i + j + 1]
+        # real (positions, 1) columns of the couplings of (i, j) to (i-1, j)
+        # and to (i, j-1), zero where that neighbor is a boundary point (the
+        # diagonal -1 of K is already zero from (i, 0) to (i-1, m1-1)). The
+        # coupling of a point to (i+1, j) is the north weight stored at
+        # (i+1, j), and to (i, j+1) the west weight stored at (i, j+1)
+        self.north = np.zeros((self.skew_size, 1))
+        self.north[self.skew_index[m1:], 0] = tau * stiffness.diagonal(-m1)
+        self.west = np.zeros((self.skew_size, 1))
+        self.west[self.skew_index[1:], 0] = tau * stiffness.diagonal(-1)
         # per anti-diagonal: its positions, then the positions of the points
         # (i-1, j), (i, j-1), (i+1, j) and (i, j+1) of its points (i, j)
         e = np.arange(1, 2 * m1)  # array index of d = 0 .. 2 m1 - 2
@@ -122,8 +118,9 @@ class Level:
         ci, cj = np.divmod(np.arange(coarse.m1**2), coarse.m1)
         a, b = np.divmod(np.arange(9), 3)
         fine = self.skew_index[(2 * ci[:, None] + a) * m1 + 2 * cj[:, None] + b]
+        fine, source, weight = np.broadcast_arrays(fine, coarse.skew_index[:, None], w[a] * w[b])
         self.prolong = sp.csr_matrix(
-            (np.tile(w[a] * w[b], ci.size), (fine.ravel(), np.repeat(coarse.skew_index, 9))),
+            (weight.ravel(), (fine.ravel(), source.ravel())),
             shape=(self.skew_size, coarse.skew_size),
         )
         self.restrict = self.prolong.T / 4
@@ -137,43 +134,36 @@ class Level:
     def to_grid(self, skewed):
         return skewed[self.skew_index]
 
-    def stencil(self, inv_diag, batch):
-        """The skewed :class:`Stencil` for ``batch`` right-hand sides per shift.
-
-        ``inv_diag`` is the (m1^2, k) reciprocal of the shifted diagonal;
-        every array is repeated to the full batch width so the sweeps run on
-        equal-shaped contiguous slices.
-        """
-        width = 2 * batch * inv_diag.shape[1]
-        return Stencil(
-            self.to_skew(np.tile(inv_diag, batch)),
-            *(np.repeat(self.to_skew(c)[:, None], width, axis=1) for c in self.couplings),
-        )
-
-    def sweep(self, z, b, stencil, from_zero=False):
+    def sweep(self, z, b, inv_diag, from_zero=False):
         """One forward Gauss-Seidel sweep, in place on the skewed stack z.
 
-        ``from_zero`` skips the upper neighbors, which are zero on a first
-        sweep from z = 0.
+        ``inv_diag`` is the skewed (positions, k) reciprocal of the shifted
+        diagonal. ``from_zero`` skips the upper neighbors, which are zero on
+        a first sweep from z = 0.
         """
         zr, br = z.view(float), b.view(float)
+        k = inv_diag.shape[1]
         acc = np.empty((self.m1, zr.shape[1]))
         tmp = np.empty_like(acc)
         for here, north, west, south, east in self.fronts:
             n = here.stop - here.start
             a, t = acc[:n], tmp[:n]
-            np.multiply(stencil.north[here], zr[north], out=a)
+            np.multiply(self.north[here], zr[north], out=a)
             np.subtract(br[here], a, out=a)
-            np.multiply(stencil.west[here], zr[west], out=t)
+            np.multiply(self.west[here], zr[west], out=t)
             a -= t
             if not from_zero:
-                np.multiply(stencil.north[south], zr[south], out=t)
+                np.multiply(self.north[south], zr[south], out=t)
                 a -= t
-                np.multiply(stencil.west[east], zr[east], out=t)
+                np.multiply(self.west[east], zr[east], out=t)
                 a -= t
-            np.multiply(a.view(complex), stencil.inv_diag[here], out=z[here])
+            np.multiply(
+                a.view(complex).reshape(n, -1, k),
+                inv_diag[here, None, :],
+                out=z[here].reshape(n, -1, k),
+            )
 
-    def sweep_residual(self, change, stencil):
+    def sweep_residual(self, change):
         """b - (sigma I + tau K) z right after a sweep took z to z - change.
 
         The sweep solved its lower triangle exactly against the old upper
@@ -185,8 +175,8 @@ class Level:
         tmp = np.empty((self.m1, cr.shape[1]))
         for here, _, _, south, east in self.fronts:
             t = tmp[: here.stop - here.start]
-            np.multiply(stencil.north[south], cr[south], out=rr[here])
-            np.multiply(stencil.west[east], cr[east], out=t)
+            np.multiply(self.north[south], cr[south], out=rr[here])
+            np.multiply(self.west[east], cr[east], out=t)
             rr[here] += t
         return r
 
@@ -213,13 +203,12 @@ class MgShiftedSolver:
 
     def factor(self, sigmas):
         sigmas = np.asarray(sigmas, dtype=complex)
-        inv_diags = [1.0 / (level.diag[:, None] + sigmas) for level in self.levels[:-1]]
         coarsest = self.levels[-1]
         eye = np.eye(coarsest.m1 * coarsest.m1)
-        coarse_inverse = np.linalg.inv(sigmas[:, None, None] * eye + coarsest.dense)
-        # per number of right-hand sides per shift: the Stencil of every
-        # level but the coarsest, then the coarsest level's inverses
-        prepared = {}
+        # everything a solve reads: the skewed reciprocal shifted diagonal of
+        # every level but the coarsest, then the coarsest level's inverses
+        ops = [level.to_skew(1.0 / (level.diag[:, None] + sigmas)) for level in self.levels[:-1]]
+        ops.append(np.linalg.inv(sigmas[:, None, None] * eye + coarsest.dense))
 
         def solve(rhs):
             *_, k, m = rhs.shape
@@ -227,13 +216,7 @@ class MgShiftedSolver:
                 raise ValueError(f"expected {sigmas.size} shifts on axis -2, got {k}")
             top = self.levels[0]
             b = top.to_skew(rhs.reshape(-1, m).T.astype(complex, copy=False))
-            batch = b.shape[1] // k
-            if batch not in prepared:
-                prepared[batch] = [
-                    level.stencil(inv_diag, batch)
-                    for level, inv_diag in zip(self.levels, inv_diags)
-                ] + [coarse_inverse]
-            return top.to_grid(self._cycle(0, prepared[batch], b)).T.reshape(rhs.shape)
+            return top.to_grid(self._cycle(0, ops, b)).T.reshape(rhs.shape)
 
         return solve
 
@@ -245,17 +228,17 @@ class MgShiftedSolver:
             grouped = b.reshape(b.shape[0], -1, k)
             z = np.einsum("kpq,qlk->plk", ops[depth], grouped)
             return np.ascontiguousarray(z).reshape(b.shape)
-        stencil = ops[depth]
+        inv_diag = ops[depth]
         z = np.zeros_like(b)
         for sweep in range(PRE_SWEEPS):
             if sweep == PRE_SWEEPS - 1:
                 change = z.copy()
-            level.sweep(z, b, stencil, from_zero=sweep == 0)
+            level.sweep(z, b, inv_diag, from_zero=sweep == 0)
         change -= z
-        residual = level.sweep_residual(change, stencil).view(float)
+        residual = level.sweep_residual(change).view(float)
         defect = (level.restrict @ residual).view(complex)
         correction = level.prolong @ self._cycle(depth + 1, ops, defect).view(float)
         z += correction.view(complex)
         for _ in range(POST_SWEEPS):
-            level.sweep(z, b, stencil)
+            level.sweep(z, b, inv_diag)
         return z

@@ -90,7 +90,6 @@ class DenseBundle:
     mass_root_inv: np.ndarray
     time_difference: np.ndarray
     corner_damped: np.ndarray
-    mass_stack: np.ndarray
     evolution: np.ndarray
     evolution_whitened: np.ndarray
     coupling_damped: np.ndarray
@@ -182,7 +181,6 @@ def build_bundle(n, tau, gamma, eps, mass, stiffness):
         mass_root_inv=root_inv,
         time_difference=B,
         corner_damped=C,
-        mass_stack=mass_stack,
         evolution=evolution,
         evolution_whitened=evolution_w,
         coupling_damped=coupling,

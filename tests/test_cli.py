@@ -196,6 +196,32 @@ def test_parallel_jobs_match_sequential():
     assert [r.error for r in seq] == pytest.approx([r.error for r in par], rel=1e-12)
 
 
+def test_process_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    # a fake executor records the pool size and maps in this process, so no
+    # worker is started however many jobs are asked for
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(bench, "solve_cell", lambda spec, gamma, h: (h, gamma))
+    for jobs, want in [(100_000, 3), (3, 3), (2, 2)]:
+        spec = ExperimentSpec(example=1, h_values=(2.0**-3,), gammas=(1e-6, 1e-4, 1e-2), jobs=jobs)
+        assert run_experiment(spec) == [(0.125, 1e-6), (0.125, 1e-4), (0.125, 1e-2)]
+        assert sizes.pop() == want
+
+
 def fail_guard_for_gamma(monkeypatch, gamma):
     """Make the preconditioner's round-off guard trip in the cells of one gamma.
 
