@@ -63,8 +63,6 @@ class EpsSpectrum:
     that carries the matrix to circulant form.
     """
 
-    n: int
-    eps: float
     lambdas: np.ndarray
     scalings: np.ndarray
 
@@ -79,7 +77,7 @@ def eps_spectrum(n, eps):
     theta = np.exp(2j * np.pi / n)
     lambdas = 1.0 - eps ** (1.0 / n) * theta ** (-k)
     scalings = eps ** (k / n)
-    return EpsSpectrum(n=n, eps=eps, lambdas=lambdas, scalings=scalings)
+    return EpsSpectrum(lambdas=lambdas, scalings=scalings)
 
 
 def rate_constant(delta, tau, horizon):
