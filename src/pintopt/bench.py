@@ -75,8 +75,8 @@ class ExperimentSpec:
         for g in self.gammas:
             if g <= 0:
                 raise ConfigurationError(f"gamma must be positive, got {g}")
-        if self.tol <= 0:
-            raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < 1:
+            raise ConfigurationError(f"tolerance must lie in (0, 1), got {self.tol}")
         if self.maxit < 1:
             raise ConfigurationError(f"maxit must be >= 1, got {self.maxit}")
         if self.eps_policy not in EPS_POLICIES:

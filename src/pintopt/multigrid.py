@@ -17,16 +17,16 @@ per shift. Components:
   dimension) densely, one small matrix per shift. Each stencil is stored
   once and broadcast over every shift and right-hand side, so nothing in
   a solve depends on how many right-hand sides it gets;
-* smoother: lexicographic forward Gauss-Seidel, ``PRE_SWEEPS`` = 2
-  pre-sweeps (the first from zero) and ``POST_SWEEPS`` = 1 post-sweep.
-  Point (i, j) needs the new values at (i-1, j) and (i, j-1), both on the
-  anti-diagonal i + j = d - 1, and the old values at (i+1, j) and
-  (i, j+1), both on d + 1. Sweeping d = 0, 1, ... updates a whole
-  anti-diagonal, for every shift and every right-hand side, in one vector
-  operation and gives exactly the lexicographic values;
-* residual: a sweep solves its lower triangle exactly against the old upper
-  neighbors, so right after the last pre-sweep b - A z is the upper
-  couplings applied to the change of z, two products per anti-diagonal;
+* smoother: lexicographic forward Gauss-Seidel, one pre-sweep from zero
+  and one post-sweep. Point (i, j) needs the new values at (i-1, j) and
+  (i, j-1), both on the anti-diagonal i + j = d - 1, and the old values at
+  (i+1, j) and (i, j+1), both on d + 1. Sweeping d = 0, 1, ... updates a
+  whole anti-diagonal, for every shift and every right-hand side, in one
+  vector operation and gives exactly the lexicographic values;
+* residual: the sweep from zero solves the lower triangle L of A = L + U
+  exactly, so right after it b - A z = -U z, the upper couplings applied to
+  z, two products per anti-diagonal; the cycle restricts U z and subtracts
+  the prolonged correction;
 * transfers: bilinear prolongation P, a sparse matrix from the coarse
   level's skewed order to this level's, and full-weighting restriction
   R = P'/4, the variational partner of bilinear interpolation. Coarse
@@ -44,7 +44,7 @@ sides into skewed order once and gathers the result once; the transfers
 map skewed order to skewed order, so the V-cycle itself never converts.
 
 The fine grid needs m1 = 2^l - 1 points per dimension so the nested-grid
-hierarchy exists. Prepared shifts and one V(2,1) cycle per solve make one
+hierarchy exists. Prepared shifts and one V(1,1) cycle per solve make one
 fixed linear map, so the solve is safe inside non-flexible GMRES.
 """
 
@@ -54,9 +54,6 @@ import scipy.sparse as sp
 from .discretize import TimeSpaceGrid, build_stiffness
 
 COARSEST_POINTS = 3
-# the V(2,1) schedule: Gauss-Seidel sweeps before and after the coarse correction
-PRE_SWEEPS = 2
-POST_SWEEPS = 1
 
 
 class Level:
@@ -163,22 +160,21 @@ class Level:
                 out=z[here].reshape(n, -1, k),
             )
 
-    def sweep_residual(self, change):
-        """b - (sigma I + tau K) z right after a sweep took z to z - change.
+    def upper(self, z):
+        """U z: the couplings of each point to (i+1, j) and (i, j+1) applied to z.
 
-        The sweep solved its lower triangle exactly against the old upper
-        neighbors, so the residual is the upper couplings applied to the
-        change of those neighbors. Zero positions are left unset.
+        Right after a sweep from zero, z solves the lower triangle exactly, so
+        b - (sigma I + tau K) z = -U z. Zero positions are left unset.
         """
-        r = np.empty_like(change)
-        rr, cr = r.view(float), change.view(float)
-        tmp = np.empty((self.m1, cr.shape[1]))
+        out = np.empty_like(z)
+        outr, zr = out.view(float), z.view(float)
+        tmp = np.empty((self.m1, zr.shape[1]))
         for here, _, _, south, east in self.fronts:
             t = tmp[: here.stop - here.start]
-            np.multiply(self.north[south], cr[south], out=rr[here])
-            np.multiply(self.west[east], cr[east], out=t)
-            rr[here] += t
-        return r
+            np.multiply(self.north[south], zr[south], out=outr[here])
+            np.multiply(self.west[east], zr[east], out=t)
+            outr[here] += t
+        return out
 
 
 class MgShiftedSolver:
@@ -229,16 +225,12 @@ class MgShiftedSolver:
             z = np.einsum("kpq,qlk->plk", ops[depth], grouped)
             return np.ascontiguousarray(z).reshape(b.shape)
         inv_diag = ops[depth]
+        # V(1,1): one sweep from zero, the coarse correction of its residual
+        # -U z, then one post-sweep
         z = np.zeros_like(b)
-        for sweep in range(PRE_SWEEPS):
-            if sweep == PRE_SWEEPS - 1:
-                change = z.copy()
-            level.sweep(z, b, inv_diag, from_zero=sweep == 0)
-        change -= z
-        residual = level.sweep_residual(change).view(float)
-        defect = (level.restrict @ residual).view(complex)
+        level.sweep(z, b, inv_diag, from_zero=True)
+        defect = (level.restrict @ level.upper(z).view(float)).view(complex)
         correction = level.prolong @ self._cycle(depth + 1, ops, defect).view(float)
-        z += correction.view(complex)
-        for _ in range(POST_SWEEPS):
-            level.sweep(z, b, inv_diag)
+        z -= correction.view(complex)
+        level.sweep(z, b, inv_diag)
         return z

@@ -458,6 +458,8 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--inner", "cg"),
     ("--eps-value", "0.1"),
     ("--eps-policy", "rate", "--eps-value", "0.1"),
+    ("--tol", "1"),
+    ("--tol", "2"),
 ])
 def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     code = run_cli("solve", "--example", "1", "--h", "2^-3", *flags)
