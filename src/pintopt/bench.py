@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import shifted
 from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm
@@ -159,8 +158,9 @@ def solve_cell(spec, gamma, h):
     """Assemble and solve one cell; wall time covers the GMRES loop only.
 
     A cell with the sine-transform backend is solved in the sine basis:
-    the stiffness handed to the operator is the diagonal Lambda of
-    ``DstShiftedSolver.laplacian_eigs``, ``assemble_rhs`` rotates the
+    the stiffness handed to the operator is the vector
+    ``DstShiftedSolver.laplacian_eigs`` of the diagonal Lambda, which the
+    matvec applies as one broadcast product, ``assemble_rhs`` rotates the
     right-hand side once with ``shifted.dst2d`` and ``error_norm`` rotates
     the state and the adjoint back, so GMRES, the matvec and the
     preconditioner run no sine transform. The transform is orthogonal, so
@@ -184,7 +184,7 @@ def solve_cell(spec, gamma, h):
     if spec.inner == "dst":
         # read at call time, so a wrapper set on shifted.dst2d sees every rotation
         transform = shifted.dst2d
-        stiffness = sp.diags(inner.laplacian_eigs, format="csr")
+        stiffness = inner.laplacian_eigs
 
     op = AllAtOnceOperator(grid, stiffness, gamma)
     rhs = assemble_rhs(problem, grid, transform)

@@ -12,6 +12,11 @@ the stiffness matrix. The operator applies the full 2mn x 2mn matrix on a
 (2, n, m) view of its input without ever forming Kronecker products: T u
 and T' w share one evolution buffer, and the two halves of the result are
 written into one fresh output.
+
+K is either an (m, m) matrix, applied to each half by a sparse product, or
+a diagonal given as its length-m vector of entries, such as the
+eigenvalues Lambda of the sine basis, applied to both halves at once by
+one broadcast product over the time levels.
 """
 
 import numpy as np
@@ -23,8 +28,15 @@ class AllAtOnceOperator:
     def __init__(self, grid, stiffness, gamma):
         if not gamma > 0:
             raise ValueError(f"regularization weight must be positive, got {gamma}")
+        m = grid.m
+        if stiffness.shape not in ((m,), (m, m)):
+            raise ValueError(
+                f"stiffness must have shape ({m},) for a diagonal or ({m}, {m}) "
+                f"on this grid, got {stiffness.shape}"
+            )
         self.grid = grid
         self.stiffness = stiffness
+        self.diagonal = stiffness.ndim == 1
         self.alpha = grid.tau / np.sqrt(gamma)
         self.size = 2 * grid.m * grid.n
 
@@ -38,8 +50,13 @@ class AllAtOnceOperator:
         # evo[0] = T u and evo[1] = T' w: the same tau K product plus identity,
         # then the backward difference or its transpose in time
         evo = np.empty((2, n, m))
-        for half in range(2):
-            np.multiply(self.grid.tau, self.stiffness.dot(X[half].T).T, out=evo[half])
+        if self.diagonal:
+            # (x * Lambda) * tau, in the order of the product with diag(Lambda)
+            np.multiply(X, self.stiffness, out=evo)
+            evo *= self.grid.tau
+        else:
+            for half in range(2):
+                np.multiply(self.grid.tau, self.stiffness.dot(X[half].T).T, out=evo[half])
         evo += X
         evo[0, 1:] -= X[0, :-1]
         evo[1, :-1] -= X[1, 1:]

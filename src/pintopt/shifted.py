@@ -10,7 +10,8 @@ interchangeable backends run in the solver:
   the 5-point Laplacian, K = S Lambda S, so a cell with constant diffusion
   is solved entirely on S-transformed vectors (``pintopt.bench.solve_cell``
   rotates the right-hand side once and the solution back once). There K is
-  the diagonal Lambda and each shifted solve is one pointwise product with
+  the diagonal Lambda, which the all-at-once operator takes as the vector
+  ``laplacian_eigs``, and each shifted solve is one pointwise product with
   stored reciprocals; no transform runs inside the Krylov loop.
 * the geometric multigrid backend in :mod:`pintopt.multigrid`, for any
   positive coefficient, in the physical basis.

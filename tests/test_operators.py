@@ -3,13 +3,18 @@
 Oracle: explicit dense Kronecker assembly of the same operator. The
 evolution blocks T and T' are read off ``matvec`` on vectors with one zero
 half: matvec([u; 0]) = [alpha u; -T u] and matvec([0; w]) = [T' w; alpha w].
+A diagonal stiffness given as a vector has ``np.diag`` of it as its dense
+form, and its matvec must equal that of the same diagonal as a CSR matrix
+bit for bit.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.operators import AllAtOnceOperator
+from pintopt.shifted import DstShiftedSolver
 from pintopt.validation import eps_circulant_matrix
 
 
@@ -21,10 +26,16 @@ def wavy_coeff(x1, x2):
     return 1.0 + 0.5 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
 
 
+def sine_eigs(grid):
+    """Lambda, the unit-diffusion stiffness in the sine basis, as a vector."""
+    return DstShiftedSolver(grid).laplacian_eigs
+
+
 def dense_evolution(grid, K):
     """kron(B, I) + tau * kron(I, K) assembled densely."""
     B = eps_circulant_matrix(grid.n, 0.0)
-    return np.kron(B, np.eye(grid.m)) + grid.tau * np.kron(np.eye(grid.n), K.toarray())
+    dense_K = np.diag(K) if K.ndim == 1 else K.toarray()
+    return np.kron(B, np.eye(grid.m)) + grid.tau * np.kron(np.eye(grid.n), dense_K)
 
 
 def evolution_blocks(op, u, w):
@@ -47,10 +58,10 @@ def dense_saddle(grid, K, gamma):
 
 @pytest.mark.parametrize("m1", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("coeff", [ones_coeff, wavy_coeff])
+@pytest.mark.parametrize("coeff", [ones_coeff, wavy_coeff, sine_eigs])
 def test_evolution_matches_dense(m1, n, coeff):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    K = build_stiffness(grid, coeff)
+    K = sine_eigs(grid) if coeff is sine_eigs else build_stiffness(grid, coeff)
     T = dense_evolution(grid, K)
     op = AllAtOnceOperator(grid, K, gamma=1e-3)
     rng = np.random.default_rng(7 * m1 + n)
@@ -59,6 +70,31 @@ def test_evolution_matches_dense(m1, n, coeff):
         Tv, Ttv = evolution_blocks(op, v, v)
         assert np.max(np.abs(Tv - T @ v)) < 1e-12
         assert np.max(np.abs(Ttv - T.T @ v)) < 1e-12
+
+
+@pytest.mark.parametrize("m1,n", [(1, 1), (3, 3), (7, 8), (31, 32)])
+def test_diagonal_stiffness_vector_matches_csr_bit_for_bit(m1, n):
+    # the acceptance tables' sine-basis iterates were recorded with the CSR
+    # product of sp.diags(Lambda); the vector path must reproduce them exactly
+    grid = TimeSpaceGrid(m1=m1, n=n)
+    eigs = sine_eigs(grid)
+    vector = AllAtOnceOperator(grid, eigs, gamma=1e-6)
+    csr = AllAtOnceOperator(grid, sp.diags(eigs, format="csr"), gamma=1e-6)
+    rng = np.random.default_rng(m1 + 100 * n)
+    for _ in range(3):
+        x = rng.standard_normal(vector.size)
+        assert np.array_equal(vector.matvec(x), csr.matvec(x))
+
+
+@pytest.mark.parametrize(
+    "stiffness",
+    [np.ones(1), build_stiffness(TimeSpaceGrid(m1=4, n=4), ones_coeff)],
+    ids=["length-1 vector", "K of another grid"],
+)
+def test_rejects_stiffness_of_wrong_shape(stiffness):
+    grid = TimeSpaceGrid(m1=3, n=4)
+    with pytest.raises(ValueError, match=r"shape \(9,\) .* \(9, 9\)"):
+        AllAtOnceOperator(grid, stiffness, gamma=1.0)
 
 
 def test_evolution_adjoint_identity():
