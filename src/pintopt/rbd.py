@@ -11,40 +11,54 @@ by
 
 where Ceps = C x M + tau I x K and C is the backward-difference matrix with
 its wrap-around corner entry damped by a factor eps. C is similar to a true
-circulant through the geometric scaling diag(eps^(k/n)), so each half of the
-block-diagonal factor is solved by a scale / FFT-in-time sandwich around n
-independent complex-shifted spatial solves; the rotation factor inverts in
-closed form. One application costs O(m n log n) plus the inner solves, and
-every inner backend is a fixed linear map, so P^-1 is one too. The spectrum
-of C and its similarity scalings come in closed form from
+circulant through the geometric scaling D = diag(d), d_j = eps^(j/n), so each
+half of the block-diagonal factor is solved by a scaled Fourier transform in
+time around n independent complex-shifted spatial solves; the rotation factor
+inverts in closed form. Every inner backend is a fixed linear map, so P^-1 is
+one too. The spectrum of C and the scalings d come in closed form from
 :func:`eps_spectrum`; the dense copy of C is
 :func:`pintopt.validation.eps_circulant_matrix`.
 
-The FFT in time follows the convention that spectrum assumes: the unitary
+The transform follows the convention that spectrum assumes: the unitary
 Fourier matrix is ``F[i, j] = theta**(i*j) / sqrt(n)`` with
-``theta = exp(2j*pi/n)``, so ``numpy``'s forward FFT with ``norm='ortho'``
-applies ``F*`` and the ortho IFFT applies ``F``. For real input,
-``numpy.fft.rfft`` with ``norm='ortho'`` gives the first ``n // 2 + 1`` rows
-of ``F*`` applied to it, and ``irfft(..., n=n, norm='ortho')`` applies ``F``
-to the conjugate-symmetric extension of such a half spectrum, keeping the
-real part.
+``theta = exp(2j*pi/n)``; a half's spectrum is F* applied in time, and F
+returns it. Both halves share one set of floor(n/2) + 1 shifted solves. The
+input is real, so block n - k of each half's spectrum is the conjugate of
+block k, and only the rows k = 0..floor(n/2) of F*, called E here, are ever
+applied. The transpose half has the shifts conj(lambda_k) + alpha; because M
+and K are real, its solve equals conj(solve_k(conj b)) with the plain half's
+shift lambda_k + alpha. Complex vectors are rejected, as GMRES solves real
+systems only.
 
-Both halves share one set of floor(n/2) + 1 shifted solves. The input is
-real, so block n - k of each half's spectrum is the conjugate of block k:
-the real-input FFT (numpy's rfft) computes only the blocks k = 0..floor(n/2),
-those are solved, and the real inverse FFT (irfft) returns the real result
-without the other half ever being formed. The transpose half has the shifts
-conj(lambda_k) + alpha; because M and K are real, its solve equals
-conj(solve_k(conj b)) with the plain half's shift lambda_k + alpha. Complex
-vectors are rejected, as GMRES solves real systems only.
+For the step counts the solver runs, an explicit transform applied as a real
+matrix product costs less than an FFT plus the passes over the time stack
+around it (C. Van Loan, Computational Frameworks for the Fast Fourier
+Transform, SIAM 1992, ch. 1). One application is therefore two real matrix
+products around the batched solve, O(m n^2) work plus the inner solves:
 
-irfft keeps only the real part of the blocks whose shifts are real, k = 0 and,
-for even n, k = n/2. A round-off guard therefore checks, after the solves,
-that the half spectrum is finite (a NaN or Inf raises FloatingPointError
-saying "not finite") and that the imaginary parts of those blocks stay below
-IMAG_RESIDUE_BOUND times the larger of 1 and their largest real part; an
-inner solver that broke the conjugate-pair structure would otherwise go
-unseen.
+* forward, one batched product of the (2, n, m) input with the real rows
+  over the imaginary rows of G_0 = conj(E) D^-1 for the transpose half (its
+  conjugation folded in) and G_1 = E D for the plain half, packed into the
+  complex stack the solve takes;
+* inverse, one product of the solved stack, its real rows over its
+  imaginary rows per half, with [[H_0, -H_1], [H_0, H_1]]. H_h applies F to
+  the conjugate-symmetric extension of the half spectrum and keeps the real
+  part: blocks 0 < k < n/2 count twice, the others once. It then scales by D
+  (transpose half) or D^-1 (plain half). H_0 undoes the conjugation by the
+  sign of its imaginary columns, and the block signs invert the rotation.
+
+Every twiddle angle is 2 pi ((k j) mod n) / n, reduced in integers: the
+products k j reach n^2 / 2, and the cosines and sines of unreduced angles
+lose digits in proportion.
+
+The blocks whose shifts are real, k = 0 and, for even n, k = n/2, have real
+twiddles, and the inverse product reads only their real rows: the columns
+for their imaginary parts are zero. A round-off guard therefore checks, after
+the solves, that the half spectrum is finite (a NaN or Inf raises
+FloatingPointError saying "not finite") and that the imaginary parts of those
+blocks stay below IMAG_RESIDUE_BOUND times the larger of 1 and their largest
+real part; an inner solver that broke the conjugate-pair structure would
+otherwise go unseen.
 """
 
 from dataclasses import dataclass
@@ -127,12 +141,16 @@ def contraction_factor(delta):
 
 
 class RbdEpsPreconditioner:
-    """Applies P^-1 through FFT diagonalization of the damped time coupling.
+    """Applies P^-1 through the Fourier diagonalization of the damped time coupling.
 
     ``inner`` supplies the complex-shifted spatial solves through the batched
     ``inner.factor(sigmas) -> solve`` of :mod:`pintopt.shifted`. One solve
     object, for the shifts lambda_k + alpha with k = 0..floor(n/2), serves
-    both halves; it is factored on the first application, not here.
+    both halves; it is factored on the first application, not here. The
+    two transform matrices of the module docstring are built here, once:
+    ``_forward`` stacks [Re G_h; Im G_h] as a ``(2, 2 (n//2 + 1), n)`` array,
+    and ``_inverse`` is the ``(2n, 4 (n//2 + 1))`` matrix
+    [[H_0, -H_1], [H_0, H_1]].
     """
 
     def __init__(self, grid, gamma, eps, inner):
@@ -142,15 +160,29 @@ class RbdEpsPreconditioner:
         self.inner = inner
         self.alpha = grid.tau / np.sqrt(gamma)
         self.spectrum = eps_spectrum(grid.n, eps)
-        self.size = 2 * grid.m * grid.n
-        d = self.spectrum.scalings[:, None]
-        # time scalings before the FFT, per half; after the inverse FFT they swap
-        self._scale = np.stack([1.0 / d, d])
+        n = grid.n
+        half = n // 2 + 1
+        self.size = 2 * grid.m * n
         # the blocks whose shifts are real: k = 0, and k = n/2 for even n
-        self._real_blocks = [0, grid.n // 2] if grid.n % 2 == 0 else [0]
+        self._real_blocks = [0, n // 2] if n % 2 == 0 else [0]
+        # twiddle angles reduced mod n in integers (see the module docstring)
+        angle = (2.0 * np.pi / n) * ((np.arange(half)[:, None] * np.arange(n)) % n)
+        cos = np.cos(angle) / np.sqrt(n)
+        sin = np.sin(angle) / np.sqrt(n)
+        # the real-shift blocks have real twiddles; sin(pi) would leave 1e-16
+        sin[self._real_blocks] = 0.0
+        d = self.spectrum.scalings
+        self._forward = np.stack([np.vstack([cos, sin]) / d, np.vstack([cos, -sin]) * d])
+        # the inverse counts each conjugate pair twice, the real blocks once
+        weight = np.full((half, 1), 2.0)
+        weight[self._real_blocks] = 1.0
+        wcos, wsin = (weight * cos).T, (weight * sin).T
+        h0 = np.hstack([wcos, wsin]) * d[:, None]
+        h1 = np.hstack([wcos, -wsin]) / d[:, None]
+        self._inverse = np.block([[h0, -h1], [h0, h1]])
         # factored solve and the two work buffers, made on the first apply
         self._solve = None
-        self._signal = None
+        self._planar = None
         self._spectrum = None
 
     def apply_inverse(self, r):
@@ -167,17 +199,18 @@ class RbdEpsPreconditioner:
         half = n // 2 + 1
         if self._solve is None:
             self._solve = self.inner.factor(self.spectrum.lambdas[:half] + self.alpha)
-            self._signal = np.empty((2, n, m))
+            self._planar = np.empty((2, 2 * half, m))
             self._spectrum = np.empty((2, half, m), dtype=complex)
-        # [transpose half (Ceps' + alpha W), plain half (Ceps + alpha W)]
-        signal = np.multiply(r.reshape(2, n, m), self._scale, out=self._signal)
-        z = np.fft.rfft(signal, axis=1, norm="ortho", out=self._spectrum)
-        # the transpose half has shifts conj(lambda_k) + alpha; M and K are real,
-        # so its solve is conj(solve_k(conj b)) with the plain half's solver
-        np.conjugate(z[0], out=z[0])
+        # [transpose half (Ceps' + alpha W), plain half (Ceps + alpha W)]; the
+        # transpose half has shifts conj(lambda_k) + alpha, and since M and K
+        # are real its spectrum enters conjugated and leaves conjugated
+        planar = np.matmul(self._forward, r.reshape(2, n, m), out=self._planar)
+        z = self._spectrum
+        z.real = planar[:, :half]
+        z.imag = planar[:, half:]
         z = self._solve(z)
-        np.conjugate(z[0], out=z[0])
-        # irfft drops the imaginary part of the real-shift blocks, so check it here
+        # the inverse product drops the imaginary part of the real-shift blocks,
+        # so check it here
         if not np.isfinite(z).all():
             raise FloatingPointError("inner solves returned values that are not finite")
         edge = z[:, self._real_blocks]
@@ -187,11 +220,6 @@ class RbdEpsPreconditioner:
                 f"imaginary residue {residue:.3e} exceeds the round-off bound; "
                 "inner solves lost the conjugate-pair structure"
             )
-        signal = np.fft.irfft(z, n=n, axis=1, norm="ortho", out=self._signal)
-        signal *= self._scale[::-1]
-        # closed-form inverse of the rotation factor (1/2) [[I, I], [-I, I]]
-        out = np.empty((2, n, m))
-        np.subtract(signal[0], signal[1], out=out[0])
-        np.add(signal[0], signal[1], out=out[1])
-        return out.reshape(-1)
-
+        planar[:, :half] = z.real
+        planar[:, half:] = z.imag
+        return np.matmul(self._inverse, planar.reshape(4 * half, m)).reshape(-1)

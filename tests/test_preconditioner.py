@@ -114,6 +114,37 @@ def test_matches_dense_inverse_single_step():
     assert rel_err(pc.apply_inverse(r), np.linalg.solve(P, r)) < 1e-10
 
 
+def fft_path_inverse(pc, r):
+    """P^-1 r by scale, rfft, conjugate, solve, conjugate, irfft, scale back, rotate."""
+    n, m = pc.grid.n, pc.grid.m
+    half = n // 2 + 1
+    d = pc.spectrum.scalings[:, None]
+    scale = np.stack([1.0 / d, d])
+    z = np.fft.rfft(r.reshape(2, n, m) * scale, axis=1, norm="ortho")
+    z[0] = z[0].conj()
+    z = pc.inner.factor(pc.spectrum.lambdas[:half] + pc.alpha)(z)
+    z[0] = z[0].conj()
+    x = np.fft.irfft(z, n=n, axis=1, norm="ortho") * scale[::-1]
+    return np.concatenate([x[0] - x[1], x[0] + x[1]]).reshape(-1)
+
+
+@pytest.mark.parametrize("n", [63, 64, 128])
+def test_matches_dense_inverse_many_steps(n):
+    # the explicit time transform sums n terms per entry, so its round-off
+    # grows with n and with 1/eps; odd n has no Nyquist block. Twiddle angles
+    # not reduced mod n put it 3e-13 to 4e-12 from the FFT path at eps = 1e-3
+    grid = TimeSpaceGrid(m1=3, n=n)
+    K = build_stiffness(grid, ones_coeff)
+    rng = np.random.default_rng(n)
+    for eps in (0.5, choose_epsilon(grid), 1e-3):
+        P = dense_preconditioner(grid, K, 1e-2, eps)
+        pc = RbdEpsPreconditioner(grid, 1e-2, eps, inner=PhysicalDstSolver(grid))
+        r = rng.standard_normal(pc.size)
+        got = pc.apply_inverse(r)
+        assert rel_err(got, np.linalg.solve(P, r)) < 1e-10
+        assert rel_err(got, fft_path_inverse(pc, r)) < 5e-13
+
+
 def test_apply_inverse_linearity():
     grid = TimeSpaceGrid(m1=3, n=4)
     pc = RbdEpsPreconditioner(grid, 1e-2, 0.01, inner=DstShiftedSolver(grid))
@@ -126,8 +157,9 @@ def test_apply_inverse_linearity():
 
 
 def test_conjugate_pair_shortcut_matches_full_path():
-    # only blocks k <= n/2 are solved, and irfft stands for their conjugates;
-    # the dense inverse is the full path, for even and odd n
+    # only blocks k <= n/2 are solved, and the inverse product's doubled
+    # weights stand for their conjugates; the dense inverse is the full path,
+    # for even and odd n
     for n in (4, 5, 8):
         grid = TimeSpaceGrid(m1=3, n=n)
         K = build_stiffness(grid, ones_coeff)
@@ -212,7 +244,7 @@ class LastShiftSkewedSolver(SkewedSolver):
 @pytest.mark.parametrize("n", [2, 4])
 def test_imaginary_residue_guard_sees_the_nyquist_block(n):
     # for even n the last solved block k = n/2 has a real shift too, and
-    # irfft would silently drop its imaginary part
+    # the inverse product would silently drop its imaginary part
     grid = TimeSpaceGrid(m1=3, n=n)
     pc = RbdEpsPreconditioner(
         grid, 1e-2, 0.3, inner=LastShiftSkewedSolver(DstShiftedSolver(grid))

@@ -83,8 +83,8 @@ def test_saddle_matches_matrix_free_operator():
 
 
 def test_preconditioner_matches_fft_solver():
-    # the dense preconditioner matrix inverts exactly what the FFT-based
-    # production path inverts
+    # the dense preconditioner matrix inverts exactly what the production
+    # path, with its time transform as two matrix products, inverts
     rng = np.random.default_rng(13)
     grid = TimeSpaceGrid(m1=2, n=4)
     K = build_stiffness(grid, constant_coefficient)
