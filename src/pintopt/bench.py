@@ -18,7 +18,7 @@ import numpy as np
 
 from . import shifted
 from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm
-from .gmres import gmres_solve
+from .gmres import DEFAULT_MAXIT, gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
 from .problems import get_problem
@@ -45,7 +45,7 @@ class ExperimentSpec:
     gammas: tuple = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
     inner: str = "dst"
     tol: float = 1e-6
-    maxit: int = 100
+    maxit: int = DEFAULT_MAXIT
     eps_policy: str = "step"
     eps_value: float = None
     delta: float = 0.5

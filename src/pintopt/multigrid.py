@@ -35,13 +35,14 @@ per shift. Components:
 
 Fields are complex (positions, batch) arrays: batch column l k + j holds the
 l-th right-hand side of shift j, and real weights multiply the interleaved
-real/imaginary view, (positions, 2 batch). Every level but the coarsest
-stores its points skewed: anti-diagonal d is one contiguous run of
-positions, between two zero positions that stand for the Dirichlet
-boundary, so each neighbor of a run is a slice of the run before or after
-it. The coarsest level keeps grid order. A solve scatters its right-hand
-sides into skewed order once and gathers the result once; the transfers
-map skewed order to skewed order, so the V-cycle itself never converts.
+real/imaginary view, (positions, 2 batch). This is the solve's (m, l, k)
+stack with its last two axes merged, so a solve only reshapes it. Every
+level but the coarsest stores its points skewed: anti-diagonal d is one
+contiguous run of positions, between two zero positions that stand for the
+Dirichlet boundary, so each neighbor of a run is a slice of the run before
+or after it. The coarsest level keeps grid order. A solve scatters its
+right-hand sides into skewed order once and gathers the result once; the
+transfers map skewed order to skewed order, so the V-cycle never converts.
 
 The fine grid needs m1 = 2^l - 1 points per dimension so the nested-grid
 hierarchy exists. Prepared shifts and one V(1,1) cycle per solve make one
@@ -207,12 +208,12 @@ class MgShiftedSolver:
         ops.append(np.linalg.inv(sigmas[:, None, None] * eye + coarsest.dense))
 
         def solve(rhs):
-            *_, k, m = rhs.shape
+            k = rhs.shape[-1]
             if k != sigmas.size:
-                raise ValueError(f"expected {sigmas.size} shifts on axis -2, got {k}")
+                raise ValueError(f"expected {sigmas.size} shifts on the last axis, got {k}")
             top = self.levels[0]
-            b = top.to_skew(rhs.reshape(-1, m).T.astype(complex, copy=False))
-            return top.to_grid(self._cycle(0, ops, b)).T.reshape(rhs.shape)
+            b = top.to_skew(rhs.reshape(rhs.shape[0], -1))
+            return top.to_grid(self._cycle(0, ops, b)).reshape(rhs.shape)
 
         return solve
 

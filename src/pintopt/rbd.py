@@ -36,13 +36,14 @@ around it (C. Van Loan, Computational Frameworks for the Fast Fourier
 Transform, SIAM 1992, ch. 1). One application is therefore two real matrix
 products around the batched solve, O(m n^2) work plus the inner solves:
 
-* forward, one batched product of the (2, n, m) input with the real rows
-  over the imaginary rows of G_0 = conj(E) D^-1 for the transpose half (its
-  conjugation folded in) and G_1 = E D for the plain half, packed into the
-  complex stack the solve takes;
-* inverse, one product of the solved stack, its real rows over its
-  imaginary rows per half, with [[H_0, -H_1], [H_0, H_1]]. H_h applies F to
-  the conjugate-symmetric extension of the half spectrum and keeps the real
+* forward, one batched product of each half's transposed (m, n) input with
+  G_0' = (conj(E) D^-1)' for the transpose half (its conjugation folded in)
+  or G_1' = (E D)' for the plain half, each block's real and imaginary
+  parts in adjacent columns: it writes the solve's complex (m, 2, n//2 + 1)
+  stack, positions first, as real numbers;
+* inverse, [[H_0, -H_1], [H_0, H_1]], columns in the same order, times the
+  transposed real view of the solved stack. H_h applies F to the
+  conjugate-symmetric extension of the half spectrum and keeps the real
   part: blocks 0 < k < n/2 count twice, the others once. It then scales by D
   (transpose half) or D^-1 (plain half). H_0 undoes the conjugation by the
   sign of its imaginary columns, and the block signs invert the rotation.
@@ -52,7 +53,7 @@ products k j reach n^2 / 2, and the cosines and sines of unreduced angles
 lose digits in proportion.
 
 The blocks whose shifts are real, k = 0 and, for even n, k = n/2, have real
-twiddles, and the inverse product reads only their real rows: the columns
+twiddles, and the inverse product reads only their real parts: the columns
 for their imaginary parts are zero. A round-off guard therefore checks, after
 the solves, that the half spectrum is finite (a NaN or Inf raises
 FloatingPointError saying "not finite") and that the imaginary parts of those
@@ -148,9 +149,10 @@ class RbdEpsPreconditioner:
     object, for the shifts lambda_k + alpha with k = 0..floor(n/2), serves
     both halves; it is factored on the first application, not here. The
     two transform matrices of the module docstring are built here, once:
-    ``_forward`` stacks [Re G_h; Im G_h] as a ``(2, 2 (n//2 + 1), n)`` array,
-    and ``_inverse`` is the ``(2n, 4 (n//2 + 1))`` matrix
-    [[H_0, -H_1], [H_0, H_1]].
+    ``_forward`` is the ``(2, n, 2 (n//2 + 1))`` stack of G_h', and
+    ``_inverse`` the ``(2n, 4 (n//2 + 1))`` matrix [[H_0, -H_1], [H_0, H_1]].
+    So is the one work buffer ``_stack``, the forward product's real
+    ``(m, 2, 2 (n//2 + 1))`` view of the solve's complex stack.
     """
 
     def __init__(self, grid, gamma, eps, inner):
@@ -171,19 +173,20 @@ class RbdEpsPreconditioner:
         sin = np.sin(angle) / np.sqrt(n)
         # the real-shift blocks have real twiddles; sin(pi) would leave 1e-16
         sin[self._real_blocks] = 0.0
-        d = self.spectrum.scalings
-        self._forward = np.stack([np.vstack([cos, sin]) / d, np.vstack([cos, -sin]) * d])
+        # columns cos_0, sin_0, cos_1, sin_1, ...: one column pair per block
+        trig = np.stack([cos, sin], axis=1).reshape(2 * half, n).T
+        conj = np.tile([1.0, -1.0], half)  # negates the sine columns
+        d = self.spectrum.scalings[:, None]
+        self._forward = np.stack([trig / d, trig * conj * d])
         # the inverse counts each conjugate pair twice, the real blocks once
-        weight = np.full((half, 1), 2.0)
+        weight = np.full(half, 2.0)
         weight[self._real_blocks] = 1.0
-        wcos, wsin = (weight * cos).T, (weight * sin).T
-        h0 = np.hstack([wcos, wsin]) * d[:, None]
-        h1 = np.hstack([wcos, -wsin]) / d[:, None]
+        wtrig = trig * np.repeat(weight, 2)
+        h0, h1 = wtrig * d, wtrig * conj / d
         self._inverse = np.block([[h0, -h1], [h0, h1]])
-        # factored solve and the two work buffers, made on the first apply
+        self._stack = np.empty((grid.m, 2, 2 * half))
+        # factored on the first apply
         self._solve = None
-        self._planar = None
-        self._spectrum = None
 
     def apply_inverse(self, r):
         """P^-1 r for a real vector r of length 2 m n, both halves one after the other.
@@ -199,27 +202,22 @@ class RbdEpsPreconditioner:
         half = n // 2 + 1
         if self._solve is None:
             self._solve = self.inner.factor(self.spectrum.lambdas[:half] + self.alpha)
-            self._planar = np.empty((2, 2 * half, m))
-            self._spectrum = np.empty((2, half, m), dtype=complex)
         # [transpose half (Ceps' + alpha W), plain half (Ceps + alpha W)]; the
         # transpose half has shifts conj(lambda_k) + alpha, and since M and K
         # are real its spectrum enters conjugated and leaves conjugated
-        planar = np.matmul(self._forward, r.reshape(2, n, m), out=self._planar)
-        z = self._spectrum
-        z.real = planar[:, :half]
-        z.imag = planar[:, half:]
-        z = self._solve(z)
+        stack = self._stack
+        signal = r.reshape(2, n, m).transpose(0, 2, 1)
+        np.matmul(signal, self._forward, out=stack.transpose(1, 0, 2))
+        z = self._solve(stack.view(complex))
         # the inverse product drops the imaginary part of the real-shift blocks,
         # so check it here
         if not np.isfinite(z).all():
             raise FloatingPointError("inner solves returned values that are not finite")
-        edge = z[:, self._real_blocks]
+        edge = z[..., self._real_blocks]
         residue = np.max(np.abs(edge.imag))
         if residue > IMAG_RESIDUE_BOUND * max(1.0, np.max(np.abs(edge.real))):
             raise FloatingPointError(
                 f"imaginary residue {residue:.3e} exceeds the round-off bound; "
                 "inner solves lost the conjugate-pair structure"
             )
-        planar[:, :half] = z.real
-        planar[:, half:] = z.imag
-        return np.matmul(self._inverse, planar.reshape(4 * half, m)).reshape(-1)
+        return np.matmul(self._inverse, z.view(float).reshape(m, 4 * half).T).reshape(-1)

@@ -22,9 +22,10 @@ wraps :class:`DstShiftedSolver` in two :func:`dst2d` calls
 (``tests/dense_backend.py``).
 
 Each backend exposes one batched entry point, ``factor(sigmas) -> solve``:
-it prepares every shift at once, and ``solve(rhs)`` takes a complex array
-whose last two axes are ``(len(sigmas), m)`` and solves row k of that axis
-pair with shift ``sigmas[k]``, returning an array of the same shape.
+it prepares every shift at once, and ``solve(rhs)`` takes a complex,
+C-contiguous ``(m, l, k)`` stack, positions first, and solves
+``rhs[:, :, i]`` with shift ``sigmas[i]``, k = len(sigmas). It returns a
+fresh C-contiguous array of that shape; no backend takes another layout.
 """
 
 import numpy as np
@@ -51,7 +52,7 @@ class DstShiftedSolver:
     c (4 - 2 cos(i pi h) - 2 cos(j pi h)) / h^2, as a length-m vector in
     the row-major order of the grid functions. The right-hand sides and
     solutions of ``solve`` are S-transformed vectors, so a batched solve is
-    one pointwise product with the reciprocal of the (shifts, m)
+    one pointwise product with the reciprocal of the (m, 1, shifts)
     denominator, which ``factor`` stores once. A physical-basis solve is
     dst2d, this solve, dst2d.
     """
@@ -65,7 +66,7 @@ class DstShiftedSolver:
         self.laplacian_eigs = (diffusion * (theta[:, None] + theta[None, :]) / h**2).ravel()
 
     def factor(self, sigmas):
-        denom = np.asarray(sigmas)[:, None] + self.grid.tau * self.laplacian_eigs
+        denom = self.grid.tau * self.laplacian_eigs[:, None, None] + np.asarray(sigmas)
         if np.min(np.abs(denom)) == 0.0:
             raise ValueError("a shift makes the system singular")
         inverse = 1.0 / denom

@@ -135,9 +135,6 @@ class DenseBundle:
         )
 
 
-build_bundle = DenseBundle  # assemble every dense matrix of one configuration
-
-
 def _rel(diff, ref):
     return np.max(np.abs(diff)) / max(1.0, np.max(np.abs(ref)))
 
@@ -329,7 +326,7 @@ def check_smw_identity(bundle, tol=1e-11):
 
 def check_vanishing_damping(n, tau, gamma, mass, stiffness, eps=1e-12, tol=1e-9):
     """As eps -> 0 the damped coupling solve converges to the ideal one."""
-    b = build_bundle(n, tau, gamma, eps, mass, stiffness)
+    b = DenseBundle(n, tau, gamma, eps, mass, stiffness)
     eye = np.eye(b.m * n)
     got = np.linalg.solve(
         b.coupling_damped_whitened + b.alpha * eye, b.evolution_whitened + b.alpha * eye
@@ -499,7 +496,7 @@ def run_validation(delta=0.5):
     1 and 9 interior points, 2/4/8 time steps, regularization weights from
     1e-8 to 1, both damping policies, and non-identity mass fixtures.
     """
-    # (tag, build_bundle arguments, clustering caps, certified-rate checks?)
+    # (tag, DenseBundle arguments, clustering caps, certified-rate checks?)
     configs = []
     for m1 in (1, 3):
         for n in (2, 4, 8):
@@ -531,7 +528,7 @@ def run_validation(delta=0.5):
 
     results = []
     for tag, args, etas, certified in configs:
-        bundle = build_bundle(*args)
+        bundle = DenseBundle(*args)
         batch = [
             check_factorizations(bundle),
             check_rbd_spectrum(bundle),

@@ -36,7 +36,7 @@ class DenseShiftedSolver:
         inverses = np.linalg.inv(shifted)
 
         def solve(rhs):
-            return np.einsum("kpq,...kq->...kp", inverses, rhs)
+            return np.einsum("kpq,qlk->plk", inverses, rhs, order="C")
 
         return solve
 
@@ -53,6 +53,8 @@ class PhysicalDstSolver:
         solve_diagonal = self.diagonal.factor(sigmas)
 
         def rotate(v):
-            return dst2d(v.reshape(*v.shape[:-1], m1, m1)).reshape(v.shape)
+            # dst2d transforms the last two axes, so the batch goes first
+            grids = v.reshape(m1, m1, -1).transpose(2, 0, 1)
+            return dst2d(grids).transpose(1, 2, 0).reshape(v.shape)
 
         return lambda rhs: rotate(solve_diagonal(rotate(rhs)))

@@ -17,7 +17,7 @@ from pintopt.bench import ExperimentSpec, run_experiment, solve_cell
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.gmres import gmres_solve
 from pintopt.rbd import RbdEpsPreconditioner
-from pintopt.validation import build_bundle, run_validation
+from pintopt.validation import DenseBundle, run_validation
 
 GAMMAS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
@@ -119,7 +119,7 @@ def test_criterion_4_dense_preconditioner_equivalence():
             )
             for gamma in (1e-4, 1.0):
                 for eps in (0.5, 0.01):
-                    bundle = build_bundle(
+                    bundle = DenseBundle(
                         n, grid.tau, gamma, eps, np.eye(grid.m), K
                     )
                     fast = RbdEpsPreconditioner(grid, gamma, eps, PhysicalDstSolver(grid))
@@ -206,12 +206,13 @@ def test_criterion_7_gamma_robustness(example1_table, example2_table):
 
 
 def test_soft_cpu_scaling_with_mesh(example1_table):
-    # soft sanity check, not a reproduction: halving h multiplies the work
-    # per iteration by ~8.3 (DoF) x ~1.2 (transform log factor) ~= 10; cache
-    # effects push the wall-clock ratio somewhat above that on most
-    # machines, so only pathological scaling (> 15x) fails here. The meshes
-    # alternate inside the repeat loop, so a slow phase of a shared machine
-    # slows both sides alike instead of one of them.
+    # soft sanity check, not a reproduction: halving h doubles n and
+    # multiplies m by ~4.1, so the matvec, the inner solves and GMRES grow
+    # ~8.3x per iteration, and the two time-transform matrix products,
+    # O(m n^2), ~16.5x. The wall-clock ratio lands between the two (about
+    # 10 on a 2-core box), so only pathological scaling (> 15x) fails here.
+    # The meshes alternate inside the repeat loop, so a slow phase of a
+    # shared machine slows both sides alike instead of one of them.
     spec = ExperimentSpec(example=1, gammas=(1e-10,))
     timings = {2.0**-5: [], 2.0**-6: []}
     for _ in range(3):

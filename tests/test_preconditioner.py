@@ -122,7 +122,8 @@ def fft_path_inverse(pc, r):
     scale = np.stack([1.0 / d, d])
     z = np.fft.rfft(r.reshape(2, n, m) * scale, axis=1, norm="ortho")
     z[0] = z[0].conj()
-    z = pc.inner.factor(pc.spectrum.lambdas[:half] + pc.alpha)(z)
+    solve = pc.inner.factor(pc.spectrum.lambdas[:half] + pc.alpha)
+    z = solve(np.ascontiguousarray(z.transpose(2, 0, 1))).transpose(1, 2, 0)
     z[0] = z[0].conj()
     x = np.fft.irfft(z, n=n, axis=1, norm="ortho") * scale[::-1]
     return np.concatenate([x[0] - x[1], x[0] + x[1]]).reshape(-1)
@@ -177,6 +178,7 @@ class RecordingSolver:
         self.inner = inner
         self.factored = []
         self.solve_shapes = []
+        self.solve_contiguous = []
 
     def factor(self, sigmas):
         self.factored.append(np.array(sigmas))
@@ -184,6 +186,7 @@ class RecordingSolver:
 
         def recorded(rhs):
             self.solve_shapes.append(rhs.shape)
+            self.solve_contiguous.append(rhs.flags.c_contiguous)
             return solve(rhs)
 
         return recorded
@@ -204,7 +207,8 @@ def test_one_lazy_factor_and_one_solve_per_apply(n):
     half = n // 2 + 1
     want = eps_spectrum(n, 0.3).lambdas[:half] + pc.alpha
     assert np.array_equal(inner.factored[0], want)
-    assert inner.solve_shapes == [(2, half, grid.m)] * 3
+    assert inner.solve_shapes == [(grid.m, 2, half)] * 3
+    assert all(inner.solve_contiguous)
 
 
 class SkewedSolver:
@@ -235,7 +239,7 @@ class LastShiftSkewedSolver(SkewedSolver):
 
         def skewed(rhs):
             out = solve(rhs)
-            out[..., -1, :] *= 1 + 1e-3j
+            out[..., -1] *= 1 + 1e-3j
             return out
 
         return skewed

@@ -31,7 +31,7 @@ def bench_coeff(x1, x2):
 def one_shift(backend, sigma):
     """A backend's batched solve for the single shift sigma, on one vector."""
     solve = backend.factor(np.array([sigma]))
-    return lambda r: solve(np.asarray(r, dtype=complex)[None])[0]
+    return lambda r: solve(np.asarray(r, dtype=complex)[:, None, None])[:, 0, 0]
 
 
 def shifted_matrix(grid, coeff, sigma):
@@ -258,12 +258,12 @@ def test_batched_vcycle_matches_dense_reference(m1):
     sigmas = np.array([0.3 + 0.2j, 0.05 + 0.87j, 1.5 - 0.4j])
     solver = MgShiftedSolver(grid, wavy_coeff)
     rng = np.random.default_rng(m1)
-    rhs = rng.standard_normal((2, 3, grid.m)) + 1j * rng.standard_normal((2, 3, grid.m))
+    rhs = rng.standard_normal((grid.m, 2, 3)) + 1j * rng.standard_normal((grid.m, 2, 3))
     got = solver.factor(sigmas)(rhs)
     for k, sigma in enumerate(sigmas):
         for j in range(2):
-            want = reference_vcycle(grid, wavy_coeff, sigma, rhs[j, k])
-            assert np.max(np.abs(got[j, k] - want)) < 1e-13 * np.max(np.abs(want))
+            want = reference_vcycle(grid, wavy_coeff, sigma, rhs[:, j, k])
+            assert np.max(np.abs(got[:, j, k] - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_one_factored_solve_serves_any_batch_width():
@@ -272,11 +272,20 @@ def test_one_factored_solve_serves_any_batch_width():
     grid = TimeSpaceGrid(m1=15, n=8)
     solve = MgShiftedSolver(grid, wavy_coeff).factor(np.array([0.3 + 0.2j, 1.5 - 0.4j]))
     rng = np.random.default_rng(2)
-    rhs = rng.standard_normal((2, 2, grid.m)) + 1j * rng.standard_normal((2, 2, grid.m))
-    single = solve(rhs[1])
+    rhs = rng.standard_normal((grid.m, 2, 2)) + 1j * rng.standard_normal((grid.m, 2, 2))
+    one = np.ascontiguousarray(rhs[:, 1:])
+    single = solve(one)
     both = solve(rhs)
-    assert np.array_equal(both[1], single)
-    assert np.array_equal(solve(rhs[1]), single)
+    assert np.array_equal(both[:, 1:], single)
+    assert np.array_equal(solve(one), single)
+
+
+def test_solve_rejects_a_stack_with_the_wrong_shift_count():
+    # the shifts are the last axis of the (m, l, k) stack
+    grid = TimeSpaceGrid(m1=7, n=4)
+    solve = MgShiftedSolver(grid, wavy_coeff).factor(np.array([1.0, 0.3 + 0.9j, 2.0]))
+    with pytest.raises(ValueError, match="expected 3 shifts on the last axis, got 2"):
+        solve(np.ones((grid.m, 2, 2), dtype=complex))
 
 
 def test_vcycle_exact_on_coarsest_grids():
@@ -355,14 +364,15 @@ def test_factor_solves_each_row_with_its_shift(name):
     sigmas = np.array([1.0, 0.3 + 0.9j, 2.0 - 0.5j])
     solver = backend(name, grid)
     rng = np.random.default_rng(21)
-    rhs = rng.standard_normal((2, 3, grid.m)) + 1j * rng.standard_normal((2, 3, grid.m))
+    rhs = rng.standard_normal((grid.m, 2, 3)) + 1j * rng.standard_normal((grid.m, 2, 3))
     got = solver.factor(sigmas)(rhs)
     assert got.shape == rhs.shape
+    assert got.flags.c_contiguous
     for k, sigma in enumerate(sigmas):
         single = one_shift(solver, sigma)
         for j in range(2):
-            want = single(rhs[j, k])
-            assert np.max(np.abs(got[j, k] - want)) < 1e-13 * np.max(np.abs(want))
+            want = single(rhs[:, j, k])
+            assert np.max(np.abs(got[:, j, k] - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", ["dst", "dense", "mg"])
@@ -372,7 +382,7 @@ def test_solve_leaves_rhs_unchanged(name):
     grid = TimeSpaceGrid(m1=7, n=4)
     solve = backend(name, grid).factor(np.array([1.0, 0.3 + 0.9j]))
     rng = np.random.default_rng(23)
-    rhs = rng.standard_normal((2, 2, grid.m)) + 1j * rng.standard_normal((2, 2, grid.m))
+    rhs = rng.standard_normal((grid.m, 2, 2)) + 1j * rng.standard_normal((grid.m, 2, 2))
     rhs_copy = rhs.copy()
     got = solve(rhs)
     assert np.array_equal(rhs, rhs_copy)

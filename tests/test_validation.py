@@ -17,7 +17,7 @@ from pintopt.operators import AllAtOnceOperator
 from pintopt.rbd import RbdEpsPreconditioner, rate_constant
 from pintopt.validation import (
     CheckResult,
-    build_bundle,
+    DenseBundle,
     check_definiteness,
     check_eps_clustering,
     check_eps_perturbation,
@@ -41,7 +41,7 @@ def constant_coefficient(x1, x2):
 def fd_bundle(m1, n, gamma, eps):
     grid = TimeSpaceGrid(m1=m1, n=n)
     stiffness = build_stiffness(grid, constant_coefficient)
-    return grid, build_bundle(n, grid.tau, gamma, eps, np.eye(grid.m), stiffness)
+    return grid, DenseBundle(n, grid.tau, gamma, eps, np.eye(grid.m), stiffness)
 
 
 # ------------------------------------------------------- bundle assembly
@@ -75,7 +75,7 @@ def test_saddle_matches_matrix_free_operator():
     for m1, n, gamma in [(1, 2, 1e-4), (3, 3, 1.0), (2, 4, 1e-2)]:
         grid = TimeSpaceGrid(m1=m1, n=n)
         K = build_stiffness(grid, constant_coefficient)
-        bundle = build_bundle(n, grid.tau, gamma, 0.1, np.eye(grid.m), K)
+        bundle = DenseBundle(n, grid.tau, gamma, 0.1, np.eye(grid.m), K)
         op = AllAtOnceOperator(grid, K, gamma)
         for _ in range(3):
             x = rng.standard_normal(2 * grid.m * n)
@@ -89,7 +89,7 @@ def test_preconditioner_matches_fft_solver():
     grid = TimeSpaceGrid(m1=2, n=4)
     K = build_stiffness(grid, constant_coefficient)
     gamma, eps = 1e-3, 0.2
-    bundle = build_bundle(grid.n, grid.tau, gamma, eps, np.eye(grid.m), K)
+    bundle = DenseBundle(grid.n, grid.tau, gamma, eps, np.eye(grid.m), K)
     fast = RbdEpsPreconditioner(
         grid, gamma, eps, DenseShiftedSolver(np.eye(grid.m), K, grid.tau)
     )
@@ -101,7 +101,7 @@ def test_preconditioner_matches_fft_solver():
 def test_factorizations_hold_with_nonidentity_mass():
     masses = synthetic_masses(6)
     for _, mass in masses:
-        bundle = build_bundle(3, 0.2, 1e-2, 0.1, mass, laplacian_1d(6))
+        bundle = DenseBundle(3, 0.2, 1e-2, 0.1, mass, laplacian_1d(6))
         assert check_factorizations(bundle).passed
 
 
@@ -112,7 +112,7 @@ def test_ideal_spectrum_closed_form_single_step_no_diffusion():
     # one unknown, one step, zero stiffness: eigenvalues 1 +- i|a-1|/(a+1)
     # with a the time-step over sqrt(weight)
     for tau, gamma in [(1.0, 1.0), (0.5, 1e-2), (0.25, 4.0)]:
-        bundle = build_bundle(1, tau, gamma, 0.3, np.eye(1), np.zeros((1, 1)))
+        bundle = DenseBundle(1, tau, gamma, 0.3, np.eye(1), np.zeros((1, 1)))
         alpha = tau / np.sqrt(gamma)
         ideal = np.linalg.solve(
             bundle.block_diag_ideal_whitened, bundle.saddle_unrotated_whitened
@@ -145,7 +145,7 @@ def test_ideal_spectrum_check_detects_broken_normality():
 
 def test_eps_perturbation_reports_expected_rank_and_unit_count():
     # two spatial unknowns, three steps: rank 4 update, eight unit eigenvalues
-    bundle = build_bundle(3, 1.0 / 3.0, 1.0, 0.3, np.eye(2), laplacian_1d(2) / 81.0)
+    bundle = DenseBundle(3, 1.0 / 3.0, 1.0, 0.3, np.eye(2), laplacian_1d(2) / 81.0)
     res = check_eps_perturbation(bundle)
     assert res.passed, str(res)
     assert "rank 4" in res.detail
@@ -187,7 +187,7 @@ def test_clustering_rejects_invalid_cap():
 
 def test_smw_identity_with_nonidentity_mass():
     for _, mass in synthetic_masses(4):
-        bundle = build_bundle(3, 0.25, 1e-2, 0.2, mass, laplacian_1d(4))
+        bundle = DenseBundle(3, 0.25, 1e-2, 0.2, mass, laplacian_1d(4))
         res = check_smw_identity(bundle)
         assert res.passed, str(res)
 
@@ -239,7 +239,7 @@ def test_gmres_rate_certified_with_nonidentity_mass():
     n, tau = 4, 0.25
     eps = rate_constant(delta, tau, n * tau)
     for _, mass in synthetic_masses(5):
-        bundle = build_bundle(n, tau, 1e-2, eps, mass, laplacian_1d(5))
+        bundle = DenseBundle(n, tau, 1e-2, eps, mass, laplacian_1d(5))
         res = check_gmres_rate(bundle, delta)
         assert res.passed, str(res)
 
