@@ -144,8 +144,6 @@ class CellResult:
 
     gamma: float
     h: float
-    m1: int
-    n: int
     dof: int
     iterations: int
     converged: bool
@@ -199,7 +197,7 @@ def solve_cell(spec, gamma, h):
         )
     except (FloatingPointError, MemoryError) as exc:
         return CellResult(
-            gamma=gamma, h=h, m1=grid.m1, n=grid.n, dof=2 * mn, iterations=0,
+            gamma=gamma, h=h, dof=2 * mn, iterations=0,
             converged=False, cpu_seconds=time.perf_counter() - start, failure=str(exc),
         )
     cpu = time.perf_counter() - start
@@ -218,8 +216,6 @@ def solve_cell(spec, gamma, h):
     return CellResult(
         gamma=gamma,
         h=h,
-        m1=grid.m1,
-        n=grid.n,
         dof=2 * mn,
         iterations=report.iterations,
         converged=report.converged,
@@ -244,17 +240,17 @@ def run_experiment(spec):
 
 
 def three_significant(x):
-    """Compact 3-significant-digit scientific form: 0.0154 -> '1.54e-2'."""
+    """Compact 3-significant-digit scientific form: 0.0154 -> '1.54e-2'.
+
+    Python's ``.2e`` rounds the exact binary value, so a float just off a
+    halfway point rounds the way it lies (1.035e-8 -> '1.04e-8').
+    """
     if x is None:
         return ""
     if x == 0:
         return "0"
-    exponent = math.floor(math.log10(abs(x)))
-    mantissa = x / 10.0**exponent
-    if abs(round(mantissa, 2)) >= 10.0:  # rounding spillover, e.g. 9.996
-        mantissa /= 10.0
-        exponent += 1
-    return f"{mantissa:.2f}e{exponent}"
+    mantissa, exponent = f"{x:.2e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def result_row(res):

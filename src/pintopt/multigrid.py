@@ -13,10 +13,9 @@ per shift. Components:
   coefficient. K is symmetric, so the couplings to (i+1, j) and (i, j+1)
   are the same bands shifted by one point;
 * ``factor`` adds each shift to the diagonal of every level, one reciprocal
-  column per shift, and inverts the coarsest level (3 or fewer points per
-  dimension) densely, one small matrix per shift. Each stencil is stored
-  once and broadcast over every shift and right-hand side, so nothing in
-  a solve depends on how many right-hand sides it gets;
+  column per shift, and keeps no other matrix. Each stencil is stored once
+  and broadcast over every shift and right-hand side, so nothing in a
+  solve depends on how many right-hand sides it gets;
 * smoother: lexicographic forward Gauss-Seidel, one pre-sweep from zero
   and one post-sweep. Point (i, j) needs the new values at (i-1, j) and
   (i, j-1), both on the anti-diagonal i + j = d - 1, and the old values at
@@ -37,16 +36,18 @@ Fields are complex (positions, batch) arrays: batch column l k + j holds the
 l-th right-hand side of shift j, and real weights multiply the interleaved
 real/imaginary view, (positions, 2 batch). This is the solve's (m, l, k)
 stack with its last two axes merged, so a solve only reshapes it. Every
-level but the coarsest stores its points skewed: anti-diagonal d is one
-contiguous run of positions, between two zero positions that stand for the
-Dirichlet boundary, so each neighbor of a run is a slice of the run before
-or after it. The coarsest level keeps grid order. A solve scatters its
-right-hand sides into skewed order once and gathers the result once; the
-transfers map skewed order to skewed order, so the V-cycle never converts.
+level stores its points skewed: anti-diagonal d is one contiguous run of
+positions, between two zero positions that stand for the Dirichlet
+boundary, so each neighbor of a run is a slice of the run before or after
+it. A solve scatters its right-hand sides into skewed order once and
+gathers the result once; the transfers map skewed order to skewed order,
+so the V-cycle never converts.
 
-The fine grid needs m1 = 2^l - 1 points per dimension so the nested-grid
-hierarchy exists. Prepared shifts and one V(1,1) cycle per solve make one
-fixed linear map, so the solve is safe inside non-flexible GMRES.
+The fine grid needs m1 = 2^l - 1 points per dimension, so the hierarchy
+halves it down to the one-point grid: 63, 31, 15, 7, 3, 1. There one sweep
+from zero is the exact solve, so the coarsest level runs the same sweep as
+every other level and stops. Prepared shifts and one V(1,1) cycle per solve
+make one fixed linear map, so the solve is safe inside non-flexible GMRES.
 """
 
 import numpy as np
@@ -54,26 +55,18 @@ import scipy.sparse as sp
 
 from .discretize import TimeSpaceGrid, build_stiffness
 
-COARSEST_POINTS = 3
-
 
 class Level:
     """One grid of the hierarchy: stencil bands of tau K, skewed order, transfers.
 
-    ``coarse`` is the next coarser level; without one this is the coarsest
-    level, solved densely, whose skewed order is the grid order.
+    ``coarse`` is the next coarser level, from and to which ``prolong`` and
+    ``restrict`` map; the coarsest level has neither.
     """
 
     def __init__(self, grid, coeff, coarse=None):
         m1, tau = grid.m1, grid.tau
         stiffness = build_stiffness(grid, coeff)
         self.m1 = m1
-        if coarse is None:
-            self.dense = tau * stiffness.toarray()
-            self.skew_size = m1 * m1
-            self.skew_index = np.arange(m1 * m1)
-            return
-        self.dense = None
         self.diag = tau * stiffness.diagonal(0)
 
         # anti-diagonal d = -1 .. 2 m1 - 1 holds the points of grid rows
@@ -110,6 +103,8 @@ class Level:
             tuple(slice(at, at + n) for at in row)
             for n, *row in zip(count[e].tolist(), *(o.tolist() for o in offsets))
         ]
+        if coarse is None:
+            return
 
         # coarse point (I, J) gives w[a] w[b] to fine point (2I+a, 2J+b)
         w = np.array([0.5, 1.0, 0.5])
@@ -188,7 +183,7 @@ class MgShiftedSolver:
                 f"multigrid needs m1 = 2^l - 1 points per dimension, got m1={m1}"
             )
         sizes = [m1]
-        while sizes[-1] > COARSEST_POINTS:
+        while sizes[-1] > 1:
             sizes.append((sizes[-1] - 1) // 2)
         # coarsest first: each level's transfers need the next coarser level
         self.levels = []
@@ -200,12 +195,8 @@ class MgShiftedSolver:
 
     def factor(self, sigmas):
         sigmas = np.asarray(sigmas, dtype=complex)
-        coarsest = self.levels[-1]
-        eye = np.eye(coarsest.m1 * coarsest.m1)
-        # everything a solve reads: the skewed reciprocal shifted diagonal of
-        # every level but the coarsest, then the coarsest level's inverses
-        ops = [level.to_skew(1.0 / (level.diag[:, None] + sigmas)) for level in self.levels[:-1]]
-        ops.append(np.linalg.inv(sigmas[:, None, None] * eye + coarsest.dense))
+        # all a solve reads: each level's skewed reciprocal shifted diagonal
+        inv_diags = [level.to_skew(1.0 / (level.diag[:, None] + sigmas)) for level in self.levels]
 
         def solve(rhs):
             k = rhs.shape[-1]
@@ -213,25 +204,22 @@ class MgShiftedSolver:
                 raise ValueError(f"expected {sigmas.size} shifts on the last axis, got {k}")
             top = self.levels[0]
             b = top.to_skew(rhs.reshape(rhs.shape[0], -1))
-            return top.to_grid(self._cycle(0, ops, b)).reshape(rhs.shape)
+            return top.to_grid(self._cycle(0, inv_diags, b)).reshape(rhs.shape)
 
         return solve
 
-    def _cycle(self, depth, ops, b):
+    def _cycle(self, depth, inv_diags, b):
         """One V-cycle on level depth from a zero initial guess, in its skewed order."""
         level = self.levels[depth]
-        if level.dense is not None:
-            k = ops[depth].shape[0]
-            grouped = b.reshape(b.shape[0], -1, k)
-            z = np.einsum("kpq,qlk->plk", ops[depth], grouped)
-            return np.ascontiguousarray(z).reshape(b.shape)
-        inv_diag = ops[depth]
         # V(1,1): one sweep from zero, the coarse correction of its residual
-        # -U z, then one post-sweep
+        # -U z, then one post-sweep. On the one-point coarsest grid the sweep
+        # from zero is the exact solve
         z = np.zeros_like(b)
-        level.sweep(z, b, inv_diag, from_zero=True)
+        level.sweep(z, b, inv_diags[depth], from_zero=True)
+        if depth + 1 == len(self.levels):
+            return z
         defect = (level.restrict @ level.upper(z).view(float)).view(complex)
-        correction = level.prolong @ self._cycle(depth + 1, ops, defect).view(float)
+        correction = level.prolong @ self._cycle(depth + 1, inv_diags, defect).view(float)
         z -= correction.view(complex)
-        level.sweep(z, b, inv_diag)
+        level.sweep(z, b, inv_diags[depth])
         return z

@@ -390,7 +390,7 @@ def check_definiteness(bundle, delta, tol=1e-12):
     )
 
 
-def check_gmres_rate(bundle, delta, rhs=None, tol=1e-10):
+def check_gmres_rate(bundle, delta, tol=1e-10):
     """Certified contraction of GMRES on the auxiliary and original systems.
 
     Runs dense GMRES on the auxiliary system (damped blocks)^-1 (unrotated
@@ -406,7 +406,7 @@ def check_gmres_rate(bundle, delta, rhs=None, tol=1e-10):
     _require_rate_premise(b, delta)
     size = 2 * b.m * b.n
     rng = np.random.default_rng(size)
-    rhs = rng.standard_normal(size) if rhs is None else np.asarray(rhs, float)
+    rhs = rng.standard_normal(size)
 
     half_root_inv = np.kron(np.eye(b.n), b.mass_root_inv)
     w_root_inv = scipy.linalg.block_diag(half_root_inv, half_root_inv)

@@ -120,6 +120,11 @@ def test_three_significant_digits():
     assert three_significant(0.0) == "0"
     assert three_significant(None) == ""
     assert three_significant(-0.0154) == "-1.54e-2"
+    # the exact binary value decides a near-halfway case: the float nearest
+    # 1.035e-8 lies just above that halfway point, the one nearest 1.145e-8
+    # just below its own
+    assert three_significant(1.035e-8) == "1.04e-8"
+    assert three_significant(1.145e-8) == "1.14e-8"
 
 
 # ----------------------------------------------------------------- driver
@@ -129,7 +134,6 @@ def test_solve_cell_converges_and_reports():
     res = solve_cell(ExperimentSpec(example=1), 1e-4, 2.0**-3)
     assert res.converged
     assert res.dof == 2 * 49 * 8
-    assert res.n == 8 and res.m1 == 7
     assert 0 < res.error < 1
     assert res.cpu_seconds > 0
 

@@ -22,7 +22,7 @@ def ones_coeff(x1, x2):
     return np.ones_like(x1)
 
 
-def wavy_coeff(x1, x2):
+def bench_coeff(x1, x2):
     return 1e-5 * np.sin(np.pi * x1 * x2)
 
 
@@ -129,13 +129,13 @@ def test_stiffness_matches_kron_form_for_constant_coefficient():
 
 def test_stiffness_variable_coefficient_against_oracle():
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
-    K = build_stiffness(grid, wavy_coeff).toarray()
+    K = build_stiffness(grid, bench_coeff).toarray()
     want = dense_stiffness_oracle(3, lambda u, v: 1e-5 * np.sin(np.pi * u * v))
     assert np.max(np.abs(K - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_stiffness_is_bitwise_symmetric_and_positive():
-    for m1, coeff in [(3, ones_coeff), (3, wavy_coeff), (7, wavy_coeff)]:
+    for m1, coeff in [(3, ones_coeff), (3, bench_coeff), (7, bench_coeff)]:
         grid = TimeSpaceGrid(m1=m1, n=2, horizon=1.0)
         K = build_stiffness(grid, coeff)
         assert K.format == "csr"
@@ -157,7 +157,7 @@ def test_stiffness_accepts_boundary_vanishing_coefficient():
     # positive at every stencil sample even though it vanishes on parts of
     # the closed boundary
     grid = TimeSpaceGrid(m1=7, n=2, horizon=1.0)
-    K = build_stiffness(grid, wavy_coeff)
+    K = build_stiffness(grid, bench_coeff)
     assert np.linalg.eigvalsh(K.toarray()).min() > 0
 
 
