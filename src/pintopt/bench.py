@@ -24,7 +24,11 @@ from .operators import AllAtOnceOperator
 from .problems import get_problem
 from .rbd import EPS_POLICIES, RbdEpsPreconditioner, choose_epsilon
 
-DEFAULT_MAX_LEVEL = 6  # finest default mesh is h = 2^-6; finer is opt-in
+# N-length float64 arrays a cell of N unknowns holds besides its
+# (maxit + 1, N) GMRES basis. Measured as a cell's rise in peak RSS less its
+# k + 1 basis rows, at h = 2^-7 and gamma = 1 (31.5 MiB an array): 7.7 on
+# example 1 with the sine transform, 8.8 on example 2 with multigrid.
+WORKING_ARRAYS = 9
 
 CSV_COLUMNS = ("gamma", "h", "dof", "iter", "cpu_s", "e_h", "e_h_raw")
 
@@ -49,7 +53,6 @@ class ExperimentSpec:
     eps_policy: str = "step"
     eps_value: float = None
     delta: float = 0.5
-    allow_fine: bool = False
     jobs: int = 1
 
     def __post_init__(self):
@@ -59,18 +62,14 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown inner solver {self.inner!r}")
         object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        if not self.h_values or not self.gammas:
+            raise ConfigurationError("the sweep needs at least one h and one gamma")
         for name in ("h_values", "gammas", "tol", "delta", "eps_value"):
             values = getattr(self, name)
             for value in values if isinstance(values, tuple) else (values,):
                 if value is not None and not math.isfinite(value):
                     raise ConfigurationError(f"{name} must be a finite number, got {value}")
-        for h in self.h_values:
-            level = mesh_level(h)
-            if level > DEFAULT_MAX_LEVEL and not self.allow_fine:
-                raise ConfigurationError(
-                    f"h = 2^-{level} exceeds the default finest mesh 2^-{DEFAULT_MAX_LEVEL}; "
-                    "pass allow_fine to run it anyway"
-                )
+        finest = max(self.h_values, key=mesh_level)
         for g in self.gammas:
             if g <= 0:
                 raise ConfigurationError(f"gamma must be positive, got {g}")
@@ -91,6 +90,28 @@ class ExperimentSpec:
             raise ConfigurationError(f"eps_value is for fixed damping, not {self.eps_policy!r}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        # gmres_solve reserves its basis in full; each cell is checked alone, whatever jobs is
+        available = available_memory()
+        grid = cell_grid(finest)
+        size = 2 * grid.m * grid.n
+        need = 8 * size * (min(self.maxit, size) + 1 + WORKING_ARRAYS)
+        if available is not None and need > available:
+            fits = available // (8 * size) - 1 - WORKING_ARRAYS
+            advice = f"the largest maxit that fits is {fits}" if fits >= 1 else "no maxit fits"
+            raise ConfigurationError(
+                f"h = 2^-{mesh_level(finest)} needs {need / 2**30:.2f} GiB at maxit "
+                f"{self.maxit}, but {available / 2**30:.2f} GiB is available; {advice}"
+            )
+
+
+def available_memory():
+    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            found = [line.split() for line in fh if line.startswith("MemAvailable:")]
+    except OSError:
+        return None
+    return int(found[0][1]) * 1024 if found else None
 
 
 def mesh_level(h):
@@ -103,6 +124,11 @@ def mesh_level(h):
             f"h must be a negative power of two (mesh nesting and tau = h), got {h}"
         )
     return level
+
+
+def cell_grid(h):
+    """The space-time grid of a cell: mesh size h and time step tau = h."""
+    return TimeSpaceGrid.from_h(h, n=2 ** mesh_level(h))
 
 
 def constant_diffusion_value(stiffness, grid):
@@ -173,8 +199,7 @@ def solve_cell(spec, gamma, h):
     that GMRES leaves unconverged keeps its iterations and error, and its
     ``failure`` names the last iteration and the relative residual.
     """
-    level = mesh_level(h)
-    grid = TimeSpaceGrid.from_h(h, n=2**level)
+    grid = cell_grid(h)
     problem = get_problem(f"example{spec.example}", gamma)
     stiffness = build_stiffness(grid, problem.a)
     inner = make_inner_solver(problem, grid, stiffness, spec)
@@ -214,14 +239,8 @@ def solve_cell(spec, gamma, h):
             f"relative residual {report.residuals[-1] / report.residuals[0]:.3e} > tol {spec.tol:g}"
         )
     return CellResult(
-        gamma=gamma,
-        h=h,
-        dof=2 * mn,
-        iterations=report.iterations,
-        converged=report.converged,
-        cpu_seconds=cpu,
-        error=err,
-        failure=failure,
+        gamma=gamma, h=h, dof=2 * mn, iterations=report.iterations,
+        converged=report.converged, cpu_seconds=cpu, error=err, failure=failure,
     )
 
 

@@ -42,15 +42,6 @@ def parse_list(value, convert):
     return tuple(convert(str(v)) for v in value)
 
 
-def parse_bool(value):
-    """A YAML boolean, or the string "true"/"false" in any case; nothing else."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.strip().lower() in ("true", "false"):
-        return value.strip().lower() == "true"
-    raise ValueError(f"expected true or false, got {value!r}")
-
-
 def integer(value):
     """An int, an integral float or an integer string; never a boolean."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -90,7 +81,6 @@ SETTINGS = (
             "damping: step = min(1/2, tau/2), rate = certified rate, fixed = --eps-value"),
     Setting("--eps-value", "epsilon_value", "eps_value", number, "fixed damping, in (0, 1]"),
     Setting("--delta", "delta", "delta", number, "parameter of the rate policy, in (0, 1)"),
-    Setting("--allow-fine", "allow_fine", "allow_fine", parse_bool, "permit h < 2^-6 (slow)"),
     Setting("--jobs", "jobs", "jobs", integer, "parallel (gamma, h) cells"),
     Setting("--out", "out", "out", file_path, "write results as CSV here"),
 )
@@ -105,8 +95,8 @@ def build_parser():
 
     solve = sub.add_parser("solve", help="run a (gamma, h) benchmark sweep")
     for s in SETTINGS:
-        kind = {"action": "store_true"} if s.convert is parse_bool else {"metavar": s.key.upper()}
-        solve.add_argument(s.flag, dest=s.field, default=argparse.SUPPRESS, help=s.help, **kind)
+        solve.add_argument(s.flag, dest=s.field, default=argparse.SUPPRESS,
+                           metavar=s.key.upper(), help=s.help)
     solve.add_argument("--config", default=None, help="YAML file overriding these flags")
 
     validate = sub.add_parser("validate", help="run the dense theorem checks")

@@ -54,9 +54,9 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
     grow with ``maxit``, so a size-long default would ask for memory
     quadratic in the system size.
 
-    The basis is one ``(maxit + 1, size)`` array allocated with
-    ``np.empty``, whose pages become resident only as rows are written, so
-    resident memory follows the iterations actually taken.
+    The basis is one ``(maxit + 1, size)`` array from ``np.empty``. Its pages
+    become resident as rows are written, but the kernel checks the whole
+    reservation at once, so ``ExperimentSpec`` checks it before any solve.
 
     Raises FloatingPointError, naming the iteration, as soon as the
     preconditioned right-hand side norm or a new Hessenberg column is not

@@ -77,7 +77,8 @@ class DenseBundle:
     perturbation, and ``capacitance`` is the small SMW pivot block.
     ``damped_inverse_ideal`` and ``damped_inverse_saddle`` are the whitened
     damped blocks solved against the ideal blocks and against the unrotated
-    saddle, the two products most checks inspect.
+    saddle, the two products most checks inspect. ``coupling_ratio`` solves the
+    shifted damped coupling against ``evolution_shifted`` (``_t``: transposed).
     """
 
     def __init__(self, n, tau, gamma, eps, mass, stiffness):
@@ -124,7 +125,8 @@ class DenseBundle:
         self.preconditioner = self.block_diag_damped @ self.rotation
 
         self.step_matrix = (1.0 + alpha) * eye_m + tau * stiff_whitened
-        step_inv_n = np.linalg.matrix_power(np.linalg.inv(self.step_matrix), n)
+        self.step_inv = np.linalg.inv(self.step_matrix)
+        step_inv_n = np.linalg.matrix_power(self.step_inv, n)
         self.capacitance = (eye_m - eps * step_inv_n) / eps
 
         self.damped_inverse_ideal = np.linalg.solve(
@@ -133,6 +135,14 @@ class DenseBundle:
         self.damped_inverse_saddle = np.linalg.solve(
             self.block_diag_damped_whitened, self.saddle_unrotated_whitened
         )
+        self.damped_inverse_ideal_eigs = np.linalg.eigvals(self.damped_inverse_ideal)
+        saddle = self.damped_inverse_saddle
+        self.damped_inverse_saddle_norm = np.linalg.norm(saddle, 2)
+        self.damped_inverse_saddle_sym_min = np.linalg.eigvalsh(0.5 * (saddle + saddle.T))[0]
+        self.evolution_shifted = self.evolution_whitened + alpha * eye_mn
+        damped = self.coupling_damped_whitened + alpha * eye_mn
+        self.coupling_ratio = np.linalg.solve(damped, self.evolution_shifted)
+        self.coupling_ratio_t = np.linalg.solve(damped.T, self.evolution_shifted.T)
 
 
 def _rel(diff, ref):
@@ -207,8 +217,8 @@ def check_rbd_spectrum(bundle, tol=1e-10):
     eigs = np.linalg.eigvals(ideal)
     real_dev = np.max(np.abs(eigs.real - 1.0))
     imag_excess = max(0.0, np.max(np.abs(eigs.imag)) - 1.0)
-    shifted = b.evolution_whitened + b.alpha * np.eye(b.m * b.n)
-    cayley = np.linalg.solve(shifted, -b.evolution_whitened + b.alpha * np.eye(b.m * b.n))
+    eye = np.eye(b.m * b.n)
+    cayley = np.linalg.solve(b.evolution_shifted, b.alpha * eye - b.evolution_whitened)
     cayley_excess = max(0.0, np.linalg.norm(cayley, 2) - 1.0)
     worst = max(normality, real_dev, imag_excess, cayley_excess)
     return _result(
@@ -232,7 +242,6 @@ def check_eps_perturbation(bundle, match_tol=1e-8):
     non-normal ratio: worst observed mismatch over the sweep is 1.4e-9.
     """
     b = bundle
-    ratio = b.damped_inverse_ideal
     n, m, eps = b.n, b.m, b.eps
 
     step_eigs = np.linalg.eigvalsh(b.step_matrix)
@@ -241,11 +250,11 @@ def check_eps_perturbation(bundle, match_tol=1e-8):
     predicted = np.concatenate(
         [np.ones(2 * (n - 1) * m), np.repeat(1.0 + drift, 2)]
     )
-    eigs = np.linalg.eigvals(ratio)
+    eigs = b.damped_inverse_ideal_eigs
     imag_leak = np.max(np.abs(eigs.imag))
     mismatch = np.max(np.abs(np.sort(eigs.real) - np.sort(predicted)))
 
-    svals = np.linalg.svd(ratio - np.eye(2 * m * n), compute_uv=False)
+    svals = np.linalg.svd(b.damped_inverse_ideal - np.eye(2 * m * n), compute_uv=False)
     rank = int(np.sum(svals > RANK_REL_TOL * max(svals[0], 1.0)))
     unit_count = int(np.sum(np.abs(eigs - 1.0) <= match_tol))
     want_units = 2 * (n - 1) * m
@@ -268,8 +277,7 @@ def check_eps_clustering(bundle, eta=None, tol=1e-13):
     """
     b = bundle
     eta = _eta_cap(b, eta)
-    eigs = np.linalg.eigvals(b.damped_inverse_ideal)
-    worst = float(np.max(np.abs(eigs - 1.0)))
+    worst = float(np.max(np.abs(b.damped_inverse_ideal_eigs - 1.0)))
     bound = b.eps / (1.0 - eta)
     return CheckResult(
         name="eigenvalue clustering around 1",
@@ -291,27 +299,22 @@ def check_smw_identity(bundle, tol=1e-11):
     b = bundle
     n, m = b.n, b.m
     eye = np.eye(m * n)
-    plain = b.coupling_damped_whitened + b.alpha * eye
-    ideal = b.evolution_whitened + b.alpha * eye
+    ideal = b.evolution_shifted
     cap_inv = np.linalg.inv(b.capacitance)
-    step_inv_powers = [None] * (n + 1)
-    step_inv_powers[0] = np.eye(m)
-    step_inv = np.linalg.inv(b.step_matrix)
-    for k in range(1, n + 1):
-        step_inv_powers[k] = step_inv_powers[k - 1] @ step_inv
+    step_inv_powers = [np.eye(m)]  # step^-k at index k
+    for _ in range(n):
+        step_inv_powers.append(step_inv_powers[-1] @ b.step_inv)
 
     first_block, last_block = eye[:, :m], eye[:, -m:]
-    got_plain = np.linalg.solve(plain, ideal)
+    got_plain = b.coupling_ratio
     want_plain = eye + np.linalg.solve(ideal, first_block) @ cap_inv @ last_block.T
     resmat_last_col = np.vstack([step_inv_powers[k] @ cap_inv for k in range(1, n + 1)])
     struct_plain = eye.copy()
     struct_plain[:, (n - 1) * m :] += resmat_last_col
 
-    got_t = np.linalg.solve(plain.T, ideal.T)
+    got_t = b.coupling_ratio_t
     want_t = eye + np.linalg.solve(ideal.T, last_block) @ cap_inv @ first_block.T
-    resmat_first_col = np.vstack(
-        [step_inv_powers[n - k] @ cap_inv for k in range(n)]
-    )
+    resmat_first_col = np.vstack([step_inv_powers[n - k] @ cap_inv for k in range(n)])
     struct_t = eye.copy()
     struct_t[:, :m] += resmat_first_col
 
@@ -328,10 +331,7 @@ def check_vanishing_damping(n, tau, gamma, mass, stiffness, eps=1e-12, tol=1e-9)
     """As eps -> 0 the damped coupling solve converges to the ideal one."""
     b = DenseBundle(n, tau, gamma, eps, mass, stiffness)
     eye = np.eye(b.m * n)
-    got = np.linalg.solve(
-        b.coupling_damped_whitened + b.alpha * eye, b.evolution_whitened + b.alpha * eye
-    )
-    return _result("damping -> 0 recovers ideal blocks", _rel(got - eye, eye), tol)
+    return _result("damping -> 0 recovers ideal blocks", _rel(b.coupling_ratio - eye, eye), tol)
 
 
 def check_norm_bounds(bundle, eta=None, tol=1e-12):
@@ -347,19 +347,14 @@ def check_norm_bounds(bundle, eta=None, tol=1e-12):
     kappa = b.eps * np.sqrt(b.n) / (1.0 - eta)
     eye_half = np.eye(b.m * b.n)
     eye_full = np.eye(2 * b.m * b.n)
-    plain = b.coupling_damped_whitened + b.alpha * eye_half
-    ideal = b.evolution_whitened + b.alpha * eye_half
-
-    ratio_plain = np.linalg.solve(plain, ideal)
-    ratio_t = np.linalg.solve(plain.T, ideal.T)
     precond = b.damped_inverse_saddle
     sym_dev = 0.5 * ((precond - eye_full) + (precond - eye_full).T)
 
     checks = [
-        (np.linalg.norm(ratio_plain - eye_half, 2), kappa),
-        (np.linalg.norm(ratio_t - eye_half, 2), kappa),
+        (np.linalg.norm(b.coupling_ratio - eye_half, 2), kappa),
+        (np.linalg.norm(b.coupling_ratio_t - eye_half, 2), kappa),
         (np.linalg.norm(b.damped_inverse_ideal - eye_full, 2), kappa),
-        (np.linalg.norm(precond, 2), np.sqrt(2.0) * (1.0 + kappa)),
+        (b.damped_inverse_saddle_norm, np.sqrt(2.0) * (1.0 + kappa)),
         (np.linalg.norm(sym_dev, 2), 2.0 * kappa),
     ]
     margin = max(got - bound for got, bound in checks)
@@ -377,13 +372,9 @@ def check_definiteness(bundle, delta, tol=1e-12):
     norm below sqrt(2)(1 + delta/2) — the premises of the certified rate.
     """
     _require_rate_premise(bundle, delta)
-    precond = bundle.damped_inverse_saddle
-    sym = 0.5 * (precond + precond.T)
-    lam_min = np.linalg.eigvalsh(sym)[0]
-    norm = np.linalg.norm(precond, 2)
-    margin = max(
-        (1.0 - delta) - lam_min, norm - np.sqrt(2.0) * (1.0 + delta / 2.0)
-    )
+    lam_min = bundle.damped_inverse_saddle_sym_min
+    norm_excess = bundle.damped_inverse_saddle_norm - np.sqrt(2.0) * (1.0 + delta / 2.0)
+    margin = max((1.0 - delta) - lam_min, norm_excess)
     return _result(
         "field-of-values premises", margin, tol,
         f"lambda_min(sym) = {lam_min:.4f} >= {1 - delta:.4f}",
@@ -424,10 +415,8 @@ def check_gmres_rate(bundle, delta, tol=1e-10):
     )
 
     rho = contraction_factor(delta)
-    sym = 0.5 * (aux_matrix + aux_matrix.T)
-    lam_min = np.linalg.eigvalsh(sym)[0]
-    norm = np.linalg.norm(aux_matrix, 2)
-    sharp = np.sqrt(max(0.0, 1.0 - (lam_min / norm) ** 2))
+    ratio = b.damped_inverse_saddle_sym_min / b.damped_inverse_saddle_norm
+    sharp = np.sqrt(max(0.0, 1.0 - ratio**2))
 
     # additive margins: once residuals stall at the machine floor, a
     # multiplicative comparison against rho^k would fail vacuously

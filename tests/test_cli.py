@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from pintopt.cli import (
     SETTINGS,
     build_parser,
     main,
-    parse_bool,
     parse_h_token,
     parse_list,
     spec_from_args,
@@ -45,6 +45,7 @@ from pintopt.problems import get_problem
 from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon
 
 FAST = dict(h_values=(2.0**-3,), gammas=(1e-4, 1e-2))
+GIB = 2**30
 
 
 def csv_text(results):
@@ -71,6 +72,9 @@ def test_spec_rejects_bad_values():
         ExperimentSpec(example=1, eps_policy="fixed", eps_value=2.0)
     with pytest.raises(ConfigurationError, match="jobs"):
         ExperimentSpec(example=1, jobs=0)
+    for empty in (dict(h_values=()), dict(gammas=())):
+        with pytest.raises(ConfigurationError, match="at least one h and one gamma"):
+            ExperimentSpec(example=1, **empty)
 
 
 def test_spec_rejects_delta_outside_unit_interval():
@@ -81,11 +85,65 @@ def test_spec_rejects_delta_outside_unit_interval():
     assert ExperimentSpec(example=1, eps_policy="rate", delta=0.99).delta == 0.99
 
 
-def test_fine_meshes_are_opt_in():
-    with pytest.raises(ConfigurationError, match="allow_fine"):
-        ExperimentSpec(example=1, h_values=(2.0**-7,))
-    spec = ExperimentSpec(example=1, h_values=(2.0**-7,), allow_fine=True)
+def test_fine_mesh_builds_with_the_fields_of_a_benchmark_cell(monkeypatch):
+    # the fields a benchmark harness sets, and no other: on an 8 GiB machine
+    # h = 2^-7 needs no opt-in, its cell at the default maxit needing 3.4 GiB
+    monkeypatch.setattr(bench, "available_memory", lambda: 8 * GIB)
+    spec = ExperimentSpec(example=1, inner="dst", tol=1e-6, h_values=(2**-7,), gammas=(1.0,))
     assert spec.h_values == (2.0**-7,)
+
+
+def test_memory_check_rejects_a_cell_whose_basis_does_not_fit(monkeypatch):
+    # h = 2^-6: N = 508,032 unknowns, 3.9 MiB an array, so maxit 100 needs
+    # (101 + WORKING_ARRAYS) arrays, 0.42 GiB with 9 working arrays
+    size = 2 * 63**2 * 64
+    need = 8 * size * (100 + 1 + bench.WORKING_ARRAYS)
+    monkeypatch.setattr(bench, "available_memory", lambda: need - 1)
+    with pytest.raises(ConfigurationError) as info:
+        ExperimentSpec(example=1, h_values=(2.0**-5, 2.0**-6))
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("h = 2^-6 needs 0.42 GiB at maxit 100, but 0.42 GiB is available")
+    assert message.endswith("the largest maxit that fits is 99")
+    assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=99).maxit == 99
+    # one cell at a time: jobs does not multiply the need
+    assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=99, jobs=4).jobs == 4
+    monkeypatch.setattr(bench, "available_memory", lambda: need)
+    assert ExperimentSpec(example=1, h_values=(2.0**-6,)).maxit == 100
+    monkeypatch.setattr(bench, "available_memory", lambda: 1000)
+    with pytest.raises(ConfigurationError, match="no maxit fits"):
+        ExperimentSpec(example=1, h_values=(2.0**-2,), maxit=1)
+
+
+def test_memory_check_caps_maxit_at_the_system_size(monkeypatch):
+    # gmres_solve never reserves more than N + 1 rows, whatever maxit asks for
+    size = 2 * 7**2 * 8
+    need = 8 * size * (size + 1 + bench.WORKING_ARRAYS)
+    monkeypatch.setattr(bench, "available_memory", lambda: need)
+    assert ExperimentSpec(example=1, h_values=(2.0**-3,), maxit=10**8).maxit == 10**8
+
+
+def test_memory_check_is_skipped_when_memory_cannot_be_read(monkeypatch):
+    monkeypatch.setattr(bench, "available_memory", lambda: None)
+    spec = ExperimentSpec(example=1, h_values=(2.0**-10,))
+    assert spec.h_values == (2.0**-10,)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("MemTotal:       8211568 kB\nMemAvailable:   7662992 kB\n", 7662992 * 1024),
+    ("MemTotal:       8211568 kB\n", None),
+    (None, None),
+], ids=["line", "no-line", "no-file"])
+def test_available_memory_reads_meminfo(monkeypatch, text, want):
+    # a missing file (None) or a missing line leaves the memory unknown
+    def fake_open(path):
+        assert path == "/proc/meminfo"
+        if text is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(text)
+
+    monkeypatch.setattr(bench, "open", fake_open, raising=False)
+    assert bench.available_memory() == want
 
 
 def test_mesh_level_parses_powers_of_two():
@@ -320,12 +378,6 @@ def test_csv_shape_and_determinism():
         assert math.isclose(float(row["h"]), 2.0**-3)
 
 
-def test_empty_gamma_list_yields_header_only():
-    spec = ExperimentSpec(example=1, gammas=())
-    text = csv_text(run_experiment(spec))
-    assert text == ",".join(CSV_COLUMNS) + "\n"
-
-
 # -------------------------------------------------------------------- CLI
 
 
@@ -345,13 +397,6 @@ def test_cli_solve_writes_csv(tmp_path, capsys):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     assert rows[0]["dof"] == str(2 * 49 * 8)
-
-
-def test_cli_empty_gamma_success(tmp_path):
-    out = tmp_path / "empty.csv"
-    code = run_cli("solve", "--example", "1", "--h", "2^-3", "--gamma", "", "--out", str(out))
-    assert code == 0
-    assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_cli_exit_nonzero_when_unconverged(capsys):
@@ -388,12 +433,6 @@ def test_cli_configuration_error_exit_code(capsys):
     code = run_cli("solve", "--example", "2", "--h", "2^-3", "--inner", "dst")
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
-
-
-def test_cli_rejects_fine_mesh_without_flag(capsys):
-    code = run_cli("solve", "--example", "1", "--h", "2^-7")
-    assert code == 2
-    assert "allow_fine" in capsys.readouterr().err
 
 
 def test_cli_config_file_overrides_flags(tmp_path):
@@ -464,6 +503,8 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--eps-policy", "rate", "--eps-value", "0.1"),
     ("--tol", "1"),
     ("--tol", "2"),
+    ("--gamma", ""),
+    ("--h", " "),
 ])
 def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     code = run_cli("solve", "--example", "1", "--h", "2^-3", *flags)
@@ -484,6 +525,7 @@ def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     "delta: .nan",
     "epsilon_value: 0.1",
     "epsilon_policy: rate\nepsilon_value: 0.1",
+    "gamma: []",
 ])
 def test_cli_config_rejects_non_integral_and_boolean_values(tmp_path, lines, capsys):
     cfg = tmp_path / "strict.yaml"
@@ -510,6 +552,23 @@ def never_solve(monkeypatch):
         raise AssertionError("a cell was solved")
 
     monkeypatch.setattr(bench, "solve_cell", solve_cell)
+
+
+def test_cli_rejects_a_mesh_too_fine_for_memory_before_allocating(monkeypatch, capsys):
+    # h = 2^-10 has 2.1e9 unknowns, a 16 GiB right-hand side: no maxit fits in 8 GiB
+    never_solve(monkeypatch)
+    monkeypatch.setattr(bench, "available_memory", lambda: 8 * GIB)
+    tracemalloc.start()
+    try:
+        code = run_cli("solve", "--example", "1", "--h", "2^-10", "--gamma", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("no maxit fits\n")
+    assert err.startswith("configuration error: h = 2^-10 needs 1756.56 GiB at maxit 100")
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("route", ["flag", "config", "directory"])
@@ -561,7 +620,7 @@ def test_cli_validate_checks_report_path_before_running(tmp_path, monkeypatch, c
 PARITY_VALUES = {
     "example": "2", "h": "2^-3,2^-4", "gamma": "1e-3", "inner_solver": "mg",
     "tol": "1e-7", "maxit": "7", "epsilon_policy": "fixed", "epsilon_value": "0.25",
-    "delta": "0.3", "allow_fine": "true", "jobs": "2", "out": "parity.csv",
+    "delta": "0.3", "jobs": "2", "out": "parity.csv",
 }
 
 
@@ -571,7 +630,7 @@ def test_every_setting_has_the_same_meaning_as_flag_and_config_key(tmp_path):
     assert {s.key for s in SETTINGS} == set(PARITY_VALUES)
     argv = ["solve"]
     for s in SETTINGS:
-        argv += [s.flag] if s.key == "allow_fine" else [s.flag, PARITY_VALUES[s.key]]
+        argv += [s.flag, PARITY_VALUES[s.key]]
     by_flag = build_parser().parse_args(argv)
     cfg = tmp_path / "parity.yaml"
     cfg.write_text("".join(f"{key}: {value}\n" for key, value in PARITY_VALUES.items()))
@@ -589,24 +648,6 @@ def test_solve_defaults_live_on_the_spec():
     args = build_parser().parse_args(["solve", "--example", "1"])
     assert spec_from_args(args) == ExperimentSpec(example=1)
     assert args.out is None
-
-
-def test_parse_bool_is_strict():
-    assert parse_bool(True) is True and parse_bool(False) is False
-    assert parse_bool("false") is False and parse_bool("True") is True
-    for bad in ("no", "0", 1, None):
-        with pytest.raises(ValueError):
-            parse_bool(bad)
-
-
-def test_cli_config_booleans(tmp_path, capsys):
-    cfg = tmp_path / "sweep.yaml"
-    cfg.write_text('example: 1\nallow_fine: "false"\n')
-    spec = spec_from_args(build_parser().parse_args(["solve", "--config", str(cfg)]))
-    assert spec.allow_fine is False
-    cfg.write_text("example: 1\nallow_fine: maybe\n")
-    assert run_cli("solve", "--config", str(cfg)) == 2
-    assert "allow_fine" in capsys.readouterr().err
 
 
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
