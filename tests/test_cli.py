@@ -72,6 +72,9 @@ def test_spec_rejects_bad_values():
         ExperimentSpec(example=1, eps_policy="fixed", eps_value=2.0)
     with pytest.raises(ConfigurationError, match="jobs"):
         ExperimentSpec(example=1, jobs=0)
+
+
+def test_empty_h_or_gamma_list_is_a_configuration_error():
     for empty in (dict(h_values=()), dict(gammas=())):
         with pytest.raises(ConfigurationError, match="at least one h and one gamma"):
             ExperimentSpec(example=1, **empty)
