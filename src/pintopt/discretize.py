@@ -143,8 +143,10 @@ def assemble_rhs(problem, grid, transform=None):
     The data are sampled once on all levels, with the times shaped (n, 1, 1)
     against the (m1, m1) interior grid. ``transform``, when given, maps a
     stack of (m1, m1) grid functions over its last two axes (such as
-    :func:`pintopt.shifted.dst2d`); it is applied once to the whole
-    (2, n, m1, m1) stack, so the right-hand side comes out in its basis.
+    :func:`pintopt.shifted.dst2d`). It is called once, as
+    ``transform(rhs, out=rhs)`` on the whole C-contiguous (2, n, m1, m1)
+    float stack, and must write its result into ``out``, which is the
+    input itself; the right-hand side comes out in its basis.
     """
     X1, X2 = grid.interior_points()
     n, tau = grid.n, grid.tau
@@ -155,7 +157,7 @@ def assemble_rhs(problem, grid, transform=None):
     rhs[1, 0] += np.asarray(problem.y0(X1, X2), dtype=float)
     rhs[1] *= -np.sqrt(problem.gamma)
     if transform is not None:
-        rhs = transform(rhs)
+        transform(rhs, out=rhs)
     return rhs.reshape(-1)
 
 
@@ -173,7 +175,8 @@ def error_norm(y_approx, p_approx, problem, grid, transform=None):
     The exact solutions are evaluated once on all levels, with the times
     shaped (n, 1, 1). ``transform``, when given, carries each of the state
     and the adjoint, as a stack of n (m1, m1) grid functions, back to grid
-    values before they are compared: one call each.
+    values before they are compared: one call each, into a fresh array, as
+    the approximations may be views of a solution the caller still reads.
     """
     if problem.exact_y is None or problem.exact_p is None:
         raise ValueError("problem carries no exact solution to compare against")

@@ -16,6 +16,13 @@ interchangeable backends run in the solver:
 * the geometric multigrid backend in :mod:`pintopt.multigrid`, for any
   positive coefficient, in the physical basis.
 
+:func:`dst2d` applies S as two real matrix products per grid, S V S, on
+blocks of grids, rather than as a fast transform: for the mesh sizes the
+solver runs, the O(m1^3) products cost less than an FFT-based DST-I (the
+same trade the time transform of :mod:`pintopt.rbd` makes). One block's
+intermediate fits in ``BLOCK_BYTES`` and is reused across the blocks, and
+the result can overwrite the input.
+
 The tests add a dense oracle that inverts (sigma M + tau K) explicitly for
 any mass/stiffness pair, and a physical-basis sine-transform solve that
 wraps :class:`DstShiftedSolver` in two :func:`dst2d` calls
@@ -29,18 +36,60 @@ fresh C-contiguous array of that shape; no backend takes another layout.
 """
 
 import numpy as np
-import scipy.fft
+
+# bytes of the one intermediate dst2d keeps per block of grids: 8 real grids
+# at m1 = 63, so the block stays in cache between its two products
+BLOCK_BYTES = 256 * 1024
 
 
-def dst2d(v):
+def dst2d(v, out=None):
     """Orthonormal 2D sine transform over the last two axes of ``v``.
 
-    Applies S along each of the two axes, where S is the DST-I matrix with
+    Each (m1, m1) grid V becomes S V S, where S is the DST-I matrix with
     entries sqrt(2/(m1+1)) * sin(j*k*pi/(m1+1)); leading axes are a batch.
-    S is involutory, so the transform is its own inverse. Complex input has
-    its real and imaginary parts transformed separately.
+    S is symmetric and involutory, so the transform is its own inverse. S
+    is built on each call, its angles reduced mod 2 pi in integers,
+    (j k) mod 2 (m1+1), as :mod:`pintopt.rbd` reduces its twiddles. The
+    grids go through in blocks: one matrix product along the last axis
+    writes a block's V S into a work buffer of at most ``BLOCK_BYTES``,
+    reused from block to block, and a second, batched, writes S (V S) into
+    ``out``. Complex input goes through complex products with the real S.
+
+    ``out``, when given, receives the result and is returned. It must be a
+    C-contiguous array of ``v``'s shape and of the result's dtype (float64,
+    or complex128 for complex ``v``). It may be ``v`` itself, which is then
+    transformed in place; no other overlap with ``v`` is supported. Without
+    it the result is a fresh C-contiguous array. A ValueError is raised
+    unless the last two axes are square and ``out`` fits.
     """
-    return scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1))
+    v = np.asarray(v)
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
+        raise ValueError(f"dst2d transforms square grids over the last two axes, got {v.shape}")
+    dtype = np.result_type(v.dtype, float)
+    if out is None:
+        out = np.empty(v.shape, dtype)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == v.shape
+        and out.dtype == dtype
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {v.shape}")
+    m1 = v.shape[-1]
+    if out.size == 0:
+        return out
+    j = np.arange(1, m1 + 1)
+    angle = (np.pi / (m1 + 1)) * (np.outer(j, j) % (2 * (m1 + 1)))
+    s = (np.sqrt(2.0 / (m1 + 1)) * np.sin(angle)).astype(dtype, copy=False)
+    grids = v.reshape(-1, m1, m1)
+    results = out.reshape(-1, m1, m1)
+    block = max(1, BLOCK_BYTES // (m1 * m1 * out.itemsize))
+    work = np.empty((min(block, len(grids)), m1, m1), dtype)
+    for start in range(0, len(grids), block):
+        part = work[: min(block, len(grids) - start)]
+        np.matmul(grids[start : start + block].reshape(-1, m1), s, out=part.reshape(-1, m1))
+        np.matmul(s, part, out=results[start : start + block])
+    return out
 
 
 class DstShiftedSolver:

@@ -55,6 +55,7 @@ class PhysicalDstSolver:
         def rotate(v):
             # dst2d transforms the last two axes, so the batch goes first
             grids = v.reshape(m1, m1, -1).transpose(2, 0, 1)
-            return dst2d(grids).transpose(1, 2, 0).reshape(v.shape)
+            # the solve contract takes and returns C-contiguous stacks
+            return np.ascontiguousarray(dst2d(grids).transpose(1, 2, 0).reshape(v.shape))
 
         return lambda rhs: rotate(solve_diagonal(rotate(rhs)))

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -233,9 +235,9 @@ def test_sine_basis_cell_matches_the_physical_basis(gamma, monkeypatch):
     calls = []
     original = shifted.dst2d
 
-    def counted(v):
+    def counted(v, **kwargs):
         calls.append(v.shape)
-        return original(v)
+        return original(v, **kwargs)
 
     spec = ExperimentSpec(example=1)
     want_iterations, want_error = physical_basis_cell(spec, gamma, 2.0**-4)
@@ -717,6 +719,18 @@ def test_pyproject_matches_package_version():
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["name"] == "pintopt"
     assert project["version"] == pintopt.__version__
+
+
+def test_package_does_not_import_scipy_fft():
+    # the sine transform is a matrix product: importing the CLI, and so every
+    # module it pulls in, must leave scipy.fft unloaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import pintopt.cli; "
+        "print('scipy.fft' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_readme_layout_names_every_module():

@@ -3,13 +3,16 @@ corner-damped difference matrix (:func:`pintopt.rbd.eps_spectrum`) and the
 2D orthonormal sine transform (:func:`pintopt.shifted.dst2d`).
 
 Every nontrivial expected value here is computed by an independent dense
-oracle built inside the test (explicit DFT/DST matrices, dense eigensolves),
-never by the code under test.
+oracle built inside the test (explicit DFT/DST matrices, dense eigensolves,
+and ``scipy.fft.dstn``, which the package itself no longer uses), never by
+the code under test.
 """
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from pintopt import shifted
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.rbd import eps_spectrum
 from pintopt.shifted import dst2d
@@ -150,18 +153,48 @@ def test_dst2d_complex_input():
     assert np.max(np.abs(dst2d(v).ravel() - want)) < 1e-13
 
 
-def test_dst2d_transforms_each_grid_of_a_batch():
+def test_dst2d_transforms_each_grid_of_a_batch(monkeypatch):
+    # blocks of 8 complex 5x5 grids: the 18 grids run as 8, 8 and a partial 2
+    monkeypatch.setattr(shifted, "BLOCK_BYTES", 8 * 5 * 5 * 16)
     rng = np.random.default_rng(19)
-    v = rng.standard_normal((2, 3, 5, 5)) + 1j * rng.standard_normal((2, 3, 5, 5))
+    v = rng.standard_normal((2, 9, 5, 5)) + 1j * rng.standard_normal((2, 9, 5, 5))
     got = dst2d(v)
-    for index in np.ndindex(2, 3):
+    for index in np.ndindex(2, 9):
         assert np.array_equal(got[index], dst2d(v[index]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dst2d_in_place_matches_a_fresh_output(dtype):
+    # 15 real 63x63 grids run in blocks of 8 and 7 (complex: 4, 4, 4, 3)
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal((3, 5, 63, 63)).astype(dtype)
+    if dtype is complex:
+        v += 1j * rng.standard_normal(v.shape)
+    want = dst2d(v)
+    assert dst2d(v, out=v) is v
+    assert np.array_equal(v, want)
+
+
+@pytest.mark.parametrize("m1", [63, 127])
+def test_dst2d_matches_scipy_dstn(m1):
+    # oracle: pocketfft's orthonormal DST-I over the two grid axes
+    rng = np.random.default_rng(29)
+    v = rng.standard_normal((5, m1, m1))
+    want = scipy.fft.dstn(v, type=1, norm="ortho", axes=(-2, -1))
+    assert np.max(np.abs(dst2d(v) - want)) < 1e-14 * np.max(np.abs(v))
 
 
 def test_dst2d_rejects_non_square():
     # a flat vector is not a grid: the transform needs two trailing axes
     with pytest.raises(ValueError):
         dst2d(np.zeros(8))
+    with pytest.raises(ValueError):
+        dst2d(np.zeros((3, 4)))
+    # out must be C-contiguous, of v's shape and of the result's dtype
+    v = np.zeros((2, 4, 4))
+    for out in (np.zeros((2, 4, 5)), np.zeros((4, 4, 2)).T, np.zeros((2, 4, 4), complex)):
+        with pytest.raises(ValueError):
+            dst2d(v, out=out)
 
 
 def test_dst_diagonalizes_constant_coefficient_stiffness():
