@@ -22,7 +22,7 @@ from .gmres import DEFAULT_MAXIT, gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
 from .problems import get_problem
-from .rbd import EPS_POLICIES, RbdEpsPreconditioner, choose_epsilon
+from .rbd import RbdEpsPreconditioner, choose_epsilon
 
 # N-length float64 arrays a cell of N unknowns holds besides its
 # (maxit + 1, N) GMRES basis. Measured as a cell's rise in peak RSS less its
@@ -47,27 +47,25 @@ class ExperimentSpec:
     example: int
     h_values: tuple = (2.0**-5,)
     gammas: tuple = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
-    inner: str = "dst"
+    inner: str = None
     tol: float = 1e-6
     maxit: int = DEFAULT_MAXIT
-    eps_policy: str = "step"
-    eps_value: float = None
     delta: float = 0.5
     jobs: int = 1
 
     def __post_init__(self):
         if self.example not in (1, 2):
             raise ConfigurationError(f"unknown example {self.example!r}; choose 1 or 2")
-        if self.inner not in ("dst", "mg"):
+        if self.inner not in (None, "dst", "mg"):
             raise ConfigurationError(f"unknown inner solver {self.inner!r}")
         object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if not self.h_values or not self.gammas:
             raise ConfigurationError("the sweep needs at least one h and one gamma")
-        for name in ("h_values", "gammas", "tol", "delta", "eps_value"):
+        for name in ("h_values", "gammas", "tol", "delta"):
             values = getattr(self, name)
             for value in values if isinstance(values, tuple) else (values,):
-                if value is not None and not math.isfinite(value):
+                if not math.isfinite(value):
                     raise ConfigurationError(f"{name} must be a finite number, got {value}")
         finest = max(self.h_values, key=mesh_level)
         for g in self.gammas:
@@ -77,17 +75,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"tolerance must lie in (0, 1), got {self.tol}")
         if self.maxit < 1:
             raise ConfigurationError(f"maxit must be >= 1, got {self.maxit}")
-        if self.eps_policy not in EPS_POLICIES:
-            raise ConfigurationError(f"unknown damping policy {self.eps_policy!r}")
         if not 0 < self.delta < 1:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        fixed = self.eps_policy == "fixed"
-        if fixed and (self.eps_value is None or not 0 < self.eps_value <= 1):
-            raise ConfigurationError(
-                f"fixed damping needs a value in (0, 1], got {self.eps_value}"
-            )
-        if not fixed and self.eps_value is not None:
-            raise ConfigurationError(f"eps_value is for fixed damping, not {self.eps_policy!r}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         # gmres_solve reserves its basis in full; each cell is checked alone, whatever jobs is
@@ -151,16 +140,21 @@ def constant_diffusion_value(stiffness, grid):
 
 
 def make_inner_solver(problem, grid, stiffness, spec):
-    """Build the shifted-solve backend, failing fast on incompatibility."""
-    if spec.inner == "dst":
+    """Build the shifted-solve backend, failing fast on incompatibility.
+
+    With no ``spec.inner``, the sine transform when the diffusion
+    coefficient is constant, multigrid otherwise.
+    """
+    if spec.inner != "mg":
         value = constant_diffusion_value(stiffness, grid)
-        if value is None:
+        if value is not None:
+            return shifted.DstShiftedSolver(grid, diffusion=value)
+        if spec.inner == "dst":
             raise ConfigurationError(
                 "the sine-transform inner solver requires a constant diffusion "
                 "coefficient; this problem's coefficient varies in space "
                 "(use the multigrid inner solver instead)"
             )
-        return shifted.DstShiftedSolver(grid, diffusion=value)
     return MgShiftedSolver(grid, problem.a)
 
 
@@ -204,15 +198,14 @@ def solve_cell(spec, gamma, h):
     stiffness = build_stiffness(grid, problem.a)
     inner = make_inner_solver(problem, grid, stiffness, spec)
     transform = None
-    if spec.inner == "dst":
+    if isinstance(inner, shifted.DstShiftedSolver):
         # read at call time, so a wrapper set on shifted.dst2d sees every rotation
         transform = shifted.dst2d
         stiffness = inner.laplacian_eigs
 
     op = AllAtOnceOperator(grid, stiffness, gamma)
     rhs = assemble_rhs(problem, grid, transform)
-    eps = choose_epsilon(grid, spec.eps_policy, spec.delta, spec.eps_value)
-    prec = RbdEpsPreconditioner(grid, gamma, eps, inner)
+    prec = RbdEpsPreconditioner(grid, gamma, choose_epsilon(grid, spec.delta), inner)
 
     mn = grid.m * grid.n
     start = time.perf_counter()

@@ -74,13 +74,12 @@ SETTINGS = (
             "comma list of mesh sizes, e.g. 2^-5,2^-6"),
     Setting("--gamma", "gamma", "gammas", lambda v: parse_list(v, float),
             "comma list of regularization weights"),
-    Setting("--inner", "inner_solver", "inner", str, "shifted-solve backend, dst or mg"),
+    Setting("--inner", "inner_solver", "inner", str,
+            "shifted-solve backend, dst or mg (default: dst when the diffusion is constant)"),
     Setting("--tol", "tol", "tol", number, "GMRES relative-residual tolerance"),
     Setting("--maxit", "maxit", "maxit", integer, "GMRES iteration cap"),
-    Setting("--eps-policy", "epsilon_policy", "eps_policy", str,
-            "damping: step = min(1/2, tau/2), rate = certified rate, fixed = --eps-value"),
-    Setting("--eps-value", "epsilon_value", "eps_value", number, "fixed damping, in (0, 1]"),
-    Setting("--delta", "delta", "delta", number, "parameter of the rate policy, in (0, 1)"),
+    Setting("--delta", "delta", "delta", number,
+            "certified damping level in (0, 1); sets eps and the contraction bound"),
     Setting("--jobs", "jobs", "jobs", integer, "parallel (gamma, h) cells"),
     Setting("--out", "out", "out", file_path, "write results as CSV here"),
 )
@@ -102,7 +101,7 @@ def build_parser():
     validate = sub.add_parser("validate", help="run the dense theorem checks")
     validate.add_argument(
         "--delta", default=ExperimentSpec.delta,
-        help="parameter of the rate policy, in (0, 1)",
+        help="certified damping level in (0, 1) of the checks",
     )
     validate.add_argument(
         "--report", default="validation_report.json",

@@ -108,24 +108,15 @@ def rate_constant(delta, tau, horizon):
     return root / (root + 2.0 * np.sqrt(horizon))
 
 
-EPS_POLICIES = ("step", "rate", "fixed")
+def choose_epsilon(grid, delta=0.5):
+    """Corner damping factor of the solver: the certified level of the theorem.
 
-
-def choose_epsilon(grid, policy="step", delta=0.5, value=None):
-    """Corner damping factor for a grid, by policy.
-
-    "step": half the time step, capped at 1/2 — the practical default.
-    "rate": the value of :func:`rate_constant` at the given delta, which
-    certifies a residual contraction factor of :func:`contraction_factor`.
-    "fixed": ``value`` itself.
+    Returns :func:`rate_constant` at ``delta``, so that
+    2 eps sqrt(n) / (1 - eps) = delta and every solve contracts its residual
+    by at least :func:`contraction_factor` of ``delta`` per iteration, a bound
+    independent of the matrix size and of gamma. eps is O(sqrt(tau)).
     """
-    if policy == "step":
-        return min(0.5, grid.tau / 2.0)
-    if policy == "rate":
-        return rate_constant(delta, grid.tau, grid.horizon)
-    if policy == "fixed":
-        return value
-    raise ValueError(f"unknown policy {policy!r}")
+    return rate_constant(delta, grid.tau, grid.horizon)
 
 
 def contraction_factor(delta):

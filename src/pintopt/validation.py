@@ -479,11 +479,14 @@ def laplacian_1d(m):
 
 
 def run_validation(delta=0.5):
-    """Full theorem sweep over small grids, weights and damping policies.
+    """Full theorem sweep over small grids, weights and damping levels.
 
     Returns (results, all_passed). Configurations cover square grids with
     1 and 9 interior points, 2/4/8 time steps, regularization weights from
-    1e-8 to 1, both damping policies, and non-identity mass fixtures.
+    1e-8 to 1, and non-identity mass fixtures. Each grid runs at two damping
+    levels: the solver's certified eps of :func:`choose_epsilon` at
+    ``delta`` (tag "rate", with the certified-rate checks) and the smaller
+    min(1/2, tau/2) (tag "step").
     """
     # (tag, DenseBundle arguments, clustering caps, certified-rate checks?)
     configs = []
@@ -493,14 +496,14 @@ def run_validation(delta=0.5):
             stiff_fd = build_stiffness(
                 grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))
             ).toarray()
+            levels = (("step", min(0.5, grid.tau / 2.0)), ("rate", choose_epsilon(grid, delta)))
             for gamma in (1e-8, 1e-4, 1.0):
-                for policy_name in ("step", "rate"):
-                    eps = choose_epsilon(grid, policy_name, delta)
+                for level, eps in levels:
                     configs.append((
-                        f"m1={m1} n={n} gamma={gamma:g} eps[{policy_name}]={eps:.3g}",
+                        f"m1={m1} n={n} gamma={gamma:g} eps[{level}]={eps:.3g}",
                         (n, grid.tau, gamma, eps, np.eye(grid.m), stiff_fd),
                         (None, 0.5),
-                        policy_name == "rate",
+                        level == "rate",
                     ))
 
     # non-identity mass fixtures on the largest small grid

@@ -44,7 +44,7 @@ from pintopt.discretize import (
 from pintopt.gmres import gmres_solve
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
-from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon
+from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon, rate_constant
 
 FAST = dict(h_values=(2.0**-3,), gammas=(1e-4, 1e-2))
 GIB = 2**30
@@ -68,10 +68,6 @@ def test_spec_rejects_bad_values():
         ExperimentSpec(example=1, h_values=(0.3,))
     with pytest.raises(ConfigurationError, match="gamma"):
         ExperimentSpec(example=1, gammas=(0.0,))
-    with pytest.raises(ConfigurationError, match="damping policy"):
-        ExperimentSpec(example=1, eps_policy="bogus")
-    with pytest.raises(ConfigurationError, match="fixed damping"):
-        ExperimentSpec(example=1, eps_policy="fixed", eps_value=2.0)
     with pytest.raises(ConfigurationError, match="jobs"):
         ExperimentSpec(example=1, jobs=0)
 
@@ -86,8 +82,8 @@ def test_spec_rejects_delta_outside_unit_interval():
     # the contraction factor reaches 1 at delta = 1, so no rate is certified there
     for delta in (0.0, 1.0, 1.5):
         with pytest.raises(ConfigurationError, match="delta"):
-            ExperimentSpec(example=1, eps_policy="rate", delta=delta)
-    assert ExperimentSpec(example=1, eps_policy="rate", delta=0.99).delta == 0.99
+            ExperimentSpec(example=1, delta=delta)
+    assert ExperimentSpec(example=1, delta=0.99).delta == 0.99
 
 
 def test_fine_mesh_builds_with_the_fields_of_a_benchmark_cell(monkeypatch):
@@ -206,10 +202,28 @@ def test_dst_rejects_variable_coefficient_before_solving():
         solve_cell(ExperimentSpec(example=2, inner="dst"), 1e-4, 2.0**-3)
 
 
-def test_mg_inner_solves_variable_coefficient():
-    res = solve_cell(ExperimentSpec(example=2, inner="mg"), 1e-4, 2.0**-3)
+@pytest.mark.parametrize("inner", ["mg", None])
+def test_mg_inner_solves_variable_coefficient(inner):
+    # with no inner solver named, the variable coefficient selects multigrid
+    res = solve_cell(ExperimentSpec(example=2, inner=inner), 1e-4, 2.0**-3)
     assert res.converged
     assert res.error < 0.1
+
+
+def test_solve_cell_runs_the_certified_damping(monkeypatch):
+    # eps = O(sqrt(tau)) of the theorem: 2 eps sqrt(n) / (1 - eps) = delta
+    seen = []
+    original = bench.RbdEpsPreconditioner
+
+    def recording(grid, gamma, eps, inner):
+        seen.append(eps)
+        return original(grid, gamma, eps, inner)
+
+    monkeypatch.setattr(bench, "RbdEpsPreconditioner", recording)
+    assert solve_cell(ExperimentSpec(example=1, delta=0.3), 1e-2, 2.0**-3).converged
+    [eps] = seen
+    assert eps == rate_constant(0.3, 1 / 8, 1.0)
+    assert 2 * eps * math.sqrt(8) / (1 - eps) == pytest.approx(0.3)
 
 
 def physical_basis_cell(spec, gamma, h):
@@ -448,7 +462,6 @@ def test_cli_config_file_overrides_flags(tmp_path):
         "gamma: [1e-4]\n"
         "inner_solver: dst\n"
         "tol: 1e-8\n"
-        "epsilon_policy: rate\n"
         "delta: 0.5\n"
         f"out: {tmp_path / 'cfg.csv'}\n"
     )
@@ -488,8 +501,7 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--gamma", "1e-4,inf"),
     ("--h", "nan"),
     ("--delta", "nan"),
-    ("--eps-policy", "fixed", "--eps-value", "nan"),
-    ("--eps-policy", "rate", "--delta", "1.5"),
+    ("--delta", "1.5"),
     ("--maxit", "0"),
     ("--tol", "0"),
     ("--jobs", "0"),
@@ -504,8 +516,6 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--jobs", "2.5"),
     ("--jobs", "true"),
     ("--inner", "cg"),
-    ("--eps-value", "0.1"),
-    ("--eps-policy", "rate", "--eps-value", "0.1"),
     ("--tol", "1"),
     ("--tol", "2"),
     ("--gamma", ""),
@@ -528,8 +538,6 @@ def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     "tol: true",
     "tol: abc",
     "delta: .nan",
-    "epsilon_value: 0.1",
-    "epsilon_policy: rate\nepsilon_value: 0.1",
     "gamma: []",
 ])
 def test_cli_config_rejects_non_integral_and_boolean_values(tmp_path, lines, capsys):
@@ -624,8 +632,7 @@ def test_cli_validate_checks_report_path_before_running(tmp_path, monkeypatch, c
 # a value for every setting, none of them its default, as a flag would spell it
 PARITY_VALUES = {
     "example": "2", "h": "2^-3,2^-4", "gamma": "1e-3", "inner_solver": "mg",
-    "tol": "1e-7", "maxit": "7", "epsilon_policy": "fixed", "epsilon_value": "0.25",
-    "delta": "0.3", "jobs": "2", "out": "parity.csv",
+    "tol": "1e-7", "maxit": "7", "delta": "0.3", "jobs": "2", "out": "parity.csv",
 }
 
 

@@ -137,7 +137,7 @@ def test_matches_dense_inverse_many_steps(n):
     grid = TimeSpaceGrid(m1=3, n=n)
     K = build_stiffness(grid, ones_coeff)
     rng = np.random.default_rng(n)
-    for eps in (0.5, choose_epsilon(grid), 1e-3):
+    for eps in (0.5, 1 / (2 * n), 1e-3):
         P = dense_preconditioner(grid, K, 1e-2, eps)
         pc = RbdEpsPreconditioner(grid, 1e-2, eps, inner=PhysicalDstSolver(grid))
         r = rng.standard_normal(pc.size)
@@ -338,13 +338,7 @@ def test_rejects_bad_arguments():
         pc.apply_inverse(np.zeros(7))
 
 
-# --------------------------------------------------------- epsilon policies
-
-
-def test_step_policy_halves_the_time_step():
-    assert choose_epsilon(TimeSpaceGrid(m1=31, n=32)) == pytest.approx(1 / 64)
-    # large steps are capped at 1/2
-    assert choose_epsilon(TimeSpaceGrid(m1=3, n=1, horizon=8.0)) == 0.5
+# ------------------------------------------------------------ damping level
 
 
 def test_rate_policy_value():
@@ -352,11 +346,7 @@ def test_rate_policy_value():
     assert rate_constant(0.5, 0.125, 1.0) == pytest.approx(0.0812, abs=5e-5)
     grid = TimeSpaceGrid(m1=3, n=8)
     want = rate_constant(0.5, grid.tau, grid.horizon)
-    assert choose_epsilon(grid, policy="rate", delta=0.5) == want
-
-
-def test_fixed_policy_returns_its_value():
-    assert choose_epsilon(TimeSpaceGrid(m1=3, n=8), policy="fixed", value=0.3) == 0.3
+    assert choose_epsilon(grid, delta=0.5) == want
 
 
 def test_rate_policy_rejects_bad_delta():
@@ -364,8 +354,6 @@ def test_rate_policy_rejects_bad_delta():
         rate_constant(0.0, 0.125, 1.0)
     with pytest.raises(ValueError):
         rate_constant(1.0, 0.125, 1.0)
-    with pytest.raises(ValueError):
-        choose_epsilon(TimeSpaceGrid(m1=3, n=2), policy="nope")
 
 
 def test_contraction_factor_values():

@@ -265,7 +265,7 @@ def test_full_sweep_passes():
     results, ok = run_validation()
     failed = [str(r) for r in results if not r.passed]
     assert ok, "\n".join(failed)
-    # 18 grid configurations x (7 checks, 9 under the rate policy), 4 mass
+    # 18 grid configurations x (7 checks, 9 at the certified level), 4 mass
     # fixture configurations x 8 checks, and the vanishing-damping limit;
     # the two clustering checks of a grid configuration differ by their cap,
     # which only the detail names
