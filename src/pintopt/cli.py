@@ -85,8 +85,15 @@ SETTINGS = (
 )
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors, a subcommand's too, are ConfigurationErrors."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="pintopt",
         description="Parallel-in-time saddle-point solver benchmarks and validation.",
     )
@@ -204,8 +211,8 @@ def run_validate(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             return run_solve(args)
         return run_validate(args)

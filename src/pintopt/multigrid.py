@@ -24,8 +24,8 @@ per shift. Components:
   vector operation and gives exactly the lexicographic values;
 * residual: the sweep from zero solves the lower triangle L of A = L + U
   exactly, so right after it b - A z = -U z, the upper couplings applied to
-  z, two products per anti-diagonal; the cycle restricts U z and subtracts
-  the prolonged correction;
+  z, one sparse product with U in skewed order, like P and R; the cycle
+  restricts U z and subtracts the prolonged correction;
 * transfers: bilinear prolongation P, a sparse matrix from the coarse
   level's skewed order to this level's, and full-weighting restriction
   R = P'/4, the variational partner of bilinear interpolation. Coarse
@@ -59,6 +59,7 @@ from .discretize import TimeSpaceGrid, build_stiffness
 class Level:
     """One grid of the hierarchy: stencil bands of tau K, skewed order, transfers.
 
+    ``upper`` is U, the strict upper triangle of tau K, in skewed order.
     ``coarse`` is the next coarser level, from and to which ``prolong`` and
     ``restrict`` map; the coarsest level has neither.
     """
@@ -103,6 +104,13 @@ class Level:
             tuple(slice(at, at + n) for at in row)
             for n, *row in zip(count[e].tolist(), *(o.tolist() for o in offsets))
         ]
+        # U, the couplings to (i+1, j) and (i, j+1), in skewed order; zero
+        # positions have empty rows and columns
+        upper = sp.triu(tau * stiffness, k=1).tocoo()
+        index = self.skew_index
+        self.upper = sp.csr_matrix(
+            (upper.data, (index[upper.row], index[upper.col])), shape=(self.skew_size,) * 2
+        )
         if coarse is None:
             return
 
@@ -156,22 +164,6 @@ class Level:
                 out=z[here].reshape(n, -1, k),
             )
 
-    def upper(self, z):
-        """U z: the couplings of each point to (i+1, j) and (i, j+1) applied to z.
-
-        Right after a sweep from zero, z solves the lower triangle exactly, so
-        b - (sigma I + tau K) z = -U z. Zero positions are left unset.
-        """
-        out = np.empty_like(z)
-        outr, zr = out.view(float), z.view(float)
-        tmp = np.empty((self.m1, zr.shape[1]))
-        for here, _, _, south, east in self.fronts:
-            t = tmp[: here.stop - here.start]
-            np.multiply(self.north[south], zr[south], out=outr[here])
-            np.multiply(self.west[east], zr[east], out=t)
-            outr[here] += t
-        return out
-
 
 class MgShiftedSolver:
     """Batched shifted solves by V-cycles on one re-discretized hierarchy."""
@@ -218,7 +210,7 @@ class MgShiftedSolver:
         level.sweep(z, b, inv_diags[depth], from_zero=True)
         if depth + 1 == len(self.levels):
             return z
-        defect = (level.restrict @ level.upper(z).view(float)).view(complex)
+        defect = (level.restrict @ (level.upper @ z.view(float))).view(complex)
         correction = level.prolong @ self._cycle(depth + 1, inv_diags, defect).view(float)
         z -= correction.view(complex)
         level.sweep(z, b, inv_diags[depth])

