@@ -79,17 +79,21 @@ class ExperimentSpec:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        # gmres_solve reserves its basis in full; each cell is checked alone, whatever jobs is
+        # gmres_solve reserves its basis in full, and run_experiment runs up to
+        # min(jobs, cells) cells at once: at worst the largest ones together
+        sizes = sorted((2 * g.m * g.n for g in map(cell_grid, self.h_values)), reverse=True)
+        together = [size for size in sizes for _ in self.gammas][: self.jobs]
+        total = sum(together)
         available = available_memory()
-        grid = cell_grid(finest)
-        size = 2 * grid.m * grid.n
-        need = 8 * size * (min(self.maxit, size) + 1 + WORKING_ARRAYS)
+        need = sum(8 * size * (min(self.maxit, size) + 1 + WORKING_ARRAYS) for size in together)
         if available is not None and need > available:
-            fits = available // (8 * size) - 1 - WORKING_ARRAYS
+            fits = (available // 8 - (1 + WORKING_ARRAYS) * total) // total
             advice = f"the largest maxit that fits is {fits}" if fits >= 1 else "no maxit fits"
+            cells = f"{len(together)} cell{'s' if len(together) > 1 else ''} at a time"
             raise ConfigurationError(
                 f"h = 2^-{mesh_level(finest)} needs {need / 2**30:.2f} GiB at maxit "
-                f"{self.maxit}, but {available / 2**30:.2f} GiB is available; {advice}"
+                f"{self.maxit} for {cells}, but {available / 2**30:.2f} GiB is available; "
+                f"{advice}"
             )
 
 

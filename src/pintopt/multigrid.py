@@ -13,9 +13,11 @@ per shift. Components:
   coefficient. K is symmetric, so the couplings to (i+1, j) and (i, j+1)
   are the same bands shifted by one point;
 * ``factor`` adds each shift to the diagonal of every level, one reciprocal
-  column per shift, and keeps no other matrix. Each stencil is stored once
-  and broadcast over every shift and right-hand side, so nothing in a
-  solve depends on how many right-hand sides it gets;
+  column per shift, and keeps no other matrix; a shift that zeroes any
+  level's shifted diagonal raises the sine-transform backend's "a shift
+  makes the system singular" ValueError. Each stencil is stored once and
+  broadcast over every shift and right-hand side, so one factored solve
+  serves any number of right-hand sides;
 * smoother: lexicographic forward Gauss-Seidel, one pre-sweep from zero
   and one post-sweep. Point (i, j) needs the new values at (i-1, j) and
   (i, j-1), both on the anti-diagonal i + j = d - 1, and the old values at
@@ -43,12 +45,23 @@ it. A solve scatters its right-hand sides into skewed order once and
 gathers the result once; the transfers map skewed order to skewed order,
 so the V-cycle never converts.
 
+Nothing in the hierarchy depends on the shifts, so it is built once per
+(grid, coefficient) pair: ``_hierarchy`` keeps the last one, and the cells
+of a sweep over gamma that run in one process, which pass the same
+coefficient object, each get their own solver on the same levels. The
+cache key is the (grid, coefficient) pair, so the coefficient must be a
+pure function of position; an unhashable one is built afresh for every
+solver. Solvers share only the levels, which no solve writes; each solve
+works in arrays of its own.
+
 The fine grid needs m1 = 2^l - 1 points per dimension, so the hierarchy
 halves it down to the one-point grid: 63, 31, 15, 7, 3, 1. There one sweep
 from zero is the exact solve, so the coarsest level runs the same sweep as
 every other level and stops. Prepared shifts and one V(1,1) cycle per solve
 make one fixed linear map, so the solve is safe inside non-flexible GMRES.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,6 +178,24 @@ class Level:
             )
 
 
+def _build_levels(grid, coeff):
+    """The levels of (grid, coeff), finest first."""
+    sizes = [grid.m1]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] - 1) // 2)
+    # coarsest first: each level's transfers need the next coarser level
+    levels = []
+    coarse = None
+    for size in reversed(sizes):
+        coarse = Level(TimeSpaceGrid(m1=size, n=grid.n, horizon=grid.horizon), coeff, coarse)
+        levels.insert(0, coarse)
+    return tuple(levels)
+
+
+# the last hierarchy built, shared by every solver of that (grid, coeff) pair
+_hierarchy = functools.lru_cache(maxsize=1)(_build_levels)
+
+
 class MgShiftedSolver:
     """Batched shifted solves by V-cycles on one re-discretized hierarchy."""
 
@@ -174,21 +205,20 @@ class MgShiftedSolver:
             raise ValueError(
                 f"multigrid needs m1 = 2^l - 1 points per dimension, got m1={m1}"
             )
-        sizes = [m1]
-        while sizes[-1] > 1:
-            sizes.append((sizes[-1] - 1) // 2)
-        # coarsest first: each level's transfers need the next coarser level
-        self.levels = []
-        coarse = None
-        for size in reversed(sizes):
-            level_grid = TimeSpaceGrid(m1=size, n=grid.n, horizon=grid.horizon)
-            coarse = Level(level_grid, coeff, coarse)
-            self.levels.insert(0, coarse)
+        try:
+            hash(coeff)
+        except TypeError:  # an unhashable coefficient cannot key the cache
+            self.levels = _build_levels(grid, coeff)
+        else:
+            self.levels = _hierarchy(grid, coeff)
 
     def factor(self, sigmas):
         sigmas = np.asarray(sigmas, dtype=complex)
+        shifted = [level.diag[:, None] + sigmas for level in self.levels]
+        if any((d == 0).any() for d in shifted):
+            raise ValueError("a shift makes the system singular")
         # all a solve reads: each level's skewed reciprocal shifted diagonal
-        inv_diags = [level.to_skew(1.0 / (level.diag[:, None] + sigmas)) for level in self.levels]
+        inv_diags = [level.to_skew(1.0 / d) for level, d in zip(self.levels, shifted)]
 
         def solve(rhs):
             k = rhs.shape[-1]

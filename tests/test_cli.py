@@ -104,16 +104,44 @@ def test_memory_check_rejects_a_cell_whose_basis_does_not_fit(monkeypatch):
         ExperimentSpec(example=1, h_values=(2.0**-5, 2.0**-6))
     message = str(info.value)
     assert "\n" not in message
-    assert message.startswith("h = 2^-6 needs 0.42 GiB at maxit 100, but 0.42 GiB is available")
+    assert message.startswith(
+        "h = 2^-6 needs 0.42 GiB at maxit 100 for 1 cell at a time, but 0.42 GiB is available"
+    )
     assert message.endswith("the largest maxit that fits is 99")
     assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=99).maxit == 99
-    # one cell at a time: jobs does not multiply the need
-    assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=99, jobs=4).jobs == 4
+    # jobs multiplies the need by the cells that run together, min(jobs, cells)
+    with pytest.raises(ConfigurationError) as info:
+        ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=99, jobs=4)
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("h = 2^-6 needs 1.65 GiB at maxit 99 for 4 cells at a time")
+    assert message.endswith("the largest maxit that fits is 17")
+    assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=17, jobs=4).jobs == 4
+    one_cell = ExperimentSpec(example=1, h_values=(2.0**-6,), gammas=(1.0,), maxit=99, jobs=4)
+    assert one_cell.jobs == 4
     monkeypatch.setattr(bench, "available_memory", lambda: need)
     assert ExperimentSpec(example=1, h_values=(2.0**-6,)).maxit == 100
     monkeypatch.setattr(bench, "available_memory", lambda: 1000)
     with pytest.raises(ConfigurationError, match="no maxit fits"):
         ExperimentSpec(example=1, h_values=(2.0**-2,), maxit=1)
+
+
+def test_memory_check_counts_the_largest_cells_that_run_together(monkeypatch):
+    # two meshes, two gammas, four jobs: the cells running together are the
+    # two on h = 2^-6 and the two on h = 2^-5, 8 times smaller, not four
+    # on the finest mesh
+    fine, coarse = 2 * 63**2 * 64, 2 * 31**2 * 32
+    need = 2 * 8 * (fine + coarse) * (40 + 1 + bench.WORKING_ARRAYS)
+    spec = dict(example=1, h_values=(2.0**-5, 2.0**-6), gammas=(1e-4, 1.0), maxit=40, jobs=4)
+    monkeypatch.setattr(bench, "available_memory", lambda: need)
+    assert ExperimentSpec(**spec).jobs == 4
+    assert 4 * 8 * fine * (40 + 1 + bench.WORKING_ARRAYS) > need
+    monkeypatch.setattr(bench, "available_memory", lambda: need - 1)
+    with pytest.raises(ConfigurationError) as info:
+        ExperimentSpec(**spec)
+    message = str(info.value)
+    assert message.startswith("h = 2^-6 needs 0.42 GiB at maxit 40 for 4 cells at a time")
+    assert message.endswith("the largest maxit that fits is 39")
 
 
 def test_memory_check_caps_maxit_at_the_system_size(monkeypatch):
@@ -348,10 +376,19 @@ def nan_inner_solve_for_gamma(monkeypatch, gamma):
     monkeypatch.setattr(bench, "make_inner_solver", make_inner_solver)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_non_finite_inner_solve_fails_only_its_cell(monkeypatch, jobs):
+@pytest.mark.parametrize("jobs,example", [
+    pytest.param(1, 1, id="1"),
+    pytest.param(2, 1, id="2"),
+    pytest.param(1, 2, id="1-example2"),
+    pytest.param(2, 2, id="2-example2"),
+])
+def test_non_finite_inner_solve_fails_only_its_cell(monkeypatch, jobs, example):
+    # on example 2 the multigrid cells share one hierarchy, and the NaN cell
+    # leaks nothing into the next one
     nan_inner_solve_for_gamma(monkeypatch, 1e-4)
-    spec = ExperimentSpec(example=1, h_values=(2.0**-3,), gammas=(1e-6, 1e-4, 1e-2), jobs=jobs)
+    spec = ExperimentSpec(
+        example=example, h_values=(2.0**-3,), gammas=(1e-6, 1e-4, 1e-2), jobs=jobs
+    )
     rows = run_experiment(spec)
     assert [r.gamma for r in rows] == [1e-6, 1e-4, 1e-2]
     assert [r.converged for r in rows] == [True, False, True]

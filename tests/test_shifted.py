@@ -6,6 +6,8 @@ V(1,1) cycle built from np.tril and Kronecker-product transfers, down to the
 one-point grid.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,7 @@ from dense_backend import DenseShiftedSolver, PhysicalDstSolver
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness
 from pintopt.multigrid import MgShiftedSolver
+from pintopt.problems import get_problem
 from pintopt.shifted import DstShiftedSolver
 
 
@@ -140,6 +143,42 @@ def test_hierarchy_sizes_and_rejection():
         assert fine.restrict.shape == (coarse.skew_size, fine.skew_size)
     with pytest.raises(ValueError):
         MgShiftedSolver(TimeSpaceGrid(m1=6, n=4), wavy_coeff)
+
+
+def test_hierarchy_built_once_per_grid_and_coefficient():
+    # every gamma of example 2 hands over the same coefficient, so the cells
+    # of a sweep share one hierarchy; each cell still gets its own solver
+    grid = TimeSpaceGrid(m1=15, n=4)
+    first = MgShiftedSolver(grid, get_problem("example2", 1e-4).a)
+    second = MgShiftedSolver(grid, get_problem("example2", 1.0).a)
+    assert second is not first and second.levels is first.levels
+    other_grid = MgShiftedSolver(TimeSpaceGrid(m1=15, n=8), get_problem("example2", 1.0).a)
+    assert other_grid.levels is not first.levels
+    assert other_grid.levels[0].diag[0] != first.levels[0].diag[0]
+    other_coeff = MgShiftedSolver(grid, wavy_coeff)
+    assert other_coeff.levels is not first.levels
+    assert other_coeff.levels is MgShiftedSolver(grid, wavy_coeff).levels
+
+
+@dataclasses.dataclass
+class UnhashableCoeff:
+    scale: float
+
+    def __call__(self, x1, x2):
+        return self.scale * wavy_coeff(x1, x2)
+
+
+def test_unhashable_coefficient_builds_its_own_hierarchy():
+    # a coefficient that cannot key the cache is built afresh per solver and
+    # solves as the same function passed hashable
+    grid = TimeSpaceGrid(m1=7, n=4)
+    coeff = UnhashableCoeff(2.0)
+    first, second = MgShiftedSolver(grid, coeff), MgShiftedSolver(grid, coeff)
+    assert first.levels is not second.levels
+    sigmas = np.array([0.5 + 0.3j, 1.2])
+    rhs = np.random.default_rng(9).standard_normal((grid.m, 1, 2)) + 0j
+    want = MgShiftedSolver(grid, lambda x1, x2: 2.0 * wavy_coeff(x1, x2)).factor(sigmas)(rhs)
+    assert np.array_equal(first.factor(sigmas)(rhs), want)
 
 
 def stencil_matrix(level):
@@ -311,6 +350,32 @@ def test_one_factored_solve_serves_any_batch_width():
     assert np.array_equal(solve(one), single)
 
 
+def test_interleaved_factors_solve_independently():
+    # two factors of one solver share its hierarchy and nothing else:
+    # interleaved solves, with a change of batch width, equal solves run
+    # alone, and a returned result is never overwritten
+    grid = TimeSpaceGrid(m1=15, n=8)
+    solver = MgShiftedSolver(grid, wavy_coeff)
+    shifts = [np.array([0.3 + 0.2j, 1.5 - 0.4j]), np.array([0.05 + 0.87j, 2.0, 0.7 - 0.1j])]
+    # (factor, batch width) of each call, in call order
+    order = [(0, 2), (1, 1), (0, 1), (1, 2), (0, 2), (1, 1)]
+    rng = np.random.default_rng(6)
+    stacks = []
+    for i, width in order:
+        shape = (grid.m, width, shifts[i].size)
+        stacks.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    alone = [
+        MgShiftedSolver(grid, wavy_coeff).factor(shifts[i])(rhs)
+        for (i, _), rhs in zip(order, stacks)
+    ]
+    solves = [solver.factor(sigmas) for sigmas in shifts]
+    got = [solves[i](rhs) for (i, _), rhs in zip(order, stacks)]
+    kept = [result.copy() for result in got]
+    for result, want, before in zip(got, alone, kept):
+        assert np.array_equal(result, want)
+        assert np.array_equal(result, before)
+
+
 def test_solve_rejects_a_stack_with_the_wrong_shift_count():
     # the shifts are the last axis of the (m, l, k) stack
     grid = TimeSpaceGrid(m1=7, n=4)
@@ -405,6 +470,18 @@ def test_factor_solves_each_row_with_its_shift(name):
         for j in range(2):
             want = single(rhs[:, j, k])
             assert np.max(np.abs(got[:, j, k] - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["dst", "mg"])
+def test_a_shift_that_zeroes_a_diagonal_is_rejected(name):
+    # both backends refuse a shift that would divide by zero: minus an
+    # eigenvalue of tau Lambda for the sine transform, minus a shifted
+    # diagonal entry of a coarse level for multigrid
+    grid = TimeSpaceGrid(m1=7, n=4)
+    solver = backend(name, grid)
+    diag = grid.tau * solver.laplacian_eigs if name == "dst" else solver.levels[1].diag
+    with pytest.raises(ValueError, match="a shift makes the system singular"):
+        solver.factor(np.array([1.0, -diag[2]]))
 
 
 @pytest.mark.parametrize("name", ["dst", "dense", "mg"])
