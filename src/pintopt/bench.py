@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shifted
-from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm
+from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm, stencil
 from .gmres import DEFAULT_MAXIT, gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
@@ -124,33 +124,30 @@ def cell_grid(h):
     return TimeSpaceGrid.from_h(h, n=2 ** mesh_level(h))
 
 
-def constant_diffusion_value(stiffness, grid):
-    """c when the stiffness K is c times the 5-point Laplacian, else None.
+def constant_diffusion_value(bands, grid):
+    """c when the stencil ``bands`` is c times the 5-point Laplacian's, else None.
 
-    That is exactly the case in which the sine transform diagonalizes K:
-    4 c / h^2 on the diagonal, -c / h^2 for each of the four grid
-    neighbours, and no other entry.
+    ``bands`` is the ``(center, north, west)`` of
+    :func:`pintopt.discretize.stencil`. That is exactly the case in which
+    the sine transform diagonalizes K: 4 c / h^2 at the center and -c / h^2
+    for each of the four grid neighbours.
     """
-    m1 = grid.m1
-    unit = stiffness.diagonal()[0] / 4.0  # c / h^2
-    # couplings within a grid row: none between the last and the next first point
-    along = np.where(np.arange(1, m1 * m1) % m1 == 0, 0.0, -unit)
-    for offset, band in ((0, 4 * unit), (1, along), (-1, along), (m1, -unit), (-m1, -unit)):
-        if np.max(np.abs(stiffness.diagonal(offset) - band), initial=0.0) > 1e-12 * unit:
+    center, north, west = bands
+    unit = center[0, 0] / 4.0  # c / h^2
+    for band, want in ((center, 4 * unit), (north[1:], -unit), (west[:, 1:], -unit)):
+        if np.max(np.abs(band - want), initial=0.0) > 1e-12 * unit:
             return None
-    if stiffness.count_nonzero() != m1 * m1 + 4 * m1 * (m1 - 1):
-        return None
     return float(unit * grid.h**2)
 
 
-def make_inner_solver(problem, grid, stiffness, spec):
+def make_inner_solver(problem, grid, spec):
     """Build the shifted-solve backend, failing fast on incompatibility.
 
     With no ``spec.inner``, the sine transform when the diffusion
     coefficient is constant, multigrid otherwise.
     """
     if spec.inner != "mg":
-        value = constant_diffusion_value(stiffness, grid)
+        value = constant_diffusion_value(stencil(grid, problem.a), grid)
         if value is not None:
             return shifted.DstShiftedSolver(grid, diffusion=value)
         if spec.inner == "dst":
@@ -187,7 +184,8 @@ def solve_cell(spec, gamma, h):
     the state and the adjoint back, so GMRES, the matvec and the
     preconditioner run no sine transform. The transform is orthogonal, so
     the iterates are those of the physical-basis solve up to round-off.
-    Multigrid cells are solved in the physical basis.
+    Multigrid cells are solved in the physical basis, with the assembled
+    stiffness; a sine-transform cell assembles none.
 
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
@@ -199,13 +197,14 @@ def solve_cell(spec, gamma, h):
     """
     grid = cell_grid(h)
     problem = get_problem(f"example{spec.example}", gamma)
-    stiffness = build_stiffness(grid, problem.a)
-    inner = make_inner_solver(problem, grid, stiffness, spec)
+    inner = make_inner_solver(problem, grid, spec)
     transform = None
     if isinstance(inner, shifted.DstShiftedSolver):
         # read at call time, so a wrapper set on shifted.dst2d sees every rotation
         transform = shifted.dst2d
         stiffness = inner.laplacian_eigs
+    else:
+        stiffness = build_stiffness(grid, problem.a)
 
     op = AllAtOnceOperator(grid, stiffness, gamma)
     rhs = assemble_rhs(problem, grid, transform)

@@ -6,6 +6,10 @@ diffusion coefficient sampled at staggered edge midpoints, time by backward
 Euler. Grid functions are flattened row-major with the first coordinate
 slowest: index (i-1)*m1 + (j-1) holds the value at (i*h, j*h).
 
+:func:`stencil` is the one definition of the 5-point stencil: the CSR
+stiffness of :func:`build_stiffness`, the bands of every multigrid level
+and the choice of the inner solver all read it.
+
 The time derivative and the tracking term act on grid values directly, so
 the M of the general theory is the identity here and the stiffness K is
 the only spatial matrix: the operator and the right-hand side use grid
@@ -75,14 +79,17 @@ class TimeSpaceGrid:
         return np.meshgrid(xs, xs, indexing="ij")
 
 
-def build_stiffness(grid, a):
-    """Assemble the 5-point staggered-coefficient stiffness matrix (CSR).
+def stencil(grid, a):
+    """The 5-point staggered-coefficient stencil of K: (center, north, west).
 
-    The coefficient ``a`` is evaluated at the midpoints of the four edges
-    meeting each interior node; the diagonal entry is the sum of those four
-    samples over h^2 and each off-diagonal is minus the shared edge sample
-    over h^2 (rows of eliminated Dirichlet neighbors simply drop the term).
-    For constant a == c this is c/h^2 times the standard 5-point Laplacian.
+    Three (m1, m1) arrays over the interior nodes (i, j): K's diagonal, and
+    its couplings to (i-1, j) and to (i, j-1), zero where that neighbour is
+    a boundary point. K is symmetric, so the couplings to (i+1, j) and
+    (i, j+1) are north[i+1, j] and west[i, j+1]. The coefficient ``a`` is
+    evaluated at the midpoints of the four edges meeting each node; the
+    diagonal is the sum of those four samples over h^2 and each coupling is
+    minus the shared edge sample over h^2. For constant a == c this is c/h^2
+    times the standard 5-point Laplacian.
 
     Every coefficient sample (nodes and edge midpoints, all strictly inside
     the domain) must be positive, otherwise DomainValidityError is raised.
@@ -106,32 +113,27 @@ def build_stiffness(grid, a):
             "edge midpoint"
         )
 
-    m = m1 * m1
-    idx = np.arange(m).reshape(m1, m1)
-    diag = horiz[:-1, :] + horiz[1:, :] + vert[:, :-1] + vert[:, 1:]
+    center = (horiz[:-1, :] + horiz[1:, :] + vert[:, :-1] + vert[:, 1:]) / h**2
+    north = np.zeros((m1, m1))
+    north[1:] = -horiz[1:-1, :] / h**2
+    west = np.zeros((m1, m1))
+    west[:, 1:] = -vert[:, 1:-1] / h**2
+    return center, north, west
 
-    rows = [idx.ravel()]
-    cols = [idx.ravel()]
-    vals = [diag.ravel()]
-    # couplings in the first coordinate (to (i-1, j)) and its transpose
-    rows.append(idx[1:, :].ravel())
-    cols.append(idx[:-1, :].ravel())
-    vals.append(-horiz[1:-1, :].ravel())
-    rows.append(idx[:-1, :].ravel())
-    cols.append(idx[1:, :].ravel())
-    vals.append(-horiz[1:-1, :].ravel())
-    # couplings in the second coordinate (to (i, j-1)) and its transpose
-    rows.append(idx[:, 1:].ravel())
-    cols.append(idx[:, :-1].ravel())
-    vals.append(-vert[:, 1:-1].ravel())
-    rows.append(idx[:, :-1].ravel())
-    cols.append(idx[:, 1:].ravel())
-    vals.append(-vert[:, 1:-1].ravel())
 
-    return sp.coo_matrix(
-        (np.concatenate(vals) / h**2, (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    ).tocsr()
+def build_stiffness(grid, a):
+    """The stiffness K of :func:`stencil` as a CSR matrix, indices sorted."""
+    m1 = grid.m1
+    center, north, west = stencil(grid, a)
+    # row (i, j) couples to (i-1, j), (i, j-1), itself, (i, j+1) and (i+1, j)
+    south, east = np.zeros((2, m1, m1))
+    south[:-1], east[:, :-1] = north[1:], west[:, 1:]
+    bands = np.stack([north, west, center, east, south], axis=-1).reshape(-1, 5)
+    columns = np.arange(m1 * m1)[:, None] + [-m1, -1, 0, 1, m1]
+    # the stencil's zeros are the boundary couplings, which K does not store
+    kept = bands != 0
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    return sp.csr_matrix((bands[kept], columns[kept], indptr), shape=(m1 * m1,) * 2)
 
 
 def assemble_rhs(problem, grid, transform=None):

@@ -8,10 +8,10 @@ of right-hand sides, every shift together, with no matrix or factorization
 per shift. Components:
 
 * stencil bands: each level keeps the diagonal of tau K and its couplings
-  to (i-1, j) and to (i, j-1), read from the stiffness assembled on that
-  level's grid, so the coarse operators are re-discretized from the same
-  coefficient. K is symmetric, so the couplings to (i+1, j) and (i, j+1)
-  are the same bands shifted by one point;
+  to (i-1, j) and to (i, j-1), from :func:`pintopt.discretize.stencil` on
+  that level's grid, so the coarse operators are re-discretized from the
+  same coefficient. K is symmetric, so the couplings to (i+1, j) and
+  (i, j+1) are the same bands shifted by one point;
 * ``factor`` adds each shift to the diagonal of every level, one reciprocal
   column per shift, and keeps no other matrix; a shift that zeroes any
   level's shifted diagonal raises the sine-transform backend's "a shift
@@ -66,7 +66,7 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import TimeSpaceGrid, build_stiffness
+from .discretize import TimeSpaceGrid, stencil
 
 
 class Level:
@@ -79,9 +79,9 @@ class Level:
 
     def __init__(self, grid, coeff, coarse=None):
         m1, tau = grid.m1, grid.tau
-        stiffness = build_stiffness(grid, coeff)
+        center, north, west = stencil(grid, coeff)
         self.m1 = m1
-        self.diag = tau * stiffness.diagonal(0)
+        self.diag = tau * center.ravel()
 
         # anti-diagonal d = -1 .. 2 m1 - 1 holds the points of grid rows
         # first[d] .. first[d] + count[d] - 1 at the skewed positions
@@ -95,14 +95,13 @@ class Level:
         i, j = np.divmod(np.arange(m1 * m1), m1)
         self.skew_index = start[i + j + 1] + 1 + i - first[i + j + 1]
         # real (positions, 1) columns of the couplings of (i, j) to (i-1, j)
-        # and to (i, j-1), zero where that neighbor is a boundary point (the
-        # diagonal -1 of K is already zero from (i, 0) to (i-1, m1-1)). The
+        # and to (i, j-1), zero where that neighbor is a boundary point. The
         # coupling of a point to (i+1, j) is the north weight stored at
         # (i+1, j), and to (i, j+1) the west weight stored at (i, j+1)
         self.north = np.zeros((self.skew_size, 1))
-        self.north[self.skew_index[m1:], 0] = tau * stiffness.diagonal(-m1)
+        self.north[self.skew_index, 0] = tau * north.ravel()
         self.west = np.zeros((self.skew_size, 1))
-        self.west[self.skew_index[1:], 0] = tau * stiffness.diagonal(-1)
+        self.west[self.skew_index, 0] = tau * west.ravel()
         # per anti-diagonal: its positions, then the positions of the points
         # (i-1, j), (i, j-1), (i+1, j) and (i, j+1) of its points (i, j)
         e = np.arange(1, 2 * m1)  # array index of d = 0 .. 2 m1 - 2
@@ -119,11 +118,11 @@ class Level:
         ]
         # U, the couplings to (i+1, j) and (i, j+1), in skewed order; zero
         # positions have empty rows and columns
-        upper = sp.triu(tau * stiffness, k=1).tocoo()
-        index = self.skew_index
-        self.upper = sp.csr_matrix(
-            (upper.data, (index[upper.row], index[upper.col])), shape=(self.skew_size,) * 2
-        )
+        index = self.skew_index.reshape(m1, m1)
+        rows = np.concatenate([index[:-1].ravel(), index[:, :-1].ravel()])
+        cols = np.concatenate([index[1:].ravel(), index[:, 1:].ravel()])
+        couplings = tau * np.concatenate([north[1:].ravel(), west[:, 1:].ravel()])
+        self.upper = sp.csr_matrix((couplings, (rows, cols)), shape=(self.skew_size,) * 2)
         if coarse is None:
             return
 

@@ -34,32 +34,20 @@ For the step counts the solver runs, an explicit transform applied as a real
 matrix product costs less than an FFT plus the passes over the time stack
 around it (C. Van Loan, Computational Frameworks for the Fast Fourier
 Transform, SIAM 1992, ch. 1). One application is therefore two real matrix
-products around the batched solve, O(m n^2) work plus the inner solves:
-
-* forward, one batched product of each half's transposed (m, n) input with
-  G_0' = (conj(E) D^-1)' for the transpose half (its conjugation folded in)
-  or G_1' = (E D)' for the plain half, each block's real and imaginary
-  parts in adjacent columns: it writes the solve's complex (m, 2, n//2 + 1)
-  stack, positions first, as real numbers;
-* inverse, [[H_0, -H_1], [H_0, H_1]], columns in the same order, times the
-  transposed real view of the solved stack. H_h applies F to the
-  conjugate-symmetric extension of the half spectrum and keeps the real
-  part: blocks 0 < k < n/2 count twice, the others once. It then scales by D
-  (transpose half) or D^-1 (plain half). H_0 undoes the conjugation by the
-  sign of its imaginary columns, and the block signs invert the rotation.
-
-Every twiddle angle is 2 pi ((k j) mod n) / n, reduced in integers: the
-products k j reach n^2 / 2, and the cosines and sines of unreduced angles
-lose digits in proportion.
+products around the batched solve, O(m n^2) work plus the inner solves. The
+two matrices are those of numpy's FFT, made once from unit vectors: the
+forward one is the rfft with the scalings and the transpose half's
+conjugation folded in, the inverse one the irfft of the half spectrum with
+the scalings, the conjugation and the rotation folded in.
 
 The blocks whose shifts are real, k = 0 and, for even n, k = n/2, have real
-twiddles, and the inverse product reads only their real parts: the columns
-for their imaginary parts are zero. A round-off guard therefore checks, after
-the solves, that the half spectrum is finite (a NaN or Inf raises
-FloatingPointError saying "not finite") and that the imaginary parts of those
-blocks stay below IMAG_RESIDUE_BOUND times the larger of 1 and their largest
-real part; an inner solver that broke the conjugate-pair structure would
-otherwise go unseen.
+transform rows, and the inverse product reads only their real parts: the
+columns for their imaginary parts are zero. A round-off guard therefore
+checks, after the solves, that the half spectrum is finite (a NaN or Inf
+raises FloatingPointError saying "not finite") and that the imaginary parts
+of those blocks stay below IMAG_RESIDUE_BOUND times the larger of 1 and
+their largest real part; an inner solver that broke the conjugate-pair
+structure would otherwise go unseen.
 """
 
 from dataclasses import dataclass
@@ -140,10 +128,12 @@ class RbdEpsPreconditioner:
     object, for the shifts lambda_k + alpha with k = 0..floor(n/2), serves
     both halves; it is factored on the first application, not here. The
     two transform matrices of the module docstring are built here, once:
-    ``_forward`` is the ``(2, n, 2 (n//2 + 1))`` stack of G_h', and
-    ``_inverse`` the ``(2n, 4 (n//2 + 1))`` matrix [[H_0, -H_1], [H_0, H_1]].
-    So is the one work buffer ``_stack``, the forward product's real
-    ``(m, 2, 2 (n//2 + 1))`` view of the solve's complex stack.
+    ``_forward`` is the ``(2, n, 2 (n//2 + 1))`` stack, transpose half
+    first, each block's real and imaginary parts in adjacent columns, and
+    ``_inverse`` the ``(2n, 4 (n//2 + 1))`` matrix that reads the solved
+    stack in the same order. So is the one work buffer ``_stack``, the
+    forward product's real ``(m, 2, 2 (n//2 + 1))`` view of the solve's
+    complex stack.
     """
 
     def __init__(self, grid, gamma, eps, inner):
@@ -158,23 +148,14 @@ class RbdEpsPreconditioner:
         self.size = 2 * grid.m * n
         # the blocks whose shifts are real: k = 0, and k = n/2 for even n
         self._real_blocks = [0, n // 2] if n % 2 == 0 else [0]
-        # twiddle angles reduced mod n in integers (see the module docstring)
-        angle = (2.0 * np.pi / n) * ((np.arange(half)[:, None] * np.arange(n)) % n)
-        cos = np.cos(angle) / np.sqrt(n)
-        sin = np.sin(angle) / np.sqrt(n)
-        # the real-shift blocks have real twiddles; sin(pi) would leave 1e-16
-        sin[self._real_blocks] = 0.0
-        # columns cos_0, sin_0, cos_1, sin_1, ...: one column pair per block
-        trig = np.stack([cos, sin], axis=1).reshape(2 * half, n).T
-        conj = np.tile([1.0, -1.0], half)  # negates the sine columns
         d = self.spectrum.scalings[:, None]
-        self._forward = np.stack([trig / d, trig * conj * d])
-        # the inverse counts each conjugate pair twice, the real blocks once
-        weight = np.full(half, 2.0)
-        weight[self._real_blocks] = 1.0
-        wtrig = trig * np.repeat(weight, 2)
-        h0, h1 = wtrig * d, wtrig * conj / d
-        self._inverse = np.block([[h0, -h1], [h0, h1]])
+        # E', the rfft of each unit time vector, and the inverse rfft of each
+        # unit block e_k and i e_k of the half spectrum, as (n, 2 half) columns
+        rows = np.fft.rfft(np.eye(n), norm="ortho")
+        units = np.eye(2 * half).view(complex)
+        back, back_conj = (np.fft.irfft(u, n, norm="ortho").T for u in (units, units.conj()))
+        self._forward = np.stack([rows.conj() / d, rows * d]).view(float)
+        self._inverse = np.block([[back_conj * d, -back / d], [back_conj * d, back / d]])
         self._stack = np.empty((grid.m, 2, 2 * half))
         # factored on the first apply
         self._solve = None

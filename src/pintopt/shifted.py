@@ -49,7 +49,7 @@ def dst2d(v, out=None):
     entries sqrt(2/(m1+1)) * sin(j*k*pi/(m1+1)); leading axes are a batch.
     S is symmetric and involutory, so the transform is its own inverse. S
     is built on each call, its angles reduced mod 2 pi in integers,
-    (j k) mod 2 (m1+1), as :mod:`pintopt.rbd` reduces its twiddles. The
+    (j k) mod 2 (m1+1), so that large products j k lose no digits. The
     grids go through in blocks: one matrix product along the last axis
     writes a block's V S into a work buffer of at most ``BLOCK_BYTES``,
     reused from block to block, and a second, batched, writes S (V S) into
@@ -119,8 +119,11 @@ class DstShiftedSolver:
         if np.min(np.abs(denom)) == 0.0:
             raise ValueError("a shift makes the system singular")
         inverse = 1.0 / denom
+        count = denom.shape[-1]
 
         def solve(rhs):
+            if rhs.shape[-1] != count:
+                raise ValueError(f"expected {count} shifts on the last axis, got {rhs.shape[-1]}")
             return rhs * inverse
 
         return solve

@@ -11,12 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from dense_backend import PhysicalDstSolver
+from dense_backend import PhysicalDstSolver, solve_sine_basis
 
-from pintopt.bench import ExperimentSpec, run_experiment, solve_cell
-from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.bench import ExperimentSpec, cell_grid, run_experiment, solve_cell
+from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm
 from pintopt.gmres import gmres_solve
+from pintopt.problems import get_problem
 from pintopt.rbd import RbdEpsPreconditioner
+from pintopt.shifted import DstShiftedSolver, dst2d
 from pintopt.validation import DenseBundle, run_validation
 
 GAMMAS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
@@ -81,6 +83,21 @@ def test_criterion_1_example1_sine_transform_benchmark(example1_table):
           f"(elapsed {elapsed:.1f}s < 30s: {in_time})\n{detail}")
     assert ok, detail
     assert in_time, f"sweep took {elapsed:.1f}s, budget 30s"
+
+
+@pytest.mark.parametrize("h", sorted(EXAMPLE1_TARGETS))
+def test_exact_discrete_solution_gives_table_1_errors(h):
+    # the exact solve of the discrete system, independent of GMRES, carries
+    # the published 3-digit e_h: the algebraic error is below those digits
+    grid = cell_grid(h)
+    eigs = DstShiftedSolver(grid).laplacian_eigs
+    mn = grid.m * grid.n
+    got = []
+    for gamma in GAMMAS:
+        problem = get_problem("example1", gamma)
+        x = solve_sine_basis(grid, eigs, gamma, assemble_rhs(problem, grid, dst2d))
+        got.append(error_norm(x[:mn] / np.sqrt(gamma), x[mn:], problem, grid, dst2d))
+    assert [f"{e:.2e}" for e in got] == [f"{e:.2e}" for e in EXAMPLE1_TARGETS[h][1]]
 
 
 def test_criterion_2_example2_multigrid_benchmark(example2_table):

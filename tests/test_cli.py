@@ -40,6 +40,7 @@ from pintopt.discretize import (
     assemble_rhs,
     build_stiffness,
     error_norm,
+    stencil,
 )
 from pintopt.gmres import gmres_solve
 from pintopt.operators import AllAtOnceOperator
@@ -187,7 +188,7 @@ def test_constant_diffusion_detection():
     grid = TimeSpaceGrid(m1=7, n=4)
 
     def detect(coeff):
-        return constant_diffusion_value(build_stiffness(grid, coeff), grid)
+        return constant_diffusion_value(stencil(grid, coeff), grid)
 
     assert detect(get_problem("example1", 1e-4).a) == 1.0
     assert detect(get_problem("example2", 1e-4).a) is None
@@ -223,6 +224,17 @@ def test_solve_cell_converges_and_reports():
     assert res.dof == 2 * 49 * 8
     assert 0 < res.error < 1
     assert res.cpu_seconds > 0
+
+
+def test_sine_transform_cell_assembles_no_stiffness(monkeypatch):
+    # the backend is chosen from the stencil, and the sine basis needs no K
+    def refuse(grid, a):
+        raise AssertionError("assembled the stiffness")
+
+    monkeypatch.setattr(bench, "build_stiffness", refuse)
+    assert solve_cell(ExperimentSpec(example=1), 1e-4, 2.0**-3).converged
+    with pytest.raises(AssertionError, match="assembled"):
+        solve_cell(ExperimentSpec(example=2), 1e-4, 2.0**-3)
 
 
 def test_dst_rejects_variable_coefficient_before_solving():
@@ -367,8 +379,8 @@ def nan_inner_solve_for_gamma(monkeypatch, gamma):
     """
     original = bench.make_inner_solver
 
-    def make_inner_solver(problem, grid, stiffness, spec):
-        inner = original(problem, grid, stiffness, spec)
+    def make_inner_solver(problem, grid, spec):
+        inner = original(problem, grid, spec)
         if problem.gamma == gamma:
             inner.factor = lambda sigmas: lambda rhs: np.full_like(rhs, np.nan)
         return inner

@@ -79,16 +79,8 @@ def test_grid_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# time-difference matrix B (the eps = 0 case of the dense corner builder)
-
-
-def test_time_difference_n1():
-    assert np.array_equal(eps_circulant_matrix(1, 0.0), [[1.0]])
-
-
-def test_time_difference_n3():
-    want = [[1, 0, 0], [-1, 1, 0], [0, -1, 1]]
-    assert np.array_equal(eps_circulant_matrix(3, 0.0), want)
+# time-difference matrix B (the eps = 0 case of the dense corner builder;
+# its n = 1 and n = 3 values are checked in test_transforms)
 
 
 def test_time_difference_rejects_zero():

@@ -11,10 +11,12 @@ bit for bit.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from dense_backend import solve_sine_basis
 
-from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness
 from pintopt.operators import AllAtOnceOperator
-from pintopt.shifted import DstShiftedSolver
+from pintopt.problems import get_problem
+from pintopt.shifted import DstShiftedSolver, dst2d
 from pintopt.validation import eps_circulant_matrix
 
 
@@ -181,3 +183,28 @@ def test_matvec_leaves_input_unchanged_and_returns_fresh():
     assert np.array_equal(first, second)
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, x) and not np.shares_memory(second, x)
+
+
+# ---------------------------------------------------------------------------
+# the exact sine-basis solve of tests/dense_backend.py
+
+
+@pytest.mark.parametrize("m1,n", [(1, 1), (1, 2), (3, 4), (3, 5)])
+@pytest.mark.parametrize("gamma", [1e-10, 1e-2, 1.0])
+def test_sine_basis_solve_matches_dense_solve(m1, n, gamma):
+    grid = TimeSpaceGrid(m1=m1, n=n)
+    b = np.random.default_rng(m1 * n).standard_normal(2 * grid.m * n)
+    want = np.linalg.solve(dense_saddle(grid, sine_eigs(grid), gamma), b)
+    got = solve_sine_basis(grid, sine_eigs(grid), gamma, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("level", [5, 6])
+@pytest.mark.parametrize("gamma", [1e-10, 1e-4, 1.0])
+def test_sine_basis_solve_residual(level, gamma):
+    # example 1's right-hand side in the sine basis, as solve_cell assembles it
+    grid = TimeSpaceGrid.from_h(2.0**-level, n=2**level)
+    b = assemble_rhs(get_problem("example1", gamma), grid, dst2d)
+    op = AllAtOnceOperator(grid, sine_eigs(grid), gamma)
+    x = solve_sine_basis(grid, sine_eigs(grid), gamma, b)
+    assert np.linalg.norm(b - op.matvec(x)) <= 1e-13 * np.linalg.norm(b)

@@ -132,8 +132,9 @@ def fft_path_inverse(pc, r):
 @pytest.mark.parametrize("n", [63, 64, 128])
 def test_matches_dense_inverse_many_steps(n):
     # the explicit time transform sums n terms per entry, so its round-off
-    # grows with n and with 1/eps; odd n has no Nyquist block. Twiddle angles
-    # not reduced mod n put it 3e-13 to 4e-12 from the FFT path at eps = 1e-3
+    # grows with n and with 1/eps; odd n has no Nyquist block. Its matrices
+    # are numpy's FFT applied to unit vectors, so the products differ from
+    # the FFT path only in the order of their sums
     grid = TimeSpaceGrid(m1=3, n=n)
     K = build_stiffness(grid, ones_coeff)
     rng = np.random.default_rng(n)

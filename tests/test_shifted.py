@@ -376,12 +376,19 @@ def test_interleaved_factors_solve_independently():
         assert np.array_equal(result, before)
 
 
-def test_solve_rejects_a_stack_with_the_wrong_shift_count():
-    # the shifts are the last axis of the (m, l, k) stack
+@pytest.mark.parametrize("shifts", [2, 1])
+@pytest.mark.parametrize(
+    "backend",
+    [lambda grid: DstShiftedSolver(grid), lambda grid: MgShiftedSolver(grid, wavy_coeff)],
+    ids=["dst", "mg"],
+)
+def test_solve_rejects_a_stack_with_the_wrong_shift_count(backend, shifts):
+    # the shifts are the last axis of the (m, l, k) stack; one shift column
+    # must not broadcast against three shifts
     grid = TimeSpaceGrid(m1=7, n=4)
-    solve = MgShiftedSolver(grid, wavy_coeff).factor(np.array([1.0, 0.3 + 0.9j, 2.0]))
-    with pytest.raises(ValueError, match="expected 3 shifts on the last axis, got 2"):
-        solve(np.ones((grid.m, 2, 2), dtype=complex))
+    solve = backend(grid).factor(np.array([1.0, 0.3 + 0.9j, 2.0]))
+    with pytest.raises(ValueError, match=f"expected 3 shifts on the last axis, got {shifts}"):
+        solve(np.ones((grid.m, 2, shifts), dtype=complex))
 
 
 def test_vcycle_exact_on_coarsest_grids():

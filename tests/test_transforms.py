@@ -36,6 +36,15 @@ def dense_dst(m1):
 # eps_circulant_matrix (eps = 0 is the plain backward difference B)
 
 
+@pytest.mark.parametrize(
+    "n,want",
+    [(1, [[1.0]]), (3, [[1, 0, 0], [-1, 1, 0], [0, -1, 1]])],
+    ids=["n1", "n3"],
+)
+def test_time_difference(n, want):
+    assert np.array_equal(eps_circulant_matrix(n, 0.0), want)
+
+
 def test_corner_matrix_n2_full_eps():
     assert np.array_equal(eps_circulant_matrix(2, 1.0), [[1, -1], [-1, 1]])
 
