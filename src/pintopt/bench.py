@@ -25,10 +25,12 @@ from .problems import get_problem
 from .rbd import RbdEpsPreconditioner, choose_epsilon
 
 # N-length float64 arrays a cell of N unknowns holds besides its
-# (maxit + 1, N) GMRES basis. Measured as a cell's rise in peak RSS less its
-# k + 1 basis rows, at h = 2^-7 and gamma = 1 (31.5 MiB an array): 7.7 on
-# example 1 with the sine transform, 8.8 on example 2 with multigrid.
-WORKING_ARRAYS = 9
+# (maxit + 1, N) GMRES basis, by inner backend. Measured as a cell's rise in
+# peak RSS less its k + 1 basis rows, at gamma = 1, h = 2^-6 and 2^-7: 6.92
+# and 6.16 with the sine transform (example 1); 10.43 and 9.42 with
+# multigrid on example 2, 10.57 and 9.45 on example 1. Multigrid keeps its
+# V-cycle's arrays, about three N-vectors over all levels, for the whole cell.
+WORKING_ARRAYS = {"dst": 7, "mg": 11}
 
 CSV_COLUMNS = ("gamma", "h", "dof", "iter", "cpu_s", "e_h", "e_h_raw")
 
@@ -80,14 +82,16 @@ class ExperimentSpec:
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         # gmres_solve reserves its basis in full, and run_experiment runs up to
-        # min(jobs, cells) cells at once: at worst the largest ones together
+        # min(jobs, cells) cells at once: at worst the largest ones together.
+        # Example 2 has a variable coefficient, so its cells run multigrid
         sizes = sorted((2 * g.m * g.n for g in map(cell_grid, self.h_values)), reverse=True)
         together = [size for size in sizes for _ in self.gammas][: self.jobs]
         total = sum(together)
+        arrays = WORKING_ARRAYS["mg" if self.inner == "mg" or self.example == 2 else "dst"]
         available = available_memory()
-        need = sum(8 * size * (min(self.maxit, size) + 1 + WORKING_ARRAYS) for size in together)
+        need = sum(8 * size * (min(self.maxit, size) + 1 + arrays) for size in together)
         if available is not None and need > available:
-            fits = (available // 8 - (1 + WORKING_ARRAYS) * total) // total
+            fits = (available // 8 - (1 + arrays) * total) // total
             advice = f"the largest maxit that fits is {fits}" if fits >= 1 else "no maxit fits"
             cells = f"{len(together)} cell{'s' if len(together) > 1 else ''} at a time"
             raise ConfigurationError(
@@ -143,20 +147,23 @@ def constant_diffusion_value(bands, grid):
 def make_inner_solver(problem, grid, spec):
     """Build the shifted-solve backend, failing fast on incompatibility.
 
-    With no ``spec.inner``, the sine transform when the diffusion
-    coefficient is constant, multigrid otherwise.
+    Returns the backend and the stencil ``stencil(grid, problem.a)`` it was
+    chosen from, so that a caller assembling K does not sample the
+    coefficient again. With no ``spec.inner``, the sine transform when the
+    diffusion coefficient is constant, multigrid otherwise.
     """
+    bands = stencil(grid, problem.a)
     if spec.inner != "mg":
-        value = constant_diffusion_value(stencil(grid, problem.a), grid)
+        value = constant_diffusion_value(bands, grid)
         if value is not None:
-            return shifted.DstShiftedSolver(grid, diffusion=value)
+            return shifted.DstShiftedSolver(grid, diffusion=value), bands
         if spec.inner == "dst":
             raise ConfigurationError(
                 "the sine-transform inner solver requires a constant diffusion "
                 "coefficient; this problem's coefficient varies in space "
                 "(use the multigrid inner solver instead)"
             )
-    return MgShiftedSolver(grid, problem.a)
+    return MgShiftedSolver(grid, problem.a), bands
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,8 @@ def solve_cell(spec, gamma, h):
     preconditioner run no sine transform. The transform is orthogonal, so
     the iterates are those of the physical-basis solve up to round-off.
     Multigrid cells are solved in the physical basis, with the assembled
-    stiffness; a sine-transform cell assembles none.
+    stiffness; a sine-transform cell assembles none. The coefficient is
+    sampled once, for both the backend choice and the stiffness.
 
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
@@ -197,14 +205,14 @@ def solve_cell(spec, gamma, h):
     """
     grid = cell_grid(h)
     problem = get_problem(f"example{spec.example}", gamma)
-    inner = make_inner_solver(problem, grid, spec)
+    inner, bands = make_inner_solver(problem, grid, spec)
     transform = None
     if isinstance(inner, shifted.DstShiftedSolver):
         # read at call time, so a wrapper set on shifted.dst2d sees every rotation
         transform = shifted.dst2d
         stiffness = inner.laplacian_eigs
     else:
-        stiffness = build_stiffness(grid, problem.a)
+        stiffness = build_stiffness(bands)
 
     op = AllAtOnceOperator(grid, stiffness, gamma)
     rhs = assemble_rhs(problem, grid, transform)
@@ -223,20 +231,24 @@ def solve_cell(spec, gamma, h):
         )
     cpu = time.perf_counter() - start
 
-    state = report.x[:mn] / np.sqrt(gamma)
-    adjoint = report.x[mn:]
-    err = None
-    if problem.exact_y is not None and problem.exact_p is not None:
-        err = float(error_norm(state, adjoint, problem, grid, transform))
     failure = None
     if not report.converged:
         failure = (
             f"GMRES stopped unconverged at iteration {report.iterations}: preconditioned "
             f"relative residual {report.residuals[-1] / report.residuals[0]:.3e} > tol {spec.tol:g}"
         )
+    iterations, converged = report.iterations, report.converged
+    state = report.x[:mn] / np.sqrt(gamma)
+    adjoint = report.x[mn:]
+    # free the Krylov basis before the error check, whose arrays would
+    # otherwise come on top of it
+    del report
+    err = None
+    if problem.exact_y is not None and problem.exact_p is not None:
+        err = float(error_norm(state, adjoint, problem, grid, transform))
     return CellResult(
-        gamma=gamma, h=h, dof=2 * mn, iterations=report.iterations,
-        converged=report.converged, cpu_seconds=cpu, error=err, failure=failure,
+        gamma=gamma, h=h, dof=2 * mn, iterations=iterations,
+        converged=converged, cpu_seconds=cpu, error=err, failure=failure,
     )
 
 

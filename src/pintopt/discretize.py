@@ -121,10 +121,14 @@ def stencil(grid, a):
     return center, north, west
 
 
-def build_stiffness(grid, a):
-    """The stiffness K of :func:`stencil` as a CSR matrix, indices sorted."""
-    m1 = grid.m1
-    center, north, west = stencil(grid, a)
+def build_stiffness(bands):
+    """The stiffness K of the :func:`stencil` ``bands`` as a CSR matrix, indices sorted.
+
+    Taking the bands rather than the coefficient lets a caller that has
+    already sampled the coefficient assemble K without sampling it again.
+    """
+    center, north, west = bands
+    m1 = center.shape[0]
     # row (i, j) couples to (i-1, j), (i, j-1), itself, (i, j+1) and (i+1, j)
     south, east = np.zeros((2, m1, m1))
     south[:-1], east[:, :-1] = north[1:], west[:, 1:]

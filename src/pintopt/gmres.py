@@ -3,14 +3,21 @@
 Full GMRES (no restarts), zero initial guess. The iteration runs on the
 left-preconditioned operator v -> P^-1 (A v); the residual history tracks
 || P^-1 (b - A x_k) ||_2 through the Givens-rotated least-squares problem,
-and the stopping test is relative to || P^-1 b ||_2. Both maps are passed
-as plain callables so sparse, matrix-free and dense operators all fit.
+and the stopping test is relative to || P^-1 b ||_2.
 
-The Krylov basis lives in one preallocated array whose row j is v_j. Each
-new direction is orthogonalised by classical Gram-Schmidt applied twice
-(CGS2): two passes of two matrix-vector products against the rows filled
-so far, which keeps the basis orthonormal to working precision like a
-two-pass modified Gram-Schmidt (Giraud, Langou & Rozloznik, 2005).
+Both maps are callables with one convention, ``f(v, out=w)``: write f(v)
+into the given length-N array ``w``. ``w`` may be ``v`` itself, for the
+preconditioner, which is applied in place on the new basis row. For a
+dense matrix A, ``functools.partial(np.matmul, A)`` keeps the convention.
+
+The Krylov basis lives in one preallocated array whose row j is v_j: the
+operator writes A v_j straight into row j + 1 and the preconditioner works
+on it there, so an Arnoldi step allocates no array of the system's size.
+Each new direction is orthogonalised by classical Gram-Schmidt applied
+twice (CGS2): two passes of two matrix-vector products against the rows
+filled so far, which keeps the basis orthonormal to working precision like
+a two-pass modified Gram-Schmidt (Giraud, Langou & Rozloznik, 2005). The
+update ``c @ V`` of each pass goes into one kept vector.
 """
 
 from dataclasses import dataclass, field
@@ -40,11 +47,18 @@ class SolveReport:
     basis: Optional[np.ndarray] = None
 
 
+def _identity(v, out):
+    np.copyto(out, v)
+
+
 def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
     """Solve A x = b with left preconditioning, from a zero initial guess.
 
-    apply_op and apply_prec are callables mapping a vector to A v and
-    P^-1 v (identity when apply_prec is None). Iterations stop when the
+    apply_op and apply_prec write A v and P^-1 v into ``out``, as
+    ``apply_op(v, out=w)`` and ``apply_prec(v, out=w)`` (the module
+    docstring's convention; no preconditioner is the identity). The
+    preconditioner is called with ``out`` equal to its input, on the basis
+    row the operator has just written. Iterations stop when the
     preconditioned relative residual drops to ``tol`` or after ``maxit``
     steps. A breakdown, a new direction that lies numerically in the span
     of the basis, also stops them; it counts as converged only when the
@@ -57,6 +71,8 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
     The basis is one ``(maxit + 1, size)`` array from ``np.empty``. Its pages
     become resident as rows are written, but the kernel checks the whole
     reservation at once, so ``ExperimentSpec`` checks it before any solve.
+    Besides it, the loop keeps one size-long vector for the Gram-Schmidt
+    update; the solution is the only other array of that size it makes.
 
     Raises FloatingPointError, naming the iteration, as soon as the
     preconditioned right-hand side norm or a new Hessenberg column is not
@@ -68,10 +84,11 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
     b = b.astype(float, copy=False)
     size = b.size
     maxit = min(size, DEFAULT_MAXIT if maxit is None else maxit)
-    prec = apply_prec if apply_prec is not None else lambda v: v
+    prec = apply_prec if apply_prec is not None else _identity
 
-    r0 = prec(b)
-    beta = float(np.linalg.norm(r0))
+    basis = np.empty((maxit + 1, size))
+    prec(b, out=basis[0])
+    beta = float(np.linalg.norm(basis[0]))
     if not np.isfinite(beta):
         raise FloatingPointError(
             "GMRES iteration 0: preconditioned right-hand side is not finite"
@@ -82,8 +99,8 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
             basis=np.empty((0, size)),
         )
 
-    basis = np.empty((maxit + 1, size))
-    np.divide(r0, beta, out=basis[0])
+    basis[0] /= beta
+    update = np.empty(size)
     hess = np.zeros((maxit + 1, maxit))
     cs = np.zeros(maxit)
     sn = np.zeros(maxit)
@@ -95,14 +112,14 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
 
     for j in range(maxit):
         w = basis[j + 1]
-        # the assignment copies: operators may hand back their input unchanged
-        w[...] = prec(apply_op(basis[j]))
+        apply_op(basis[j], out=w)
+        prec(w, out=w)
         # CGS2: a second pass restores orthogonality when the new direction
         # is almost dependent near convergence
         V = basis[: j + 1]
         for _ in range(2):
             c = V @ w
-            w -= c @ V
+            w -= np.matmul(c, V, out=update)
             hess[: j + 1, j] += c
         hess[j + 1, j] = np.linalg.norm(w)
         if not np.isfinite(hess[: j + 2, j]).all():

@@ -12,12 +12,13 @@ per shift. Components:
   that level's grid, so the coarse operators are re-discretized from the
   same coefficient. K is symmetric, so the couplings to (i+1, j) and
   (i, j+1) are the same bands shifted by one point;
-* ``factor`` adds each shift to the diagonal of every level, one reciprocal
-  column per shift, and keeps no other matrix; a shift that zeroes any
-  level's shifted diagonal raises the sine-transform backend's "a shift
-  makes the system singular" ValueError. Each stencil is stored once and
-  broadcast over every shift and right-hand side, so one factored solve
-  serves any number of right-hand sides;
+* ``factor`` keeps the shifts, and a shift that zeroes any level's
+  shifted diagonal raises the sine-transform backend's "a shift makes the
+  system singular" ValueError. The solve's workspace adds the shifts to
+  the diagonal of every level, one reciprocal column per shift, and builds
+  no other matrix. Each stencil is stored once and broadcast over every
+  shift and right-hand side, so one factored solve serves any number of
+  right-hand sides;
 * smoother: lexicographic forward Gauss-Seidel, one pre-sweep from zero
   and one post-sweep. Point (i, j) needs the new values at (i-1, j) and
   (i, j-1), both on the anti-diagonal i + j = d - 1, and the old values at
@@ -26,8 +27,10 @@ per shift. Components:
   vector operation and gives exactly the lexicographic values;
 * residual: the sweep from zero solves the lower triangle L of A = L + U
   exactly, so right after it b - A z = -U z, the upper couplings applied to
-  z, one sparse product with U in skewed order, like P and R; the cycle
-  restricts U z and subtracts the prolonged correction;
+  z. The cycle needs only its restriction, so each level keeps the product
+  R U as one sparse matrix in skewed order, like P and R: the coarse
+  right-hand side is one product of coarse size, and the cycle subtracts
+  the prolonged correction;
 * transfers: bilinear prolongation P, a sparse matrix from the coarse
   level's skewed order to this level's, and full-weighting restriction
   R = P'/4, the variational partner of bilinear interpolation. Coarse
@@ -51,8 +54,16 @@ of a sweep over gamma that run in one process, which pass the same
 coefficient object, each get their own solver on the same levels. The
 cache key is the (grid, coefficient) pair, so the coefficient must be a
 pure function of position; an unhashable one is built afresh for every
-solver. Solvers share only the levels, which no solve writes; each solve
-works in arrays of its own.
+solver. Solvers share only the levels, which no solve writes.
+
+Each factored solve keeps the arrays of its V-cycle for the batch width it
+last saw: per level a complex z and b, their zero positions zeroed once,
+and every front's views of them, of the stencil bands, of the reciprocal
+diagonal and of two scratch rows, so a sweep only calls ufuncs. A solve
+scatters its right-hand sides into the finest b and gathers the result
+from the finest z; apart from the sparse products' outputs it makes no
+array. That workspace makes a solve non-reentrant: two calls of one solve
+must not run at the same time.
 
 The fine grid needs m1 = 2^l - 1 points per dimension, so the hierarchy
 halves it down to the one-point grid: 63, 31, 15, 7, 3, 1. There one sweep
@@ -74,7 +85,8 @@ class Level:
 
     ``upper`` is U, the strict upper triangle of tau K, in skewed order.
     ``coarse`` is the next coarser level, from and to which ``prolong`` and
-    ``restrict`` map; the coarsest level has neither.
+    ``restrict`` map, and to which ``defect`` = ``restrict @ upper`` maps;
+    the coarsest level has none of them.
     """
 
     def __init__(self, grid, coeff, coarse=None):
@@ -137,6 +149,7 @@ class Level:
             shape=(self.skew_size, coarse.skew_size),
         )
         self.restrict = self.prolong.T / 4
+        self.defect = (self.restrict @ self.upper).tocsr()
 
     def to_skew(self, field):
         """A (m1^2, ...) field in skewed order, zero positions included."""
@@ -144,37 +157,48 @@ class Level:
         out[self.skew_index] = field
         return out
 
-    def to_grid(self, skewed):
-        return skewed[self.skew_index]
-
-    def sweep(self, z, b, inv_diag, from_zero=False):
-        """One forward Gauss-Seidel sweep, in place on the skewed stack z.
+    def front_views(self, z, b, inv_diag):
+        """Every front's views for :func:`sweep` on the skewed (positions, l k) z and b.
 
         ``inv_diag`` is the skewed (positions, k) reciprocal of the shifted
-        diagonal. ``from_zero`` skips the upper neighbors, which are zero on
-        a first sweep from z = 0.
+        diagonal, broadcast over the l right-hand sides of each shift. Two
+        scratch rows are made here and kept alive by the views.
         """
         zr, br = z.view(float), b.view(float)
         k = inv_diag.shape[1]
         acc = np.empty((self.m1, zr.shape[1]))
         tmp = np.empty_like(acc)
+        views = []
         for here, north, west, south, east in self.fronts:
             n = here.stop - here.start
-            a, t = acc[:n], tmp[:n]
-            np.multiply(self.north[here], zr[north], out=a)
-            np.subtract(br[here], a, out=a)
-            np.multiply(self.west[here], zr[west], out=t)
-            a -= t
-            if not from_zero:
-                np.multiply(self.north[south], zr[south], out=t)
-                a -= t
-                np.multiply(self.west[east], zr[east], out=t)
-                a -= t
-            np.multiply(
-                a.view(complex).reshape(n, -1, k),
-                inv_diag[here, None, :],
-                out=z[here].reshape(n, -1, k),
-            )
+            views.append((
+                self.north[here], zr[north], br[here], acc[:n],
+                self.west[here], zr[west], tmp[:n],
+                self.north[south], zr[south], self.west[east], zr[east],
+                acc[:n].view(complex).reshape(n, -1, k), inv_diag[here, None, :],
+                z[here].reshape(n, -1, k),
+            ))
+        return views
+
+
+def sweep(views, from_zero=False):
+    """One forward Gauss-Seidel sweep, in place on the z of ``views``.
+
+    ``views`` is :meth:`Level.front_views`. ``from_zero`` skips the upper
+    neighbors, which are zero on a first sweep from z = 0.
+    """
+    for (north, z_north, b_here, acc, west, z_west, tmp,
+         south, z_south, east, z_east, acc_complex, inv, z_here) in views:
+        np.multiply(north, z_north, out=acc)
+        np.subtract(b_here, acc, out=acc)
+        np.multiply(west, z_west, out=tmp)
+        acc -= tmp
+        if not from_zero:
+            np.multiply(south, z_south, out=tmp)
+            acc -= tmp
+            np.multiply(east, z_east, out=tmp)
+            acc -= tmp
+        np.multiply(acc_complex, inv, out=z_here)
 
 
 def _build_levels(grid, coeff):
@@ -213,34 +237,61 @@ class MgShiftedSolver:
 
     def factor(self, sigmas):
         sigmas = np.asarray(sigmas, dtype=complex)
-        shifted = [level.diag[:, None] + sigmas for level in self.levels]
-        if any((d == 0).any() for d in shifted):
+        if any((level.diag[:, None] + sigmas == 0).any() for level in self.levels):
             raise ValueError("a shift makes the system singular")
-        # all a solve reads: each level's skewed reciprocal shifted diagonal
-        inv_diags = [level.to_skew(1.0 / d) for level, d in zip(self.levels, shifted)]
+        top = self.levels[0]
+        cycle = None
 
-        def solve(rhs):
+        def solve(rhs, out=None):
+            nonlocal cycle
             k = rhs.shape[-1]
             if k != sigmas.size:
                 raise ValueError(f"expected {sigmas.size} shifts on the last axis, got {k}")
-            top = self.levels[0]
-            b = top.to_skew(rhs.reshape(rhs.shape[0], -1))
-            return top.to_grid(self._cycle(0, inv_diags, b)).reshape(rhs.shape)
+            if out is None:
+                out = np.empty(rhs.shape, complex)
+            elif not (out.shape == rhs.shape and out.dtype == complex and out.flags.c_contiguous):
+                raise ValueError(f"out must be a C-contiguous complex array of shape {rhs.shape}")
+            width = rhs[0].size
+            if cycle is None or cycle.width != width:
+                cycle = _VCycle(self.levels, sigmas, width)
+            cycle.b[0][top.skew_index] = rhs.reshape(-1, width)
+            cycle.run()
+            # mode="clip": with the default "raise", numpy buffers out
+            np.take(cycle.z[0], top.skew_index, axis=0, out=out.reshape(-1, width), mode="clip")
+            return out
 
         return solve
 
-    def _cycle(self, depth, inv_diags, b):
-        """One V-cycle on level depth from a zero initial guess, in its skewed order."""
-        level = self.levels[depth]
+
+class _VCycle:
+    """The kept arrays of one V(1,1) cycle for one batch width, in skewed order.
+
+    Per level: the solution z, the right-hand side b and every front's views
+    of them and of the skewed reciprocal of the shifted diagonal. The zero
+    positions are zeroed here, once: the sweeps never write them, and the
+    transfers map them to zero.
+    """
+
+    def __init__(self, levels, sigmas, width):
+        self.levels = levels
+        self.width = width
+        self.z = [np.zeros((level.skew_size, width), complex) for level in levels]
+        self.b = [np.zeros_like(z) for z in self.z]
+        self.fronts = [
+            level.front_views(z, b, level.to_skew(1.0 / (level.diag[:, None] + sigmas)))
+            for level, z, b in zip(levels, self.z, self.b)
+        ]
+
+    def run(self, depth=0):
+        """One V-cycle on level depth from a zero initial guess, into its z."""
+        level, z, fronts = self.levels[depth], self.z[depth], self.fronts[depth]
         # V(1,1): one sweep from zero, the coarse correction of its residual
         # -U z, then one post-sweep. On the one-point coarsest grid the sweep
         # from zero is the exact solve
-        z = np.zeros_like(b)
-        level.sweep(z, b, inv_diags[depth], from_zero=True)
+        sweep(fronts, from_zero=True)
         if depth + 1 == len(self.levels):
-            return z
-        defect = (level.restrict @ (level.upper @ z.view(float))).view(complex)
-        correction = level.prolong @ self._cycle(depth + 1, inv_diags, defect).view(float)
-        z -= correction.view(complex)
-        level.sweep(z, b, inv_diags[depth])
-        return z
+            return
+        np.copyto(self.b[depth + 1].view(float), level.defect @ z.view(float))
+        self.run(depth + 1)
+        z -= (level.prolong @ self.z[depth + 1].view(float)).view(complex)
+        sweep(fronts)

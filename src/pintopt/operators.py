@@ -9,14 +9,14 @@ sqrt(gamma), the discrete optimality system reads
 with alpha = tau / sqrt(gamma) and the space-time evolution matrix
 T = B x I + tau I x K, where B is the backward-difference bidiagonal and K
 the stiffness matrix. The operator applies the full 2mn x 2mn matrix on a
-(2, n, m) view of its input without ever forming Kronecker products: T u
-and T' w share one evolution buffer, and the two halves of the result are
-written into one fresh output.
+(2, n, m) view of its input without ever forming Kronecker products: T' w
+and then T u go through one (n, m) work array that the operator keeps, and
+the two halves of the result are written straight into the output.
 
-K is either an (m, m) matrix, applied to each half by a sparse product, or
-a diagonal given as its length-m vector of entries, such as the
-eigenvalues Lambda of the sine basis, applied to both halves at once by
-one broadcast product over the time levels.
+K is either an (m, m) matrix, applied by one sparse product per time
+level, or a diagonal given as its length-m vector of entries, such as the
+eigenvalues Lambda of the sine basis, applied by one broadcast product over
+the time levels.
 """
 
 import numpy as np
@@ -39,30 +39,49 @@ class AllAtOnceOperator:
         self.diagonal = stiffness.ndim == 1
         self.alpha = grid.tau / np.sqrt(gamma)
         self.size = 2 * grid.m * grid.n
+        # T' w, then T u
+        self._work = np.empty((grid.n, m))
 
-    def matvec(self, x):
-        """Apply the full 2mn x 2mn saddle-point matrix; returns a fresh array."""
+    def matvec(self, x, out=None):
+        """Apply the full 2mn x 2mn saddle-point matrix to ``x``.
+
+        The result is written into ``out``, a float64 vector of length 2mn
+        that shares no memory with ``x``, and returned; without ``out`` it is
+        a fresh array. The work array makes the operator non-reentrant.
+        """
         x = np.asarray(x)
         if x.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}, got {x.shape}")
+        if out is None:
+            out = np.empty(self.size)
+        elif out.shape != (self.size,) or out.dtype != float:
+            raise ValueError(f"out must be a float64 vector of length {self.size}")
+        elif np.shares_memory(out, x):
+            raise ValueError("out must not share memory with the input")
         n, m = self.grid.n, self.grid.m
-        X = x.reshape(2, n, m)
-        # evo[0] = T u and evo[1] = T' w: the same tau K product plus identity,
-        # then the backward difference or its transpose in time
-        evo = np.empty((2, n, m))
+        u, w = x.reshape(2, n, m)
+        top, bottom = out.reshape(2, n, m)
+        work = self._work
+        # T' w: the tau K product plus the identity, less the next time level
+        self._scaled_stiffness(w, work)
+        work += w
+        work[:-1] -= w[1:]
+        np.multiply(self.alpha, u, out=top)
+        top += work
+        # T u: the same product plus the identity, less the previous level
+        self._scaled_stiffness(u, work)
+        work += u
+        work[1:] -= u[:-1]
+        np.multiply(self.alpha, w, out=bottom)
+        bottom -= work
+        return out
+
+    def _scaled_stiffness(self, v, out):
+        """tau K applied to each time level of the (n, m) array v, into out."""
         if self.diagonal:
-            # (x * Lambda) * tau, in the order of the product with diag(Lambda)
-            np.multiply(X, self.stiffness, out=evo)
-            evo *= self.grid.tau
+            # (v * Lambda) * tau, in the order of the product with diag(Lambda)
+            np.multiply(v, self.stiffness, out=out)
+            out *= self.grid.tau
         else:
-            for half in range(2):
-                np.multiply(self.grid.tau, self.stiffness.dot(X[half].T).T, out=evo[half])
-        evo += X
-        evo[0, 1:] -= X[0, :-1]
-        evo[1, :-1] -= X[1, 1:]
-        out = np.empty((2, n, m))
-        np.multiply(self.alpha, X[0], out=out[0])
-        out[0] += evo[1]
-        np.multiply(self.alpha, X[1], out=out[1])
-        out[1] -= evo[0]
-        return out.reshape(-1)
+            for level, row in zip(v, out):
+                np.multiply(self.grid.tau, self.stiffness.dot(level), out=row)

@@ -132,8 +132,8 @@ class RbdEpsPreconditioner:
     first, each block's real and imaginary parts in adjacent columns, and
     ``_inverse`` the ``(2n, 4 (n//2 + 1))`` matrix that reads the solved
     stack in the same order. So is the one work buffer ``_stack``, the
-    forward product's real ``(m, 2, 2 (n//2 + 1))`` view of the solve's
-    complex stack.
+    forward product's real ``(m, 2, 2 (n//2 + 1))`` view of the complex
+    stack that the inner solve overwrites with its solution.
     """
 
     def __init__(self, grid, gamma, eps, inner):
@@ -160,16 +160,26 @@ class RbdEpsPreconditioner:
         # factored on the first apply
         self._solve = None
 
-    def apply_inverse(self, r):
+    def apply_inverse(self, r, out=None):
         """P^-1 r for a real vector r of length 2 m n, both halves one after the other.
 
-        Returns a fresh array; ``r`` is left unchanged.
+        The result is written into ``out``, a float64 vector of length 2 m n,
+        and returned; without ``out`` it is a fresh array. ``out`` may be
+        ``r`` itself: the forward product reads all of ``r`` before anything
+        is written. Otherwise ``r`` is left unchanged. The forward product,
+        the inner solves and the guard run in the kept ``_stack``, so an
+        apply into ``out`` makes no array of the system's size, and the
+        preconditioner is not reentrant.
         """
         r = np.asarray(r)
         if r.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}, got {r.shape}")
         if np.iscomplexobj(r):
             raise TypeError("only real vectors are supported")
+        if out is None:
+            out = np.empty(self.size)
+        elif out.shape != (self.size,) or out.dtype != float:
+            raise ValueError(f"out must be a float64 vector of length {self.size}")
         n, m = self.grid.n, self.grid.m
         half = n // 2 + 1
         if self._solve is None:
@@ -180,7 +190,8 @@ class RbdEpsPreconditioner:
         stack = self._stack
         signal = r.reshape(2, n, m).transpose(0, 2, 1)
         np.matmul(signal, self._forward, out=stack.transpose(1, 0, 2))
-        z = self._solve(stack.view(complex))
+        z = stack.view(complex)
+        self._solve(z, out=z)
         # the inverse product drops the imaginary part of the real-shift blocks,
         # so check it here
         if not np.isfinite(z).all():
@@ -192,4 +203,5 @@ class RbdEpsPreconditioner:
                 f"imaginary residue {residue:.3e} exceeds the round-off bound; "
                 "inner solves lost the conjugate-pair structure"
             )
-        return np.matmul(self._inverse, z.view(float).reshape(m, 4 * half).T).reshape(-1)
+        np.matmul(self._inverse, stack.reshape(m, 4 * half).T, out=out.reshape(2 * n, m))
+        return out

@@ -29,10 +29,12 @@ wraps :class:`DstShiftedSolver` in two :func:`dst2d` calls
 (``tests/dense_backend.py``).
 
 Each backend exposes one batched entry point, ``factor(sigmas) -> solve``:
-it prepares every shift at once, and ``solve(rhs)`` takes a complex,
-C-contiguous ``(m, l, k)`` stack, positions first, and solves
-``rhs[:, :, i]`` with shift ``sigmas[i]``, k = len(sigmas). It returns a
-fresh C-contiguous array of that shape; no backend takes another layout.
+it prepares every shift at once, and ``solve(rhs, out=None)`` takes a
+complex, C-contiguous ``(m, l, k)`` stack, positions first, and solves
+``rhs[:, :, i]`` with shift ``sigmas[i]``, k = len(sigmas). The solution is
+written into ``out``, a C-contiguous complex array of that shape, and
+returned; ``out`` may be ``rhs`` itself, and without it the solution is a
+fresh array. No backend takes another layout.
 """
 
 import numpy as np
@@ -121,10 +123,10 @@ class DstShiftedSolver:
         inverse = 1.0 / denom
         count = denom.shape[-1]
 
-        def solve(rhs):
+        def solve(rhs, out=None):
             if rhs.shape[-1] != count:
                 raise ValueError(f"expected {count} shifts on the last axis, got {rhs.shape[-1]}")
-            return rhs * inverse
+            return np.multiply(rhs, inverse, out=out)
 
         return solve
 

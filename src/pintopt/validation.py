@@ -15,11 +15,12 @@ suite and the ``validate`` CLI command.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
-from .discretize import TimeSpaceGrid, build_stiffness
+from .discretize import TimeSpaceGrid, build_stiffness, stencil
 from .gmres import gmres_solve
 from .rbd import choose_epsilon, contraction_factor, rate_constant
 
@@ -402,13 +403,13 @@ def check_gmres_rate(bundle, delta, tol=1e-10):
     w_root_inv = scipy.linalg.block_diag(half_root_inv, half_root_inv)
     aux_matrix = b.damped_inverse_saddle
     aux_rhs = np.linalg.solve(b.block_diag_damped_whitened, w_root_inv @ rhs)
-    aux = gmres_solve(lambda v: aux_matrix @ v, aux_rhs, tol=1e-13, maxit=size)
+    aux = gmres_solve(partial(np.matmul, aux_matrix), aux_rhs, tol=1e-13, maxit=size)
 
     lu, piv = scipy.linalg.lu_factor(b.preconditioner)
     orig = gmres_solve(
-        lambda v: b.saddle @ v,
+        partial(np.matmul, b.saddle),
         rhs,
-        apply_prec=lambda v: scipy.linalg.lu_solve((lu, piv), v),
+        apply_prec=lambda v, out: np.copyto(out, scipy.linalg.lu_solve((lu, piv), v)),
         tol=1e-13,
         maxit=size,
     )
@@ -492,9 +493,8 @@ def run_validation(delta=0.5):
     for m1 in (1, 3):
         for n in (2, 4, 8):
             grid = TimeSpaceGrid(m1=m1, n=n)
-            stiff_fd = build_stiffness(
-                grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))
-            ).toarray()
+            unit = stencil(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float)))
+            stiff_fd = build_stiffness(unit).toarray()
             levels = (("step", min(0.5, grid.tau / 2.0)), ("rate", choose_epsilon(grid, delta)))
             for gamma in (1e-8, 1e-4, 1.0):
                 for level, eps in levels:

@@ -23,6 +23,14 @@ import numpy as np
 from pintopt.shifted import DstShiftedSolver, dst2d
 
 
+def into(result, out):
+    """The solve contract's ``out``: ``result`` copied into it, or ``result`` itself."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
 class DenseShiftedSolver:
     """Dense solves of (sigma M + tau K) for arbitrary M, K, by explicit inverses."""
 
@@ -40,8 +48,8 @@ class DenseShiftedSolver:
         shifted = np.asarray(sigmas)[:, None, None] * self.mass + self.tau * self.stiffness
         inverses = np.linalg.inv(shifted)
 
-        def solve(rhs):
-            return np.einsum("kpq,qlk->plk", inverses, rhs, order="C")
+        def solve(rhs, out=None):
+            return into(np.einsum("kpq,qlk->plk", inverses, rhs, order="C"), out)
 
         return solve
 
@@ -63,7 +71,10 @@ class PhysicalDstSolver:
             # the solve contract takes and returns C-contiguous stacks
             return np.ascontiguousarray(dst2d(grids).transpose(1, 2, 0).reshape(v.shape))
 
-        return lambda rhs: rotate(solve_diagonal(rotate(rhs)))
+        def solve(rhs, out=None):
+            return into(rotate(solve_diagonal(rotate(rhs))), out)
+
+        return solve
 
 
 def spd_tridiagonal_solve(diag, off, rhs):

@@ -8,13 +8,20 @@ floating-point and inner-solver differences across environments.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 from dense_backend import PhysicalDstSolver, solve_sine_basis
 
 from pintopt.bench import ExperimentSpec, cell_grid, run_experiment, solve_cell
-from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm
+from pintopt.discretize import (
+    TimeSpaceGrid,
+    assemble_rhs,
+    build_stiffness,
+    error_norm,
+    stencil,
+)
 from pintopt.gmres import gmres_solve
 from pintopt.problems import get_problem
 from pintopt.rbd import RbdEpsPreconditioner
@@ -131,9 +138,8 @@ def test_criterion_4_dense_preconditioner_equivalence():
     for m1 in (1, 3):
         for n in (2, 4):
             grid = TimeSpaceGrid(m1=m1, n=n)
-            K = build_stiffness(
-                grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))
-            )
+            unit = stencil(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float)))
+            K = build_stiffness(unit)
             for gamma in (1e-4, 1.0):
                 for eps in (0.5, 0.01):
                     bundle = DenseBundle(
@@ -176,13 +182,13 @@ def test_criterion_6_gmres_unit_properties():
     basis_mat = rng.standard_normal((40, 40))
     spd = basis_mat @ basis_mat.T + 40 * np.eye(40)
     b = rng.standard_normal(40)
-    report = gmres_solve(lambda v: spd @ v, b, tol=1e-12, maxit=40)
+    report = gmres_solve(partial(np.matmul, spd), b, tol=1e-12, maxit=40)
     Q = report.basis  # rows are the Krylov directions
     orth = np.max(np.abs(Q @ Q.T - np.eye(Q.shape[0])))
 
     # final reported residual vs an independent recomputation, full stack
     grid = TimeSpaceGrid(m1=7, n=8)
-    K = build_stiffness(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float)))
+    K = build_stiffness(stencil(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))))
     from pintopt.discretize import assemble_rhs
     from pintopt.operators import AllAtOnceOperator
     from pintopt.problems import get_problem
@@ -196,7 +202,7 @@ def test_criterion_6_gmres_unit_properties():
     res_dev = abs(rep.residuals[-1] - true_res) / rep.residuals[0]
 
     # identity system: one iteration
-    ident = gmres_solve(lambda v: v, rng.standard_normal(12), tol=1e-10)
+    ident = gmres_solve(partial(np.multiply, 1.0), rng.standard_normal(12), tol=1e-10)
 
     ok = orth <= 1e-10 and res_dev <= 1e-8 and ident.iterations == 1
     print(f"\n[criterion 6] {'PASS' if ok else 'FAIL'} "

@@ -15,11 +15,12 @@ from dense_backend import PhysicalDstSolver
 
 import pintopt
 
-from pintopt import bench, shifted
+from pintopt import bench, discretize, shifted
 from pintopt.bench import (
     CSV_COLUMNS,
     ConfigurationError,
     ExperimentSpec,
+    cell_grid,
     constant_diffusion_value,
     mesh_level,
     run_experiment,
@@ -97,16 +98,16 @@ def test_fine_mesh_builds_with_the_fields_of_a_benchmark_cell(monkeypatch):
 
 def test_memory_check_rejects_a_cell_whose_basis_does_not_fit(monkeypatch):
     # h = 2^-6: N = 508,032 unknowns, 3.9 MiB an array, so maxit 100 needs
-    # (101 + WORKING_ARRAYS) arrays, 0.42 GiB with 9 working arrays
+    # (101 + WORKING_ARRAYS) arrays, 0.41 GiB with the sine transform's 7
     size = 2 * 63**2 * 64
-    need = 8 * size * (100 + 1 + bench.WORKING_ARRAYS)
+    need = 8 * size * (100 + 1 + bench.WORKING_ARRAYS["dst"])
     monkeypatch.setattr(bench, "available_memory", lambda: need - 1)
     with pytest.raises(ConfigurationError) as info:
         ExperimentSpec(example=1, h_values=(2.0**-5, 2.0**-6))
     message = str(info.value)
     assert "\n" not in message
     assert message.startswith(
-        "h = 2^-6 needs 0.42 GiB at maxit 100 for 1 cell at a time, but 0.42 GiB is available"
+        "h = 2^-6 needs 0.41 GiB at maxit 100 for 1 cell at a time, but 0.41 GiB is available"
     )
     assert message.endswith("the largest maxit that fits is 99")
     assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=99).maxit == 99
@@ -115,9 +116,9 @@ def test_memory_check_rejects_a_cell_whose_basis_does_not_fit(monkeypatch):
         ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=99, jobs=4)
     message = str(info.value)
     assert "\n" not in message
-    assert message.startswith("h = 2^-6 needs 1.65 GiB at maxit 99 for 4 cells at a time")
-    assert message.endswith("the largest maxit that fits is 17")
-    assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=17, jobs=4).jobs == 4
+    assert message.startswith("h = 2^-6 needs 1.62 GiB at maxit 99 for 4 cells at a time")
+    assert message.endswith("the largest maxit that fits is 18")
+    assert ExperimentSpec(example=1, h_values=(2.0**-6,), maxit=18, jobs=4).jobs == 4
     one_cell = ExperimentSpec(example=1, h_values=(2.0**-6,), gammas=(1.0,), maxit=99, jobs=4)
     assert one_cell.jobs == 4
     monkeypatch.setattr(bench, "available_memory", lambda: need)
@@ -132,25 +133,44 @@ def test_memory_check_counts_the_largest_cells_that_run_together(monkeypatch):
     # two on h = 2^-6 and the two on h = 2^-5, 8 times smaller, not four
     # on the finest mesh
     fine, coarse = 2 * 63**2 * 64, 2 * 31**2 * 32
-    need = 2 * 8 * (fine + coarse) * (40 + 1 + bench.WORKING_ARRAYS)
+    need = 2 * 8 * (fine + coarse) * (40 + 1 + bench.WORKING_ARRAYS["dst"])
     spec = dict(example=1, h_values=(2.0**-5, 2.0**-6), gammas=(1e-4, 1.0), maxit=40, jobs=4)
     monkeypatch.setattr(bench, "available_memory", lambda: need)
     assert ExperimentSpec(**spec).jobs == 4
-    assert 4 * 8 * fine * (40 + 1 + bench.WORKING_ARRAYS) > need
+    assert 4 * 8 * fine * (40 + 1 + bench.WORKING_ARRAYS["dst"]) > need
     monkeypatch.setattr(bench, "available_memory", lambda: need - 1)
     with pytest.raises(ConfigurationError) as info:
         ExperimentSpec(**spec)
     message = str(info.value)
-    assert message.startswith("h = 2^-6 needs 0.42 GiB at maxit 40 for 4 cells at a time")
+    assert message.startswith("h = 2^-6 needs 0.41 GiB at maxit 40 for 4 cells at a time")
     assert message.endswith("the largest maxit that fits is 39")
 
 
 def test_memory_check_caps_maxit_at_the_system_size(monkeypatch):
     # gmres_solve never reserves more than N + 1 rows, whatever maxit asks for
     size = 2 * 7**2 * 8
-    need = 8 * size * (size + 1 + bench.WORKING_ARRAYS)
+    need = 8 * size * (size + 1 + bench.WORKING_ARRAYS["dst"])
     monkeypatch.setattr(bench, "available_memory", lambda: need)
     assert ExperimentSpec(example=1, h_values=(2.0**-3,), maxit=10**8).maxit == 10**8
+
+
+def test_memory_check_counts_the_working_arrays_of_the_implied_backend(monkeypatch):
+    # example 1 runs the sine transform, which keeps fewer working arrays
+    # than the nine once counted for every backend, so a cell that fitted
+    # with nine still fits; example 2, or inner="mg", runs multigrid, whose
+    # V-cycle keeps more
+    size = 2 * 63**2 * 64
+    assert bench.WORKING_ARRAYS["dst"] <= 9 < bench.WORKING_ARRAYS["mg"]
+    monkeypatch.setattr(bench, "available_memory", lambda: 8 * size * (101 + 9))
+    assert ExperimentSpec(example=1, h_values=(2.0**-6,)).maxit == 100
+    need = 8 * size * (101 + bench.WORKING_ARRAYS["mg"])
+    monkeypatch.setattr(bench, "available_memory", lambda: need - 1)
+    for fields in (dict(example=2), dict(example=1, inner="mg"), dict(example=2, inner="mg")):
+        with pytest.raises(ConfigurationError, match="the largest maxit that fits is 99"):
+            ExperimentSpec(h_values=(2.0**-6,), **fields)
+    assert ExperimentSpec(example=1, h_values=(2.0**-6,)).maxit == 100
+    monkeypatch.setattr(bench, "available_memory", lambda: need)
+    assert ExperimentSpec(example=2, h_values=(2.0**-6,)).maxit == 100
 
 
 def test_memory_check_is_skipped_when_memory_cannot_be_read(monkeypatch):
@@ -228,13 +248,30 @@ def test_solve_cell_converges_and_reports():
 
 def test_sine_transform_cell_assembles_no_stiffness(monkeypatch):
     # the backend is chosen from the stencil, and the sine basis needs no K
-    def refuse(grid, a):
+    def refuse(bands):
         raise AssertionError("assembled the stiffness")
 
     monkeypatch.setattr(bench, "build_stiffness", refuse)
     assert solve_cell(ExperimentSpec(example=1), 1e-4, 2.0**-3).converged
     with pytest.raises(AssertionError, match="assembled"):
         solve_cell(ExperimentSpec(example=2), 1e-4, 2.0**-3)
+
+
+def test_multigrid_cell_samples_the_coefficient_once(monkeypatch):
+    # the backend choice and the CSR stiffness read one stencil; the first
+    # cell builds the cached multigrid hierarchy, which samples on its own
+    spec = ExperimentSpec(example=2)
+    h = 2.0**-3
+    assert solve_cell(spec, 1e-4, h).converged
+    calls = []
+    for module in (bench, discretize):
+        def counted(grid, a, original=module.stencil):
+            calls.append(grid.m1)
+            return original(grid, a)
+
+        monkeypatch.setattr(module, "stencil", counted)
+    assert solve_cell(spec, 1e-2, h).converged
+    assert calls == [cell_grid(h).m1]
 
 
 def test_dst_rejects_variable_coefficient_before_solving():
@@ -270,7 +307,7 @@ def physical_basis_cell(spec, gamma, h):
     """The cell solved with the 5-point stiffness and the physical-basis DST solve."""
     grid = TimeSpaceGrid.from_h(h, n=round(1 / h))
     problem = get_problem(f"example{spec.example}", gamma)
-    op = AllAtOnceOperator(grid, build_stiffness(grid, problem.a), gamma)
+    op = AllAtOnceOperator(grid, build_stiffness(stencil(grid, problem.a)), gamma)
     prec = RbdEpsPreconditioner(grid, gamma, choose_epsilon(grid), PhysicalDstSolver(grid))
     report = gmres_solve(
         op.matvec, assemble_rhs(problem, grid), apply_prec=prec.apply_inverse,
@@ -352,10 +389,10 @@ def fail_guard_for_gamma(monkeypatch, gamma):
     """
     original = RbdEpsPreconditioner.apply_inverse
 
-    def apply_inverse(self, r):
+    def apply_inverse(self, r, out=None):
         if self.alpha == self.grid.tau / np.sqrt(gamma):
             raise FloatingPointError("imaginary residue 1.000e-03 exceeds the round-off bound")
-        return original(self, r)
+        return original(self, r, out)
 
     monkeypatch.setattr(RbdEpsPreconditioner, "apply_inverse", apply_inverse)
 
@@ -380,10 +417,10 @@ def nan_inner_solve_for_gamma(monkeypatch, gamma):
     original = bench.make_inner_solver
 
     def make_inner_solver(problem, grid, spec):
-        inner = original(problem, grid, spec)
+        inner, bands = original(problem, grid, spec)
         if problem.gamma == gamma:
-            inner.factor = lambda sigmas: lambda rhs: np.full_like(rhs, np.nan)
-        return inner
+            inner.factor = lambda sigmas: lambda rhs, out: out.fill(np.nan)
+        return inner, bands
 
     monkeypatch.setattr(bench, "make_inner_solver", make_inner_solver)
 
@@ -651,7 +688,7 @@ def test_cli_rejects_a_mesh_too_fine_for_memory_before_allocating(monkeypatch, c
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("no maxit fits\n")
-    assert err.startswith("configuration error: h = 2^-10 needs 1756.56 GiB at maxit 100")
+    assert err.startswith("configuration error: h = 2^-10 needs 1724.63 GiB at maxit 100")
     assert peak < 2**20
 
 

@@ -13,6 +13,7 @@ from pintopt.discretize import (
     assemble_rhs,
     build_stiffness,
     error_norm,
+    stencil,
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
 from pintopt.validation import eps_circulant_matrix
@@ -94,7 +95,7 @@ def test_time_difference_rejects_zero():
 
 def test_stiffness_constant_coefficient_quarter_grid():
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     dense = K.toarray()
     assert np.allclose(np.diag(dense), 64.0)
     offs = dense[dense != 0]
@@ -103,7 +104,7 @@ def test_stiffness_constant_coefficient_quarter_grid():
 
 def test_stiffness_single_point_grid():
     grid = TimeSpaceGrid.from_h(0.5, n=1, horizon=1.0)
-    K = build_stiffness(grid, ones_coeff).toarray()
+    K = build_stiffness(stencil(grid, ones_coeff)).toarray()
     assert np.allclose(K, [[16.0]])
     # matches the sine eigenvalue (2 - 2cos(pi/2)) * 2 / h^2 = 16
     assert np.allclose(np.linalg.eigvalsh(K), [16.0])
@@ -113,7 +114,7 @@ def test_stiffness_matches_kron_form_for_constant_coefficient():
     m1 = 5
     h = 1.0 / (m1 + 1)
     grid = TimeSpaceGrid(m1=m1, n=2, horizon=1.0)
-    K = build_stiffness(grid, ones_coeff).toarray()
+    K = build_stiffness(stencil(grid, ones_coeff)).toarray()
     T = 2 * np.eye(m1) - np.eye(m1, k=1) - np.eye(m1, k=-1)
     want = (np.kron(T, np.eye(m1)) + np.kron(np.eye(m1), T)) / h**2
     assert np.max(np.abs(K - want)) < 1e-12 / h**2
@@ -121,7 +122,7 @@ def test_stiffness_matches_kron_form_for_constant_coefficient():
 
 def test_stiffness_variable_coefficient_against_oracle():
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
-    K = build_stiffness(grid, bench_coeff).toarray()
+    K = build_stiffness(stencil(grid, bench_coeff)).toarray()
     want = dense_stiffness_oracle(3, lambda u, v: 1e-5 * np.sin(np.pi * u * v))
     assert np.max(np.abs(K - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -129,7 +130,7 @@ def test_stiffness_variable_coefficient_against_oracle():
 def test_stiffness_is_bitwise_symmetric_and_positive():
     for m1, coeff in [(3, ones_coeff), (3, bench_coeff), (7, bench_coeff)]:
         grid = TimeSpaceGrid(m1=m1, n=2, horizon=1.0)
-        K = build_stiffness(grid, coeff)
+        K = build_stiffness(stencil(grid, coeff))
         assert K.format == "csr"
         assert (K != K.T).nnz == 0
         assert np.linalg.eigvalsh(K.toarray()).min() > 0
@@ -139,17 +140,17 @@ def test_stiffness_is_bitwise_symmetric_and_positive():
 def test_stiffness_rejects_nonpositive_coefficient():
     grid = TimeSpaceGrid(m1=3, n=2, horizon=1.0)
     with pytest.raises(DomainValidityError):
-        build_stiffness(grid, lambda x1, x2: np.zeros_like(x1))
+        build_stiffness(stencil(grid, lambda x1, x2: np.zeros_like(x1)))
     with pytest.raises(DomainValidityError):
         # dips negative inside the domain
-        build_stiffness(grid, lambda x1, x2: x1 - 0.5)
+        build_stiffness(stencil(grid, lambda x1, x2: x1 - 0.5))
 
 
 def test_stiffness_accepts_boundary_vanishing_coefficient():
     # positive at every stencil sample even though it vanishes on parts of
     # the closed boundary
     grid = TimeSpaceGrid(m1=7, n=2, horizon=1.0)
-    K = build_stiffness(grid, bench_coeff)
+    K = build_stiffness(stencil(grid, bench_coeff))
     assert np.linalg.eigvalsh(K.toarray()).min() > 0
 
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from dense_backend import solve_sine_basis
 
-from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness
+from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, stencil
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
 from pintopt.shifted import DstShiftedSolver, dst2d
@@ -63,7 +63,7 @@ def dense_saddle(grid, K, gamma):
 @pytest.mark.parametrize("coeff", [ones_coeff, wavy_coeff, sine_eigs])
 def test_evolution_matches_dense(m1, n, coeff):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    K = sine_eigs(grid) if coeff is sine_eigs else build_stiffness(grid, coeff)
+    K = sine_eigs(grid) if coeff is sine_eigs else build_stiffness(stencil(grid, coeff))
     T = dense_evolution(grid, K)
     op = AllAtOnceOperator(grid, K, gamma=1e-3)
     rng = np.random.default_rng(7 * m1 + n)
@@ -90,7 +90,7 @@ def test_diagonal_stiffness_vector_matches_csr_bit_for_bit(m1, n):
 
 @pytest.mark.parametrize(
     "stiffness",
-    [np.ones(1), build_stiffness(TimeSpaceGrid(m1=4, n=4), ones_coeff)],
+    [np.ones(1), build_stiffness(stencil(TimeSpaceGrid(m1=4, n=4), ones_coeff))],
     ids=["length-1 vector", "K of another grid"],
 )
 def test_rejects_stiffness_of_wrong_shape(stiffness):
@@ -101,7 +101,7 @@ def test_rejects_stiffness_of_wrong_shape(stiffness):
 
 def test_evolution_adjoint_identity():
     grid = TimeSpaceGrid(m1=3, n=4)
-    K = build_stiffness(grid, wavy_coeff)
+    K = build_stiffness(stencil(grid, wavy_coeff))
     op = AllAtOnceOperator(grid, K, gamma=1.0)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -117,7 +117,7 @@ def test_evolution_adjoint_identity():
 @pytest.mark.parametrize("gamma", [1e-4, 1.0])
 def test_matvec_matches_dense(m1, n, gamma):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    K = build_stiffness(grid, wavy_coeff)
+    K = build_stiffness(stencil(grid, wavy_coeff))
     A = dense_saddle(grid, K, gamma)
     op = AllAtOnceOperator(grid, K, gamma=gamma)
     rng = np.random.default_rng(m1 + 10 * n)
@@ -132,7 +132,7 @@ def test_symmetric_part_is_scaled_mass():
     # x' A x = alpha * x' W x with W = I for every x: the skew coupling
     # blocks cancel in the quadratic form
     grid = TimeSpaceGrid(m1=3, n=3)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     gamma = 1e-2
     op = AllAtOnceOperator(grid, K, gamma=gamma)
     alpha = grid.tau / np.sqrt(gamma)
@@ -146,14 +146,14 @@ def test_symmetric_part_is_scaled_mass():
 
 def test_alpha_value():
     grid = TimeSpaceGrid(m1=3, n=8)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     op = AllAtOnceOperator(grid, K, gamma=1e-4)
     assert op.alpha == pytest.approx((1.0 / 8) / 1e-2, rel=1e-15)
 
 
 def test_matvec_linearity():
     grid = TimeSpaceGrid(m1=2, n=3)
-    K = build_stiffness(grid, wavy_coeff)
+    K = build_stiffness(stencil(grid, wavy_coeff))
     op = AllAtOnceOperator(grid, K, gamma=0.1)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(op.size)
@@ -165,7 +165,7 @@ def test_matvec_linearity():
 
 def test_matvec_rejects_wrong_length():
     grid = TimeSpaceGrid(m1=2, n=2)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     op = AllAtOnceOperator(grid, K, gamma=1.0)
     with pytest.raises(ValueError):
         op.matvec(np.zeros(op.size + 1))
@@ -173,7 +173,7 @@ def test_matvec_rejects_wrong_length():
 
 def test_matvec_leaves_input_unchanged_and_returns_fresh():
     grid = TimeSpaceGrid(m1=3, n=4)
-    K = build_stiffness(grid, wavy_coeff)
+    K = build_stiffness(stencil(grid, wavy_coeff))
     op = AllAtOnceOperator(grid, K, gamma=1e-2)
     x = np.random.default_rng(5).standard_normal(op.size)
     saved = x.copy()
@@ -183,6 +183,33 @@ def test_matvec_leaves_input_unchanged_and_returns_fresh():
     assert np.array_equal(first, second)
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, x) and not np.shares_memory(second, x)
+
+
+@pytest.mark.parametrize("path", ["csr", "vector"])
+def test_matvec_into_out_equals_the_fresh_result(path):
+    # the out path writes the same bits as the fresh one, into the caller's
+    # array, and leaves the input as it was
+    grid = TimeSpaceGrid(m1=3, n=4)
+    K = build_stiffness(stencil(grid, wavy_coeff)) if path == "csr" else sine_eigs(grid)
+    op = AllAtOnceOperator(grid, K, gamma=1e-2)
+    x = np.random.default_rng(6).standard_normal(op.size)
+    saved = x.copy()
+    row = np.full((2, op.size), np.nan)[1]
+    assert op.matvec(x, out=row) is row
+    assert np.array_equal(row, op.matvec(x))
+    assert np.array_equal(x, saved)
+
+
+def test_matvec_rejects_an_out_that_aliases_the_input():
+    grid = TimeSpaceGrid(m1=3, n=4)
+    op = AllAtOnceOperator(grid, sine_eigs(grid), gamma=1e-2)
+    x = np.random.default_rng(7).standard_normal(2 * op.size)
+    with pytest.raises(ValueError, match="share memory"):
+        op.matvec(x[: op.size], out=x[: op.size])
+    with pytest.raises(ValueError, match="share memory"):
+        op.matvec(x[: op.size], out=x[op.size // 2 : op.size // 2 + op.size])
+    with pytest.raises(ValueError, match="length"):
+        op.matvec(x[: op.size], out=np.empty(op.size + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ import pytest
 import scipy.sparse as sp
 from dense_backend import DenseShiftedSolver, PhysicalDstSolver
 
-from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.bench import ExperimentSpec, cell_grid, make_inner_solver
+from pintopt.discretize import TimeSpaceGrid, build_stiffness, stencil
+from pintopt.operators import AllAtOnceOperator
+from pintopt.problems import get_problem
 from pintopt.rbd import (
     RbdEpsPreconditioner,
     choose_epsilon,
@@ -62,7 +65,7 @@ def rel_err(got, want):
 @pytest.mark.parametrize("eps", [0.5, 0.01])
 def test_matches_dense_inverse_unit_coeff(m1, n, gamma, eps):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     P = dense_preconditioner(grid, K, gamma, eps)
     pc = RbdEpsPreconditioner(grid, gamma, eps, inner=PhysicalDstSolver(grid))
     rng = np.random.default_rng(hash((m1, n)) % 2**31)
@@ -73,7 +76,7 @@ def test_matches_dense_inverse_unit_coeff(m1, n, gamma, eps):
 
 def test_matches_dense_inverse_variable_coeff():
     grid = TimeSpaceGrid(m1=3, n=3)
-    K = build_stiffness(grid, wavy_coeff)
+    K = build_stiffness(stencil(grid, wavy_coeff))
     gamma, eps = 1e-3, 0.2
     P = dense_preconditioner(grid, K, gamma, eps)
     inner = DenseShiftedSolver(np.eye(grid.m), K, grid.tau)
@@ -106,7 +109,7 @@ def test_matches_dense_inverse_general_mass():
 def test_matches_dense_inverse_single_step():
     # n = 1: the corner damping lands on the diagonal, C = [1 - eps]
     grid = TimeSpaceGrid(m1=3, n=1)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     P = dense_preconditioner(grid, K, 1.0, 0.5)
     pc = RbdEpsPreconditioner(grid, 1.0, 0.5, inner=PhysicalDstSolver(grid))
     rng = np.random.default_rng(13)
@@ -136,7 +139,7 @@ def test_matches_dense_inverse_many_steps(n):
     # are numpy's FFT applied to unit vectors, so the products differ from
     # the FFT path only in the order of their sums
     grid = TimeSpaceGrid(m1=3, n=n)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     rng = np.random.default_rng(n)
     for eps in (0.5, 1 / (2 * n), 1e-3):
         P = dense_preconditioner(grid, K, 1e-2, eps)
@@ -164,7 +167,7 @@ def test_conjugate_pair_shortcut_matches_full_path():
     # for even and odd n
     for n in (4, 5, 8):
         grid = TimeSpaceGrid(m1=3, n=n)
-        K = build_stiffness(grid, ones_coeff)
+        K = build_stiffness(stencil(grid, ones_coeff))
         P = dense_preconditioner(grid, K, 1e-3, 0.25)
         pc = RbdEpsPreconditioner(grid, 1e-3, 0.25, inner=PhysicalDstSolver(grid))
         rng = np.random.default_rng(n)
@@ -185,10 +188,10 @@ class RecordingSolver:
         self.factored.append(np.array(sigmas))
         solve = self.inner.factor(sigmas)
 
-        def recorded(rhs):
+        def recorded(rhs, out=None):
             self.solve_shapes.append(rhs.shape)
             self.solve_contiguous.append(rhs.flags.c_contiguous)
-            return solve(rhs)
+            return solve(rhs, out)
 
         return recorded
 
@@ -196,7 +199,7 @@ class RecordingSolver:
 @pytest.mark.parametrize("n", [1, 4, 5])
 def test_one_lazy_factor_and_one_solve_per_apply(n):
     grid = TimeSpaceGrid(m1=3, n=n)
-    K = build_stiffness(grid, ones_coeff)
+    K = build_stiffness(stencil(grid, ones_coeff))
     inner = RecordingSolver(DenseShiftedSolver(np.eye(grid.m), K, grid.tau))
     pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=inner)
     assert inner.factored == []  # nothing is factored at construction
@@ -220,7 +223,7 @@ class SkewedSolver:
 
     def factor(self, sigmas):
         solve = self.inner.factor(sigmas)
-        return lambda rhs: solve(rhs) * (1 + 1e-3j)
+        return lambda rhs, out: np.multiply(solve(rhs, out), 1 + 1e-3j, out=out)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -238,8 +241,8 @@ class LastShiftSkewedSolver(SkewedSolver):
     def factor(self, sigmas):
         solve = self.inner.factor(sigmas)
 
-        def skewed(rhs):
-            out = solve(rhs)
+        def skewed(rhs, out):
+            solve(rhs, out)
             out[..., -1] *= 1 + 1e-3j
             return out
 
@@ -266,7 +269,7 @@ class FilledSolver:
         self.value = value
 
     def factor(self, sigmas):
-        return lambda rhs: np.full_like(rhs, self.value)
+        return lambda rhs, out: out.fill(self.value)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -294,6 +297,23 @@ def test_apply_leaves_its_input_and_earlier_outputs_unchanged():
     assert not np.shares_memory(first, second)
 
 
+@pytest.mark.parametrize("example", [1, 2])
+def test_apply_in_place_equals_the_fresh_result(example):
+    # in place, as GMRES calls it on a basis row, and into another array,
+    # the apply writes the same bits as the fresh one, on either backend
+    grid = TimeSpaceGrid(m1=7, n=8)
+    problem = get_problem(f"example{example}", 1e-2)
+    inner, _ = make_inner_solver(problem, grid, ExperimentSpec(example=example))
+    pc = RbdEpsPreconditioner(grid, 1e-2, choose_epsilon(grid), inner=inner)
+    r = np.random.default_rng(21).standard_normal(pc.size)
+    want = pc.apply_inverse(r)
+    out = np.empty_like(r)
+    assert pc.apply_inverse(r, out=out) is out
+    assert np.array_equal(out, want)
+    assert pc.apply_inverse(r, out=r) is r
+    assert np.array_equal(r, want)
+
+
 def test_warm_apply_allocation_budget():
     # one warm apply allocates the returned vector and the solved half
     # spectrum, not a handful of full-size complex temporaries
@@ -308,6 +328,43 @@ def test_warm_apply_allocation_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * r.nbytes
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_arnoldi_step_makes_no_system_sized_array(example):
+    # the step GMRES runs: the operator into the next basis row, then the
+    # preconditioner in place on it. At h = 2^-5 three warm steps peak at
+    # 0.13 MB on the sine transform (the round-off guard's small arrays)
+    # and 0.59 MB on multigrid, the fine level's prolonged correction,
+    # which the sparse product returns fresh; an N-vector is 0.49 MB
+    h = 2.0**-5
+    grid = cell_grid(h)
+    problem = get_problem(f"example{example}", 1e-2)
+    inner, bands = make_inner_solver(problem, grid, ExperimentSpec(example=example))
+    fresh = 0
+    if isinstance(inner, DstShiftedSolver):
+        stiffness = inner.laplacian_eigs
+    else:
+        stiffness = build_stiffness(bands)
+        fresh = 8 * inner.levels[0].skew_size * 2 * 2 * (grid.n // 2 + 1)
+    op = AllAtOnceOperator(grid, stiffness, 1e-2)
+    pc = RbdEpsPreconditioner(grid, 1e-2, choose_epsilon(grid), inner=inner)
+    basis = np.empty((4, op.size))
+    basis[0] = np.random.default_rng(22).standard_normal(op.size)
+
+    def step(j):
+        op.matvec(basis[j], out=basis[j + 1])
+        pc.apply_inverse(basis[j + 1], out=basis[j + 1])
+
+    step(0)  # the lazy factor and the V-cycle workspace
+    tracemalloc.start()
+    try:
+        for j in range(3):
+            step(j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fresh + basis[0].nbytes / 2
 
 
 def test_real_input_gives_real_output():

@@ -14,8 +14,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from dense_backend import DenseShiftedSolver, PhysicalDstSolver
 
-from pintopt.discretize import TimeSpaceGrid, build_stiffness
-from pintopt.multigrid import MgShiftedSolver
+from pintopt.discretize import TimeSpaceGrid, build_stiffness, stencil
+from pintopt.multigrid import MgShiftedSolver, sweep
 from pintopt.problems import get_problem
 from pintopt.shifted import DstShiftedSolver
 
@@ -39,7 +39,7 @@ def one_shift(backend, sigma):
 
 
 def shifted_matrix(grid, coeff, sigma):
-    K = build_stiffness(grid, coeff)
+    K = build_stiffness(stencil(grid, coeff))
     return (sigma * sp.identity(grid.m) + grid.tau * K).tocsr()
 
 
@@ -183,7 +183,7 @@ def test_unhashable_coefficient_builds_its_own_hierarchy():
 
 def stencil_matrix(level):
     """tau K of a level, rebuilt from its diagonal and its two coupling bands."""
-    north, west = (level.to_grid(c[:, 0]) for c in (level.north, level.west))
+    north, west = (c[level.skew_index, 0] for c in (level.north, level.west))
     m1 = level.m1
     shape = (m1 * m1, m1 * m1)
     # two calls: on the one-point grid both empty bands sit at offset -1
@@ -197,7 +197,7 @@ def test_coarse_operators_rediscretized():
     grid = TimeSpaceGrid(m1=15, n=4)
     levels = MgShiftedSolver(grid, wavy_coeff).levels
     for level in levels:
-        direct = build_stiffness(TimeSpaceGrid(m1=level.m1, n=4), wavy_coeff)
+        direct = build_stiffness(stencil(TimeSpaceGrid(m1=level.m1, n=4), wavy_coeff))
         assert abs(stencil_matrix(level) - grid.tau * direct).max() == 0.0
         # U is the strict upper triangle in skewed order, with empty rows
         # and columns at the zero positions
@@ -212,8 +212,8 @@ def sweep_on_level(level, sigmas, b, z=None):
     """One wavefront sweep on a level for every column of an (m, 2 k) stack."""
     inv_diag = level.to_skew(1.0 / (level.diag[:, None] + sigmas))
     z_skew = level.to_skew(np.zeros_like(b) if z is None else z)
-    level.sweep(z_skew, level.to_skew(b), inv_diag, from_zero=z is None)
-    return level.to_grid(z_skew)
+    sweep(level.front_views(z_skew, level.to_skew(b), inv_diag), from_zero=z is None)
+    return z_skew[level.skew_index]
 
 
 def test_smoother_matches_scalar_forward_substitution():
@@ -260,7 +260,7 @@ def test_upper_couplings_give_the_residual_after_a_sweep_from_zero():
         m = level.m1 * level.m1
         b = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
         z = sweep_on_level(level, sigmas, b)
-        got = -level.to_grid((level.upper @ level.to_skew(z).view(float)).view(complex))
+        got = -(level.upper @ level.to_skew(z).view(float)).view(complex)[level.skew_index]
         level_grid = TimeSpaceGrid(m1=level.m1, n=grid.n)
         for col in range(6):
             A = shifted_matrix(level_grid, wavy_coeff, sigmas[col % 3])
@@ -351,9 +351,10 @@ def test_one_factored_solve_serves_any_batch_width():
 
 
 def test_interleaved_factors_solve_independently():
-    # two factors of one solver share its hierarchy and nothing else:
-    # interleaved solves, with a change of batch width, equal solves run
-    # alone, and a returned result is never overwritten
+    # two factors of one solver share its hierarchy and nothing else, not
+    # their V-cycle workspaces: interleaved solves, with a change of batch
+    # width, equal solves run alone, and a returned result is never
+    # overwritten
     grid = TimeSpaceGrid(m1=15, n=8)
     solver = MgShiftedSolver(grid, wavy_coeff)
     shifts = [np.array([0.3 + 0.2j, 1.5 - 0.4j]), np.array([0.05 + 0.87j, 2.0, 0.7 - 0.1j])]
@@ -374,6 +375,10 @@ def test_interleaved_factors_solve_independently():
     for result, want, before in zip(got, alone, kept):
         assert np.array_equal(result, want)
         assert np.array_equal(result, before)
+    # each factor keeps its own V-cycle workspace: interleaved in-place
+    # solves of the two do not disturb each other either
+    for (i, _), rhs, want in zip(order, stacks, alone):
+        assert np.array_equal(solves[i](rhs, out=rhs), want)
 
 
 @pytest.mark.parametrize("shifts", [2, 1])
@@ -457,7 +462,7 @@ def backend(name, grid):
     if name == "dst":
         return DstShiftedSolver(grid)
     if name == "dense":
-        K = build_stiffness(grid, ones_coeff)
+        K = build_stiffness(stencil(grid, ones_coeff))
         return DenseShiftedSolver(np.eye(grid.m), K, grid.tau)
     return MgShiftedSolver(grid, ones_coeff)
 
@@ -503,6 +508,22 @@ def test_solve_leaves_rhs_unchanged(name):
     got = solve(rhs)
     assert np.array_equal(rhs, rhs_copy)
     assert not np.shares_memory(got, rhs)
+
+
+@pytest.mark.parametrize("name", ["dst", "dense", "mg"])
+def test_solve_into_out_equals_the_fresh_result(name):
+    # a solve into out, its own right-hand side included, writes the same
+    # bits as the fresh solve
+    grid = TimeSpaceGrid(m1=7, n=4)
+    solve = backend(name, grid).factor(np.array([1.0, 0.3 + 0.9j]))
+    rng = np.random.default_rng(24)
+    rhs = rng.standard_normal((grid.m, 2, 2)) + 1j * rng.standard_normal((grid.m, 2, 2))
+    want = solve(rhs)
+    out = np.empty_like(rhs)
+    assert solve(rhs, out=out) is out
+    assert np.array_equal(out, want)
+    assert solve(rhs, out=rhs) is rhs
+    assert np.array_equal(rhs, want)
 
 
 @pytest.mark.parametrize("name", ["dst", "dense", "mg"])

@@ -13,7 +13,7 @@ import pytest
 import scipy.fft
 
 from pintopt import shifted
-from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.discretize import TimeSpaceGrid, build_stiffness, stencil
 from pintopt.rbd import eps_spectrum
 from pintopt.shifted import dst2d
 from pintopt.validation import eps_circulant_matrix
@@ -212,7 +212,7 @@ def test_dst_diagonalizes_constant_coefficient_stiffness():
     h = 0.25
     m1 = 3
     grid = TimeSpaceGrid.from_h(h, n=4, horizon=1.0)
-    K = build_stiffness(grid, lambda x1, x2: np.ones_like(x1)).toarray()
+    K = build_stiffness(stencil(grid, lambda x1, x2: np.ones_like(x1))).toarray()
     S2 = np.kron(dense_dst(m1), dense_dst(m1))
     congr = S2.T @ K @ S2
     i = np.arange(1, m1 + 1)
@@ -225,7 +225,7 @@ def test_dst_eigenvalue_formula_matches_dense_stiffness():
     for m1 in (1, 3, 7):
         h = 1.0 / (m1 + 1)
         grid = TimeSpaceGrid.from_h(h, n=2, horizon=1.0)
-        K = build_stiffness(grid, lambda x1, x2: np.ones_like(x1)).toarray()
+        K = build_stiffness(stencil(grid, lambda x1, x2: np.ones_like(x1))).toarray()
         dense_eigs = np.sort(np.linalg.eigvalsh(K))
         i = np.arange(1, m1 + 1)
         lam1d = 2.0 - 2.0 * np.cos(i * np.pi * h)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from dense_backend import DenseShiftedSolver
 
-from pintopt.discretize import TimeSpaceGrid, build_stiffness
+from pintopt.discretize import TimeSpaceGrid, build_stiffness, stencil
 from pintopt.operators import AllAtOnceOperator
 from pintopt.rbd import RbdEpsPreconditioner, rate_constant
 from pintopt.validation import (
@@ -40,7 +40,7 @@ def constant_coefficient(x1, x2):
 
 def fd_bundle(m1, n, gamma, eps):
     grid = TimeSpaceGrid(m1=m1, n=n)
-    stiffness = build_stiffness(grid, constant_coefficient)
+    stiffness = build_stiffness(stencil(grid, constant_coefficient))
     return grid, DenseBundle(n, grid.tau, gamma, eps, np.eye(grid.m), stiffness)
 
 
@@ -74,7 +74,7 @@ def test_saddle_matches_matrix_free_operator():
     rng = np.random.default_rng(11)
     for m1, n, gamma in [(1, 2, 1e-4), (3, 3, 1.0), (2, 4, 1e-2)]:
         grid = TimeSpaceGrid(m1=m1, n=n)
-        K = build_stiffness(grid, constant_coefficient)
+        K = build_stiffness(stencil(grid, constant_coefficient))
         bundle = DenseBundle(n, grid.tau, gamma, 0.1, np.eye(grid.m), K)
         op = AllAtOnceOperator(grid, K, gamma)
         for _ in range(3):
@@ -87,7 +87,7 @@ def test_preconditioner_matches_fft_solver():
     # path, with its time transform as two matrix products, inverts
     rng = np.random.default_rng(13)
     grid = TimeSpaceGrid(m1=2, n=4)
-    K = build_stiffness(grid, constant_coefficient)
+    K = build_stiffness(stencil(grid, constant_coefficient))
     gamma, eps = 1e-3, 0.2
     bundle = DenseBundle(grid.n, grid.tau, gamma, eps, np.eye(grid.m), K)
     fast = RbdEpsPreconditioner(
