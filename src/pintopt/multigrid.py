@@ -7,28 +7,34 @@ its ``factor(sigmas) -> solve`` runs each V-cycle once on the whole stack
 of right-hand sides, every shift together, with no matrix or factorization
 per shift. Components:
 
-* stencil bands: each level keeps the diagonal of tau K and its couplings
-  to (i-1, j) and to (i, j-1), from :func:`pintopt.discretize.stencil` on
-  that level's grid, so the coarse operators are re-discretized from the
-  same coefficient. K is symmetric, so the couplings to (i+1, j) and
-  (i, j+1) are the same bands shifted by one point;
+* neighbor pairs: each level keeps the diagonal of tau K and, per point,
+  the weights of its couplings to the pair (i-1, j), (i, j-1) and to the
+  pair (i, j+1), (i+1, j), from :func:`pintopt.discretize.stencil` on that
+  level's grid, so the coarse operators are re-discretized from the same
+  coefficient. K is symmetric, so the second pair's weights are the west
+  and north bands shifted by one point, zero at the boundary;
 * ``factor`` keeps the shifts, and a shift that zeroes any level's
   shifted diagonal raises the sine-transform backend's "a shift makes the
   system singular" ValueError. The solve's workspace adds the shifts to
   the diagonal of every level, one reciprocal column per shift, and builds
-  no other matrix. Each stencil is stored once and broadcast over every
-  shift and right-hand side, so one factored solve serves any number of
-  right-hand sides;
+  no other matrix. Each level's weights are stored once and broadcast over
+  every shift and right-hand side, so one factored solve serves any number
+  of right-hand sides;
 * smoother: lexicographic forward Gauss-Seidel, one pre-sweep from zero
   and one post-sweep. Point (i, j) needs the new values at (i-1, j) and
   (i, j-1), both on the anti-diagonal i + j = d - 1, and the old values at
-  (i+1, j) and (i, j+1), both on d + 1. Sweeping d = 0, 1, ... updates a
-  whole anti-diagonal, for every shift and every right-hand side, in one
-  vector operation and gives exactly the lexicographic values;
+  (i, j+1) and (i+1, j), both on d + 1. In skewed order each pair sits at
+  two adjacent positions, so a front of n points reads its lower pairs as
+  an (n, 2, columns) window of the run before it and weighs them with its
+  (n, 1, 2) weights in one matmul, and its upper pairs likewise on the run
+  after it. Sweeping d = 0, 1, ... updates a whole anti-diagonal, for every
+  shift and every right-hand side, in three calls from zero and five after
+  it, and gives the lexicographic values: a pair is summed before it is
+  subtracted, which moves only round-off;
 * residual: the sweep from zero solves the lower triangle L of A = L + U
   exactly, so right after it b - A z = -U z, the upper couplings applied to
   z. The cycle needs only its restriction, so each level keeps the product
-  R U as one sparse matrix in skewed order, like P and R: the coarse
+  R U, its defect, as one sparse matrix in skewed order, like P: the coarse
   right-hand side is one product of coarse size, and the cycle subtracts
   the prolonged correction;
 * transfers: bilinear prolongation P, a sparse matrix from the coarse
@@ -58,12 +64,12 @@ solver. Solvers share only the levels, which no solve writes.
 
 Each factored solve keeps the arrays of its V-cycle for the batch width it
 last saw: per level a complex z and b, their zero positions zeroed once,
-and every front's views of them, of the stencil bands, of the reciprocal
-diagonal and of two scratch rows, so a sweep only calls ufuncs. A solve
-scatters its right-hand sides into the finest b and gathers the result
-from the finest z; apart from the sparse products' outputs it makes no
-array. That workspace makes a solve non-reentrant: two calls of one solve
-must not run at the same time.
+and every front's views: its pair windows of z, all from one sliding window
+view of that z, and its rows of b, of the reciprocal diagonal and of two
+scratch rows, so a sweep only calls ufuncs. A solve scatters its right-hand
+sides into the finest b and gathers the result from the finest z; apart
+from the sparse products' outputs it makes no array. That workspace makes a
+solve non-reentrant: two calls of one solve must not run at the same time.
 
 The fine grid needs m1 = 2^l - 1 points per dimension, so the hierarchy
 halves it down to the one-point grid: 63, 31, 15, 7, 3, 1. There one sweep
@@ -81,12 +87,14 @@ from .discretize import TimeSpaceGrid, stencil
 
 
 class Level:
-    """One grid of the hierarchy: stencil bands of tau K, skewed order, transfers.
+    """One grid of the hierarchy: skewed order, neighbor-pair weights, transfers.
 
-    ``upper`` is U, the strict upper triangle of tau K, in skewed order.
-    ``coarse`` is the next coarser level, from and to which ``prolong`` and
-    ``restrict`` map, and to which ``defect`` = ``restrict @ upper`` maps;
-    the coarsest level has none of them.
+    ``fronts`` holds, per anti-diagonal, its positions, the starts of the
+    windows of its lower and upper neighbor pairs in the runs before and
+    after it, and the (n, 1, 2) weight stacks of those pairs. ``coarse`` is
+    the next coarser level: ``prolong`` maps from it and ``defect`` = R U
+    to it, with U the strict upper triangle of tau K in skewed order and
+    R = P'/4; the coarsest level has neither.
     """
 
     def __init__(self, grid, coeff, coarse=None):
@@ -106,35 +114,27 @@ class Level:
         self.skew_size = start[-1]
         i, j = np.divmod(np.arange(m1 * m1), m1)
         self.skew_index = start[i + j + 1] + 1 + i - first[i + j + 1]
-        # real (positions, 1) columns of the couplings of (i, j) to (i-1, j)
-        # and to (i, j-1), zero where that neighbor is a boundary point. The
-        # coupling of a point to (i+1, j) is the north weight stored at
-        # (i+1, j), and to (i, j+1) the west weight stored at (i, j+1)
-        self.north = np.zeros((self.skew_size, 1))
-        self.north[self.skew_index, 0] = tau * north.ravel()
-        self.west = np.zeros((self.skew_size, 1))
-        self.west[self.skew_index, 0] = tau * west.ravel()
-        # per anti-diagonal: its positions, then the positions of the points
-        # (i-1, j), (i, j-1), (i+1, j) and (i, j+1) of its points (i, j)
+        # the weights of each point's couplings to the pair (i-1, j), (i, j-1)
+        # and to the pair (i, j+1), (i+1, j), in skewed order. K is symmetric,
+        # so east and south are the west and north bands shifted by one
+        # point, zero at the boundary
+        east = np.pad(west[:, 1:], ((0, 0), (0, 1)))
+        south = np.pad(north[1:], ((0, 1), (0, 0)))
+        lower, upper = np.zeros((2, self.skew_size, 1, 2))
+        lower[self.skew_index, 0] = tau * np.stack([north.ravel(), west.ravel()], axis=1)
+        upper[self.skew_index, 0] = tau * np.stack([east.ravel(), south.ravel()], axis=1)
+        # per anti-diagonal: its positions, the position of (i-1, j) of its
+        # first point, with (i, j-1) next to it, and that of (i, j+1), with
+        # (i+1, j) next to it
         e = np.arange(1, 2 * m1)  # array index of d = 0 .. 2 m1 - 2
-        offsets = [
-            start[e] + 1,
-            start[e - 1] + first[e] - first[e - 1],
-            start[e - 1] + 1 + first[e] - first[e - 1],
-            start[e + 1] + 2 + first[e] - first[e + 1],
-            start[e + 1] + 1 + first[e] - first[e + 1],
-        ]
+        here = start[e] + 1
+        below = start[e - 1] + first[e] - first[e - 1]
+        above = start[e + 1] + 1 + first[e] - first[e + 1]
         self.fronts = [
-            tuple(slice(at, at + n) for at in row)
-            for n, *row in zip(count[e].tolist(), *(o.tolist() for o in offsets))
+            (slice(at, at + n), slice(lo, lo + n), slice(up, up + n),
+             lower[at : at + n], upper[at : at + n])
+            for n, at, lo, up in zip(*(v.tolist() for v in (count[e], here, below, above)))
         ]
-        # U, the couplings to (i+1, j) and (i, j+1), in skewed order; zero
-        # positions have empty rows and columns
-        index = self.skew_index.reshape(m1, m1)
-        rows = np.concatenate([index[:-1].ravel(), index[:, :-1].ravel()])
-        cols = np.concatenate([index[1:].ravel(), index[:, 1:].ravel()])
-        couplings = tau * np.concatenate([north[1:].ravel(), west[:, 1:].ravel()])
-        self.upper = sp.csr_matrix((couplings, (rows, cols)), shape=(self.skew_size,) * 2)
         if coarse is None:
             return
 
@@ -148,34 +148,38 @@ class Level:
             (weight.ravel(), (fine.ravel(), source.ravel())),
             shape=(self.skew_size, coarse.skew_size),
         )
-        self.restrict = self.prolong.T / 4
-        self.defect = (self.restrict @ self.upper).tocsr()
+        # U from the upper pairs that the post-sweep uses: each point's two
+        # weights at the position of its (i, j+1) and the next one, that of
+        # (i+1, j). Zero positions get no row; the product drops the zero
+        # weights of boundary neighbors
+        east_at = start[i + j + 2] + 1 + i - first[i + j + 2]
+        rows, cols = np.repeat(self.skew_index, 2), (east_at[:, None] + [0, 1]).ravel()
+        shape = (self.skew_size,) * 2
+        upper_matrix = sp.csr_matrix((upper[self.skew_index].ravel(), (rows, cols)), shape=shape)
+        self.defect = (self.prolong.T / 4 @ upper_matrix).tocsr()
 
-    def to_skew(self, field):
-        """A (m1^2, ...) field in skewed order, zero positions included."""
-        out = np.zeros((self.skew_size, *field.shape[1:]), dtype=field.dtype)
-        out[self.skew_index] = field
-        return out
-
-    def front_views(self, z, b, inv_diag):
+    def front_views(self, z, b, sigmas):
         """Every front's views for :func:`sweep` on the skewed (positions, l k) z and b.
 
-        ``inv_diag`` is the skewed (positions, k) reciprocal of the shifted
-        diagonal, broadcast over the l right-hand sides of each shift. Two
-        scratch rows are made here and kept alive by the views.
+        The reciprocal of the diagonal shifted by each of the k ``sigmas``
+        is broadcast over the l right-hand sides of that shift. A front's
+        neighbor pairs are (n, 2, columns) windows of one sliding window
+        view of z, two rows each. Two scratch rows are made here and kept
+        alive by the views.
         """
+        k = sigmas.size
+        inv_diag = np.zeros((self.skew_size, k), complex)
+        inv_diag[self.skew_index] = 1.0 / (self.diag[:, None] + sigmas)
         zr, br = z.view(float), b.view(float)
-        k = inv_diag.shape[1]
-        acc = np.empty((self.m1, zr.shape[1]))
+        pairs = np.lib.stride_tricks.sliding_window_view(zr, 2, axis=0).swapaxes(1, 2)
+        acc = np.empty((self.m1, 1, zr.shape[1]))
         tmp = np.empty_like(acc)
         views = []
-        for here, north, west, south, east in self.fronts:
+        for here, below, above, lower, upper in self.fronts:
             n = here.stop - here.start
             views.append((
-                self.north[here], zr[north], br[here], acc[:n],
-                self.west[here], zr[west], tmp[:n],
-                self.north[south], zr[south], self.west[east], zr[east],
-                acc[:n].view(complex).reshape(n, -1, k), inv_diag[here, None, :],
+                lower, pairs[below], br[here, None], acc[:n], upper, pairs[above], tmp[:n],
+                acc[:n, 0].view(complex).reshape(n, -1, k), inv_diag[here, None, :],
                 z[here].reshape(n, -1, k),
             ))
         return views
@@ -184,19 +188,17 @@ class Level:
 def sweep(views, from_zero=False):
     """One forward Gauss-Seidel sweep, in place on the z of ``views``.
 
-    ``views`` is :meth:`Level.front_views`. ``from_zero`` skips the upper
-    neighbors, which are zero on a first sweep from z = 0.
+    ``views`` is :meth:`Level.front_views`. A front is b minus one product
+    of its lower weight pairs with their pairs of z on the run before it,
+    minus one such product of its upper pairs on the run after it, times
+    the reciprocal diagonal. ``from_zero`` skips the upper product, zero on
+    a first sweep from z = 0.
     """
-    for (north, z_north, b_here, acc, west, z_west, tmp,
-         south, z_south, east, z_east, acc_complex, inv, z_here) in views:
-        np.multiply(north, z_north, out=acc)
+    for lower, z_lower, b_here, acc, upper, z_upper, tmp, acc_complex, inv, z_here in views:
+        np.matmul(lower, z_lower, out=acc)
         np.subtract(b_here, acc, out=acc)
-        np.multiply(west, z_west, out=tmp)
-        acc -= tmp
         if not from_zero:
-            np.multiply(south, z_south, out=tmp)
-            acc -= tmp
-            np.multiply(east, z_east, out=tmp)
+            np.matmul(upper, z_upper, out=tmp)
             acc -= tmp
         np.multiply(acc_complex, inv, out=z_here)
 
@@ -278,7 +280,7 @@ class _VCycle:
         self.z = [np.zeros((level.skew_size, width), complex) for level in levels]
         self.b = [np.zeros_like(z) for z in self.z]
         self.fronts = [
-            level.front_views(z, b, level.to_skew(1.0 / (level.diag[:, None] + sigmas)))
+            level.front_views(z, b, sigmas)
             for level, z, b in zip(levels, self.z, self.b)
         ]
 

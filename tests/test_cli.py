@@ -215,6 +215,8 @@ def test_constant_diffusion_detection():
     assert detect(lambda x1, x2: np.full(np.shape(x1), 3.0)) == 3.0
     # one edge sample off the constant changes two diagonal and two coupling entries
     assert detect(lambda x1, x2: np.where((x1 == 0.0625) & (x2 == 0.125), 3.5, 3.0)) is None
+    # a variation far below any discretization error still gets multigrid
+    assert detect(lambda x1, x2: 3.0 * (1.0 + 1e-6 * np.sin(np.pi * x1))) is None
 
 
 # ------------------------------------------------------------- formatting

@@ -136,6 +136,15 @@ def test_happy_breakdown_on_low_degree_minimal_polynomial():
     assert report.basis.shape[0] == report.iterations
 
 
+def test_near_breakdown_does_not_stop_early():
+    # two eigenvalues 1e-9 apart: the second Arnoldi vector is small but a
+    # true direction, so GMRES needs both iterations to reach 1e-13. The
+    # residual history is 1, 5.0e-10, then round-off
+    d = np.repeat([1.0, 1.0 + 1e-9], 5)
+    report = gmres_solve(partial(np.multiply, d), np.ones(10), tol=1e-13)
+    assert report.converged and report.iterations == 2
+
+
 def test_breakdown_test_does_not_depend_on_the_rhs_scale():
     # measured against the norm of b, the first, perfectly independent,
     # direction of a large right-hand side would look like a breakdown;

@@ -218,18 +218,29 @@ def test_one_lazy_factor_and_one_solve_per_apply(n):
 class SkewedSolver:
     """Fake inner backend whose solves pick up a spurious complex factor."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, skew=1 + 1e-3j):
         self.inner = inner
+        self.skew = skew
 
     def factor(self, sigmas):
         solve = self.inner.factor(sigmas)
-        return lambda rhs, out: np.multiply(solve(rhs, out), 1 + 1e-3j, out=out)
+        return lambda rhs, out: np.multiply(solve(rhs, out), self.skew, out=out)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_imaginary_residue_guard_trips(n):
+@pytest.mark.parametrize(
+    "n, skew",
+    [
+        pytest.param(4, 1 + 1e-3j, id="4"),
+        pytest.param(5, 1 + 1e-3j, id="5"),
+        # a relative residue of about 5e-9, far above round-off
+        pytest.param(4, 1 + 1e-8j, id="4-residue-1e-8"),
+        pytest.param(5, 1 + 1e-8j, id="5-residue-1e-8"),
+    ],
+)
+def test_imaginary_residue_guard_trips(n, skew):
     grid = TimeSpaceGrid(m1=3, n=n)
-    pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=SkewedSolver(DstShiftedSolver(grid)))
+    skewed = SkewedSolver(DstShiftedSolver(grid), skew)
+    pc = RbdEpsPreconditioner(grid, 1e-2, 0.3, inner=skewed)
     rng = np.random.default_rng(17)
     with pytest.raises(FloatingPointError, match="imaginary residue"):
         pc.apply_inverse(rng.standard_normal(2 * grid.m * n))

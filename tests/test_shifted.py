@@ -118,8 +118,7 @@ def interpolation_1d(m1):
 
 def test_prolongation_1d_stencil():
     # each level's prolongation is the Kronecker square of the 1D stencil,
-    # permuted from the coarse level's skewed order into this level's, and
-    # its restriction is exactly a quarter of the transpose
+    # permuted from the coarse level's skewed order into this level's
     assert np.array_equal(interpolation_1d(3), [[0.5], [1.0], [0.5]])
     levels = MgShiftedSolver(TimeSpaceGrid(m1=15, n=4), wavy_coeff).levels
     for fine, coarse in zip(levels, levels[1:]):
@@ -129,7 +128,6 @@ def test_prolongation_1d_stencil():
         # zero positions receive and give nothing
         assert not np.delete(P, fine.skew_index, axis=0).any()
         assert not np.delete(P, coarse.skew_index, axis=1).any()
-        assert abs(fine.restrict - fine.prolong.T / 4).max() == 0.0
 
 
 def test_hierarchy_sizes_and_rejection():
@@ -137,10 +135,10 @@ def test_hierarchy_sizes_and_rejection():
     # one transfers from and to the next coarser level's skewed order
     levels = MgShiftedSolver(TimeSpaceGrid(m1=15, n=4), wavy_coeff).levels
     assert [lvl.m1 for lvl in levels] == [15, 7, 3, 1]
-    assert not hasattr(levels[-1], "prolong") and not hasattr(levels[-1], "restrict")
+    assert not hasattr(levels[-1], "prolong") and not hasattr(levels[-1], "defect")
     for fine, coarse in zip(levels, levels[1:]):
         assert fine.prolong.shape == (fine.skew_size, coarse.skew_size)
-        assert fine.restrict.shape == (coarse.skew_size, fine.skew_size)
+        assert fine.defect.shape == (coarse.skew_size, fine.skew_size)
     with pytest.raises(ValueError):
         MgShiftedSolver(TimeSpaceGrid(m1=6, n=4), wavy_coeff)
 
@@ -181,38 +179,61 @@ def test_unhashable_coefficient_builds_its_own_hierarchy():
     assert np.array_equal(first.factor(sigmas)(rhs), want)
 
 
-def stencil_matrix(level):
-    """tau K of a level, rebuilt from its diagonal and its two coupling bands."""
-    north, west = (c[level.skew_index, 0] for c in (level.north, level.west))
+def to_skew(level, field):
+    """A (m1^2, ...) field in a level's skewed order, zero positions included."""
+    out = np.zeros((level.skew_size, *field.shape[1:]), dtype=field.dtype)
+    out[level.skew_index] = field
+    return out
+
+
+def triangles(level):
+    """The lower triangle of tau K and its strict upper triangle, from a level's fronts.
+
+    The lower one is rebuilt from the diagonal and the weight pairs of each
+    point's couplings to (i-1, j), (i, j-1), the upper one from the pairs
+    of its couplings to (i, j+1), (i+1, j).
+    """
+    weights = np.zeros((level.skew_size, 2, 2))
+    for here, _, _, lower, upper in level.fronts:
+        weights[here, 0], weights[here, 1] = lower[:, 0], upper[:, 0]
+    (north, west), (east, south) = weights[level.skew_index].transpose(1, 2, 0)
     m1 = level.m1
     shape = (m1 * m1, m1 * m1)
-    # two calls: on the one-point grid both empty bands sit at offset -1
+    # two calls each: on the one-point grid a triangle's two empty bands
+    # share one offset
     lower = sp.diags(west[1:], -1, shape=shape) + sp.diags(north[m1:], -m1, shape=shape)
-    return (sp.diags(level.diag) + lower + lower.T).tocsr()
+    upper = sp.diags(east[:-1], 1, shape=shape) + sp.diags(south[:-m1], m1, shape=shape)
+    return (sp.diags(level.diag) + lower).tocsr(), upper.tocsr()
 
 
 def test_coarse_operators_rediscretized():
     # every level, the one-point grid included, equals direct assembly on
-    # its own grid
+    # its own grid, through both triangles of its weight pairs and through
+    # its defect R U = P'/4 U
     grid = TimeSpaceGrid(m1=15, n=4)
     levels = MgShiftedSolver(grid, wavy_coeff).levels
-    for level in levels:
-        direct = build_stiffness(stencil(TimeSpaceGrid(m1=level.m1, n=4), wavy_coeff))
-        assert abs(stencil_matrix(level) - grid.tau * direct).max() == 0.0
-        # U is the strict upper triangle in skewed order, with empty rows
-        # and columns at the zero positions
-        index = level.skew_index
-        upper = level.upper[np.ix_(index, index)]
-        assert abs(upper - sp.triu(grid.tau * direct, 1)).max() == 0.0
-        zero = np.setdiff1d(np.arange(level.skew_size), index)
-        assert level.upper[zero].nnz == 0 and level.upper[:, zero].nnz == 0
+    for level, coarse in zip(levels, levels[1:] + (None,)):
+        direct = grid.tau * build_stiffness(stencil(TimeSpaceGrid(m1=level.m1, n=4), wavy_coeff))
+        lower, upper = triangles(level)
+        assert abs(lower - sp.tril(direct)).max() == 0.0
+        assert abs(upper - sp.triu(direct, 1)).max() == 0.0
+        if coarse is None:
+            continue
+        # the defect maps skewed order to skewed order: zero positions
+        # have empty rows and columns
+        P1 = interpolation_1d(level.m1)
+        want = np.kron(P1, P1).T / 4 @ sp.triu(direct, 1)
+        got = level.defect[np.ix_(coarse.skew_index, level.skew_index)]
+        assert abs(got - want).max() < 1e-15 * abs(direct).max()
+        fine_zero = np.setdiff1d(np.arange(level.skew_size), level.skew_index)
+        coarse_zero = np.setdiff1d(np.arange(coarse.skew_size), coarse.skew_index)
+        assert level.defect[:, fine_zero].nnz == 0 and level.defect[coarse_zero].nnz == 0
 
 
 def sweep_on_level(level, sigmas, b, z=None):
     """One wavefront sweep on a level for every column of an (m, 2 k) stack."""
-    inv_diag = level.to_skew(1.0 / (level.diag[:, None] + sigmas))
-    z_skew = level.to_skew(np.zeros_like(b) if z is None else z)
-    sweep(level.front_views(z_skew, level.to_skew(b), inv_diag), from_zero=z is None)
+    z_skew = to_skew(level, np.zeros_like(b) if z is None else z)
+    sweep(level.front_views(z_skew, to_skew(level, b), sigmas), from_zero=z is None)
     return z_skew[level.skew_index]
 
 
@@ -251,50 +272,24 @@ def test_sweep_from_a_guess_is_lexicographic_gauss_seidel():
 
 def test_upper_couplings_give_the_residual_after_a_sweep_from_zero():
     # a sweep from zero solves the lower triangle exactly, so -U z is the
-    # dense b - A z on every level, for every shift and column
+    # dense b - A z, and the defect's -R U z is its restriction, on every
+    # level with a coarser one, for every shift and column
     grid = TimeSpaceGrid(m1=15, n=4)
     levels = MgShiftedSolver(grid, wavy_coeff).levels
     sigmas = np.array([0.8 + 0.6j, 0.05 + 0.9j, 3.0])
     rng = np.random.default_rng(4)
-    for level in levels:
+    for level, coarse in zip(levels, levels[1:]):
         m = level.m1 * level.m1
         b = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
         z = sweep_on_level(level, sigmas, b)
-        got = -(level.upper @ level.to_skew(z).view(float)).view(complex)[level.skew_index]
+        got = -(level.defect @ to_skew(level, z).view(float)).view(complex)[coarse.skew_index]
         level_grid = TimeSpaceGrid(m1=level.m1, n=grid.n)
+        P1 = interpolation_1d(level.m1)
+        restrict = np.kron(P1, P1).T / 4
         for col in range(6):
             A = shifted_matrix(level_grid, wavy_coeff, sigmas[col % 3])
-            want = b[:, col] - A @ z[:, col]
+            want = restrict @ (b[:, col] - A @ z[:, col])
             assert np.max(np.abs(got[:, col] - want)) < 1e-13 * np.max(np.abs(b[:, col]))
-
-
-def upper_by_fronts(level, z):
-    """U z by two products per anti-diagonal, the front loop the sparse U must match."""
-    out = np.zeros_like(z)
-    outr, zr = out.view(float), z.view(float)
-    tmp = np.empty((level.m1, zr.shape[1]))
-    for here, _, _, south, east in level.fronts:
-        t = tmp[: here.stop - here.start]
-        np.multiply(level.north[south], zr[south], out=outr[here])
-        np.multiply(level.west[east], zr[east], out=t)
-        outr[here] += t
-    return out
-
-
-def test_upper_product_matches_the_front_loop():
-    # the sparse product sums the same two products as the loop, so the
-    # residual the V-cycle restricts is bit-identical to the loop's
-    grid = TimeSpaceGrid(m1=15, n=4)
-    levels = MgShiftedSolver(grid, wavy_coeff).levels
-    rng = np.random.default_rng(5)
-    for sigmas in ([0.8 + 0.6j, 0.05 + 0.9j, 3.0], [1e-3 + 2.0j], [0.5, 0.5 - 4.0j]):
-        for level in levels:
-            m = level.m1 * level.m1
-            b = rng.standard_normal((m, 2 * len(sigmas)))
-            b = b + 1j * rng.standard_normal(b.shape)
-            z = level.to_skew(sweep_on_level(level, np.array(sigmas), b))
-            got = (level.upper @ z.view(float)).view(complex)
-            assert np.array_equal(got, upper_by_fronts(level, z))
 
 
 def reference_vcycle(grid, coeff, sigma, r):
