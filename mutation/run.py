@@ -1,4 +1,4 @@
-"""Mutation check of tier 1: does each listed one-line fault fail a test?
+"""Mutation check of tier 1: does each listed small fault fail a test?
 
 Run it with:
 
@@ -7,7 +7,9 @@ Run it with:
 It prints the table, then one line per mutant and a summary.
 
 Each mutant is one row of ``MUTANTS``: a file, an exact anchor text, its
-replacement and one line on what the change breaks. For each mutant, the
+replacement and one line on what the change breaks. Most change one line;
+the set-up cache's key cannot lose an argument in one line, so that mutant
+replaces the cache with a small one keyed without it. For each mutant, the
 checkout is copied to a temporary directory, the anchor is replaced there
 and ``python -m pytest -x -q tests`` runs in it. A mutant is killed when
 that run fails; the checkout itself is never written. An anchor that does
@@ -33,6 +35,24 @@ ROOT = Path(__file__).resolve().parent.parent
 # not copied: version control, caches and benchmark output
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out")
 
+# the mesh set-up cache, and one whose key leaves out the inner solver
+MESH_SETUP = "@functools.lru_cache(maxsize=1)\ndef mesh_setup(example, inner, h):\n"
+MESH_SETUP_WITHOUT_INNER = """_kept = {}
+
+
+def mesh_setup(example, inner, h):
+    if (example, h) not in _kept:
+        _kept.clear()
+        _kept[example, h] = _mesh_setup(example, inner, h)
+    return _kept[example, h]
+
+
+mesh_setup.cache_clear = _kept.clear
+
+
+def _mesh_setup(example, inner, h):
+"""
+
 # (file, anchor, replacement, what it breaks)
 MUTANTS = [
     ("src/pintopt/gmres.py", "for _ in range(2):", "for _ in range(1):",
@@ -56,6 +76,14 @@ MUTANTS = [
      "memory check without the working arrays: it under-counts"),
     ("src/pintopt/bench.py", "[: self.jobs]", "[:1]",
      "memory check ignores the worker count: parallel cells under-count"),
+    ("src/pintopt/bench.py", "EPS_FLOOR = math.sqrt(np.finfo(float).eps)",
+     "EPS_FLOOR = np.finfo(float).eps",
+     "eps floor at u instead of sqrt(u): a delta whose round-off moves e_h runs"),
+    ("src/pintopt/bench.py", "choose_epsilon(cell_grid(finest), self.delta)",
+     "choose_epsilon(cell_grid(max(self.h_values)), self.delta)",
+     "eps floor checked at the coarsest h: the finer cells of a sweep pass under it"),
+    ("src/pintopt/bench.py", MESH_SETUP, MESH_SETUP_WITHOUT_INNER,
+     "set-up kept per (example, h) without inner: an mg cell reuses a sine transform"),
     ("src/pintopt/bench.py", 'f"{x:.2e}"', 'f"{x:.3e}"',
      "four significant digits in the tables instead of three"),
     ("src/pintopt/operators.py", "elif np.shares_memory(out, x):", "elif False:",
@@ -66,9 +94,6 @@ MUTANTS = [
      "if any((level.diag[:, None] + sigmas == 0).any() for level in self.levels):",
      "if False:",
      "a shift that zeroes a coarse diagonal divides by zero in the cycle"),
-    ("src/pintopt/multigrid.py", "self.levels = _build_levels(grid, coeff)",
-     "self.levels = _hierarchy(grid, coeff)",
-     "an unhashable coefficient is sent to the cache and raises TypeError"),
     ("src/pintopt/multigrid.py", "np.stack([north.ravel(), west.ravel()], axis=1)",
      "np.stack([west.ravel(), north.ravel()], axis=1)",
      "swapped weights of a pair: (i-1, j) gets the coupling of (i, j-1)"),

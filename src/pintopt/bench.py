@@ -9,6 +9,7 @@ too so the command-line front end stays a thin argument parser.
 
 import concurrent.futures
 import csv
+import functools
 import itertools
 import math
 import time
@@ -33,6 +34,14 @@ from .rbd import RbdEpsPreconditioner, choose_epsilon
 WORKING_ARRAYS = {"dst": 7, "mg": 11}
 
 CSV_COLUMNS = ("gamma", "h", "dof", "iter", "cpu_s", "e_h", "e_h_raw")
+
+# Smallest corner damping eps a solve may run with. The preconditioner scales
+# the time levels by eps^(j/n) and back, so its round-off grows like u / eps
+# for the unit round-off u. A delta sweep on both examples at h = 2^-4 and
+# 2^-5 kept every 3-digit e_h of delta = 0.5 down to eps = 8.8e-11 and lost
+# one at 8.8e-12; at h = 2^-6 both tables are unchanged just above this
+# floor, which holds the round-off near sqrt(u) = 1.5e-8.
+EPS_FLOOR = math.sqrt(np.finfo(float).eps)
 
 
 class ConfigurationError(ValueError):
@@ -79,6 +88,13 @@ class ExperimentSpec:
             raise ConfigurationError(f"maxit must be >= 1, got {self.maxit}")
         if not 0 < self.delta < 1:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
+        eps = choose_epsilon(cell_grid(finest), self.delta)
+        if eps < EPS_FLOOR:  # eps is nearly proportional to a delta this small
+            raise ConfigurationError(
+                f"delta = {self.delta:g} gives eps = {eps:.2e} at h = 2^-{mesh_level(finest)}, "
+                f"below the round-off floor {EPS_FLOOR:.2e}; delta must be about "
+                f"{self.delta * EPS_FLOOR / eps:.2e} or more there"
+            )
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         # gmres_solve reserves its basis in full, and run_experiment runs up to
@@ -144,26 +160,47 @@ def constant_diffusion_value(bands, grid):
     return float(unit * grid.h**2)
 
 
-def make_inner_solver(problem, grid, spec):
+def make_inner_solver(a, grid, inner):
     """Build the shifted-solve backend, failing fast on incompatibility.
 
-    Returns the backend and the stencil ``stencil(grid, problem.a)`` it was
-    chosen from, so that a caller assembling K does not sample the
-    coefficient again. With no ``spec.inner``, the sine transform when the
-    diffusion coefficient is constant, multigrid otherwise.
+    Returns the backend and the stencil ``stencil(grid, a)`` it was chosen
+    from, so that a caller assembling K does not sample the coefficient
+    again. With no ``inner``, the sine transform when the diffusion
+    coefficient ``a`` is constant, multigrid otherwise.
     """
-    bands = stencil(grid, problem.a)
-    if spec.inner != "mg":
+    bands = stencil(grid, a)
+    if inner != "mg":
         value = constant_diffusion_value(bands, grid)
         if value is not None:
             return shifted.DstShiftedSolver(grid, diffusion=value), bands
-        if spec.inner == "dst":
+        if inner == "dst":
             raise ConfigurationError(
                 "the sine-transform inner solver requires a constant diffusion "
                 "coefficient; this problem's coefficient varies in space "
                 "(use the multigrid inner solver instead)"
             )
-    return MgShiftedSolver(grid, problem.a), bands
+    return MgShiftedSolver(grid, a), bands
+
+
+@functools.lru_cache(maxsize=1)
+def mesh_setup(example, inner, h):
+    """What every gamma cell of one mesh shares: the grid, the backend and K.
+
+    A problem's coefficient does not depend on gamma, and neither does
+    anything built from it, so the cells of one (example, inner, h) that a
+    process solves in a row share one set-up. The stiffness is what the
+    operator takes: the sine transform's ``laplacian_eigs``, or the CSR K
+    for multigrid, assembled from the stencil the backend was chosen from.
+    ``make_inner_solver`` and ``build_stiffness`` are looked up at call
+    time. No cell writes what this returns: a backend's ``factor`` gives
+    each cell its own solve and work arrays.
+    """
+    grid = cell_grid(h)
+    a = get_problem(f"example{example}", 1.0).a  # any weight: a does not depend on it
+    backend, bands = make_inner_solver(a, grid, inner)
+    if isinstance(backend, shifted.DstShiftedSolver):
+        return grid, backend, backend.laplacian_eigs
+    return grid, backend, build_stiffness(bands)
 
 
 @dataclass(frozen=True)
@@ -183,17 +220,19 @@ class CellResult:
 def solve_cell(spec, gamma, h):
     """Assemble and solve one cell; wall time covers the GMRES loop only.
 
-    A cell with the sine-transform backend is solved in the sine basis:
-    the stiffness handed to the operator is the vector
-    ``DstShiftedSolver.laplacian_eigs`` of the diagonal Lambda, which the
-    matvec applies as one broadcast product, ``assemble_rhs`` rotates the
-    right-hand side once with ``shifted.dst2d`` and ``error_norm`` rotates
-    the state and the adjoint back, so GMRES, the matvec and the
-    preconditioner run no sine transform. The transform is orthogonal, so
-    the iterates are those of the physical-basis solve up to round-off.
+    The grid, the backend and the stiffness come from :func:`mesh_setup`,
+    built once for the cells of one mesh. A cell with the sine-transform
+    backend is solved in the sine basis: the stiffness handed to the
+    operator is the vector ``DstShiftedSolver.laplacian_eigs`` of the
+    diagonal Lambda, which the matvec applies as one broadcast product,
+    ``assemble_rhs`` rotates the right-hand side once with
+    ``shifted.dst2d`` and ``error_norm`` rotates the state and the adjoint
+    back, so GMRES, the matvec and the preconditioner run no sine
+    transform. The transform is orthogonal, so the iterates are those of
+    the physical-basis solve up to round-off. ``shifted.dst2d`` is read in
+    every cell, never kept, so a wrapper set on it sees every rotation.
     Multigrid cells are solved in the physical basis, with the assembled
-    stiffness; a sine-transform cell assembles none. The coefficient is
-    sampled once, for both the backend choice and the stiffness.
+    stiffness.
 
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
@@ -203,16 +242,9 @@ def solve_cell(spec, gamma, h):
     that GMRES leaves unconverged keeps its iterations and error, and its
     ``failure`` names the last iteration and the relative residual.
     """
-    grid = cell_grid(h)
+    grid, inner, stiffness = mesh_setup(spec.example, spec.inner, h)
     problem = get_problem(f"example{spec.example}", gamma)
-    inner, bands = make_inner_solver(problem, grid, spec)
-    transform = None
-    if isinstance(inner, shifted.DstShiftedSolver):
-        # read at call time, so a wrapper set on shifted.dst2d sees every rotation
-        transform = shifted.dst2d
-        stiffness = inner.laplacian_eigs
-    else:
-        stiffness = build_stiffness(bands)
+    transform = shifted.dst2d if isinstance(inner, shifted.DstShiftedSolver) else None
 
     op = AllAtOnceOperator(grid, stiffness, gamma)
     rhs = assemble_rhs(problem, grid, transform)

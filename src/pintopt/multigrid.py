@@ -54,13 +54,8 @@ it. A solve scatters its right-hand sides into skewed order once and
 gathers the result once; the transfers map skewed order to skewed order,
 so the V-cycle never converts.
 
-Nothing in the hierarchy depends on the shifts, so it is built once per
-(grid, coefficient) pair: ``_hierarchy`` keeps the last one, and the cells
-of a sweep over gamma that run in one process, which pass the same
-coefficient object, each get their own solver on the same levels. The
-cache key is the (grid, coefficient) pair, so the coefficient must be a
-pure function of position; an unhashable one is built afresh for every
-solver. Solvers share only the levels, which no solve writes.
+Nothing in the hierarchy depends on the shifts: a solver builds it once,
+and every ``factor`` and every solve reads it and writes none of it.
 
 Each factored solve keeps the arrays of its V-cycle for the batch width it
 last saw: per level a complex z and b, their zero positions zeroed once,
@@ -77,8 +72,6 @@ from zero is the exact solve, so the coarsest level runs the same sweep as
 every other level and stops. Prepared shifts and one V(1,1) cycle per solve
 make one fixed linear map, so the solve is safe inside non-flexible GMRES.
 """
-
-import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,24 +196,6 @@ def sweep(views, from_zero=False):
         np.multiply(acc_complex, inv, out=z_here)
 
 
-def _build_levels(grid, coeff):
-    """The levels of (grid, coeff), finest first."""
-    sizes = [grid.m1]
-    while sizes[-1] > 1:
-        sizes.append((sizes[-1] - 1) // 2)
-    # coarsest first: each level's transfers need the next coarser level
-    levels = []
-    coarse = None
-    for size in reversed(sizes):
-        coarse = Level(TimeSpaceGrid(m1=size, n=grid.n, horizon=grid.horizon), coeff, coarse)
-        levels.insert(0, coarse)
-    return tuple(levels)
-
-
-# the last hierarchy built, shared by every solver of that (grid, coeff) pair
-_hierarchy = functools.lru_cache(maxsize=1)(_build_levels)
-
-
 class MgShiftedSolver:
     """Batched shifted solves by V-cycles on one re-discretized hierarchy."""
 
@@ -230,12 +205,15 @@ class MgShiftedSolver:
             raise ValueError(
                 f"multigrid needs m1 = 2^l - 1 points per dimension, got m1={m1}"
             )
-        try:
-            hash(coeff)
-        except TypeError:  # an unhashable coefficient cannot key the cache
-            self.levels = _build_levels(grid, coeff)
-        else:
-            self.levels = _hierarchy(grid, coeff)
+        # m1 = 2^l - 1 halves to 2^(l-1) - 1 down to 1, built coarsest first:
+        # each level's transfers need the next coarser level
+        levels = []
+        coarse = None
+        for bits in range(1, m1.bit_length() + 1):
+            level_grid = TimeSpaceGrid(m1=2**bits - 1, n=grid.n, horizon=grid.horizon)
+            coarse = Level(level_grid, coeff, coarse)
+            levels.insert(0, coarse)
+        self.levels = tuple(levels)
 
     def factor(self, sigmas):
         sigmas = np.asarray(sigmas, dtype=complex)

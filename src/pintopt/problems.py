@@ -6,11 +6,8 @@ used to measure discretization error. All space-time callables are vectorized
 over numpy arrays with signature (x1, x2, t) -> array; purely spatial ones
 take (x1, x2).
 
-The diffusion coefficient ``a`` must be a pure function of position. Each
-example's coefficient is one module-level function, the same object for
-every gamma, and the multigrid backend caches its last hierarchy per
-(grid, coefficient) pair, so the cells of one mesh that a process solves
-in a row build it once.
+The diffusion coefficient ``a`` is a function of position only, the same
+for every gamma.
 
 Two built-in problems are registered:
 
@@ -51,24 +48,13 @@ class ParabolicControlProblem:
             raise ValueError(f"regularization weight must be positive, got {self.gamma}")
 
 
-_EXAMPLE2_SCALE = 1.0e-5
-
-
-def _unit(x1, x2):
-    return np.ones_like(np.asarray(x1, dtype=float))
-
-
-def _example2_coefficient(x1, x2):
-    return _EXAMPLE2_SCALE * np.sin(np.pi * x1 * x2)
-
-
 def _example1(gamma):
     def shape(x1, x2):
         return np.sin(np.pi * x1) * np.sin(np.pi * x2)
 
     return ParabolicControlProblem(
         gamma=gamma,
-        a=_unit,
+        a=lambda x1, x2: np.ones_like(np.asarray(x1, dtype=float)),
         f=lambda x1, x2, t: (2 * np.pi**2 - 1) * np.exp(-t) * shape(x1, x2),
         g=lambda x1, x2, t: np.exp(-t) * shape(x1, x2),
         y0=shape,
@@ -79,7 +65,7 @@ def _example1(gamma):
 
 
 def _example2(gamma):
-    c = _EXAMPLE2_SCALE
+    c = 1.0e-5
 
     def bump(x1, x2):
         return x1 * (1 - x1) * x2 * (1 - x2)
@@ -117,7 +103,7 @@ def _example2(gamma):
 
     return ParabolicControlProblem(
         gamma=gamma,
-        a=_example2_coefficient,
+        a=lambda x1, x2: c * np.sin(np.pi * x1 * x2),
         f=f,
         g=g,
         y0=bump,

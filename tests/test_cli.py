@@ -44,6 +44,7 @@ from pintopt.discretize import (
     stencil,
 )
 from pintopt.gmres import gmres_solve
+from pintopt.multigrid import MgShiftedSolver
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
 from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon, rate_constant
@@ -86,6 +87,22 @@ def test_spec_rejects_delta_outside_unit_interval():
         with pytest.raises(ConfigurationError, match="delta"):
             ExperimentSpec(example=1, delta=delta)
     assert ExperimentSpec(example=1, delta=0.99).delta == 0.99
+
+
+def test_spec_rejects_delta_below_the_round_off_floor():
+    # eps shrinks with h, so the finest h of the sweep decides. Just above the
+    # floor both tables keep every 3-digit e_h of delta = 0.5. At delta = 1e-10
+    # and h = 2^-5 example 1 already loses a digit (gamma = 1); far below it
+    # cells "converge" to errors of order 1 or fail as not finite
+    def least(h):  # the delta that gives eps = EPS_FLOOR at tau = h, horizon 1
+        return 2 * bench.EPS_FLOOR / math.sqrt(h) / (1 - bench.EPS_FLOOR)
+
+    for h in (2.0**-5, 2.0**-6):
+        assert ExperimentSpec(example=1, h_values=(h,), delta=1.001 * least(h)).delta > 0
+    for delta, h_values in [(0.999 * least(2.0**-6), (2.0**-5, 2.0**-6)), (1e-10, (2.0**-5,)),
+                            (1e-15, (2.0**-5,)), (1e-250, (2.0**-4,))]:
+        with pytest.raises(ConfigurationError, match="round-off floor"):
+            ExperimentSpec(example=1, h_values=h_values, delta=delta)
 
 
 def test_fine_mesh_builds_with_the_fields_of_a_benchmark_cell(monkeypatch):
@@ -260,11 +277,9 @@ def test_sine_transform_cell_assembles_no_stiffness(monkeypatch):
 
 
 def test_multigrid_cell_samples_the_coefficient_once(monkeypatch):
-    # the backend choice and the CSR stiffness read one stencil; the first
-    # cell builds the cached multigrid hierarchy, which samples on its own
-    spec = ExperimentSpec(example=2)
-    h = 2.0**-3
-    assert solve_cell(spec, 1e-4, h).converged
+    # the backend choice and the CSR stiffness read one stencil, which the
+    # first cell of the mesh samples; the multigrid hierarchy samples its
+    # levels on its own. The next cell of that mesh samples nothing
     calls = []
     for module in (bench, discretize):
         def counted(grid, a, original=module.stencil):
@@ -272,8 +287,48 @@ def test_multigrid_cell_samples_the_coefficient_once(monkeypatch):
             return original(grid, a)
 
         monkeypatch.setattr(module, "stencil", counted)
+    spec = ExperimentSpec(example=2)
+    h = 2.0**-3
+    assert solve_cell(spec, 1e-4, h).converged
+    assert calls == [cell_grid(h).m1]
     assert solve_cell(spec, 1e-2, h).converged
     assert calls == [cell_grid(h).m1]
+
+
+def test_cells_of_one_mesh_share_one_set_up(monkeypatch):
+    # the gamma cells of one mesh get one backend and one K; another h or
+    # another inner solver gets its own set-up
+    backends, stiffnesses = [], []
+    preconditioner, build = bench.RbdEpsPreconditioner, bench.build_stiffness
+
+    def recording(grid, gamma, eps, inner):
+        backends.append(inner)
+        return preconditioner(grid, gamma, eps, inner)
+
+    def counted(bands):
+        stiffnesses.append(build(bands))
+        return stiffnesses[-1]
+
+    monkeypatch.setattr(bench, "RbdEpsPreconditioner", recording)
+    monkeypatch.setattr(bench, "build_stiffness", counted)
+    h = 2.0**-3
+    rows = run_experiment(ExperimentSpec(example=2, h_values=(h,), gammas=(1e-6, 1e-4, 1e-2)))
+    assert all(r.converged for r in rows)
+    assert len(stiffnesses) == 1
+    assert len(backends) == 3 and backends[1] is backends[0] and backends[2] is backends[0]
+    assert solve_cell(ExperimentSpec(example=2), 1e-2, 2.0**-2).converged
+    assert len(stiffnesses) == 2 and backends[-1] is not backends[0]
+
+    # example 1 runs multigrid when asked, right after a sine-transform cell
+    # of the same mesh, and as it would from a cold start
+    assert solve_cell(ExperimentSpec(example=1), 1e-2, h).converged
+    assert isinstance(backends[-1], shifted.DstShiftedSolver)
+    warm = solve_cell(ExperimentSpec(example=1, inner="mg"), 1e-2, h)
+    assert isinstance(backends[-1], MgShiftedSolver)
+    bench.mesh_setup.cache_clear()
+    cold = solve_cell(ExperimentSpec(example=1, inner="mg"), 1e-2, h)
+    assert backends[-1] is not backends[-2]
+    assert (warm.iterations, warm.error) == (cold.iterations, cold.error)
 
 
 def test_dst_rejects_variable_coefficient_before_solving():
@@ -411,20 +466,26 @@ def test_guard_failure_fails_only_its_cell(monkeypatch, jobs):
     assert rows[0].error is not None and rows[2].error is not None
 
 
+class NanInner:
+    """A backend whose solves return NaN, standing in for the mesh's own."""
+
+    def factor(self, sigmas):
+        return lambda rhs, out: out.fill(np.nan)
+
+
 def nan_inner_solve_for_gamma(monkeypatch, gamma):
     """Make the inner solves of one gamma's cells return NaN.
 
-    The patch reaches the ``jobs`` workers because the process pool forks.
+    The preconditioner of those cells gets a backend of its own, so the
+    one the cells of a mesh share is left as it is. The patch reaches the
+    ``jobs`` workers because the process pool forks.
     """
-    original = bench.make_inner_solver
+    original = bench.RbdEpsPreconditioner
 
-    def make_inner_solver(problem, grid, spec):
-        inner, bands = original(problem, grid, spec)
-        if problem.gamma == gamma:
-            inner.factor = lambda sigmas: lambda rhs, out: out.fill(np.nan)
-        return inner, bands
+    def preconditioner(grid, cell_gamma, eps, inner):
+        return original(grid, cell_gamma, eps, NanInner() if cell_gamma == gamma else inner)
 
-    monkeypatch.setattr(bench, "make_inner_solver", make_inner_solver)
+    monkeypatch.setattr(bench, "RbdEpsPreconditioner", preconditioner)
 
 
 @pytest.mark.parametrize("jobs,example", [
@@ -434,8 +495,8 @@ def nan_inner_solve_for_gamma(monkeypatch, gamma):
     pytest.param(2, 2, id="2-example2"),
 ])
 def test_non_finite_inner_solve_fails_only_its_cell(monkeypatch, jobs, example):
-    # on example 2 the multigrid cells share one hierarchy, and the NaN cell
-    # leaks nothing into the next one
+    # the cells of one mesh share one backend, and the NaN cell leaks
+    # nothing into the next one
     nan_inner_solve_for_gamma(monkeypatch, 1e-4)
     spec = ExperimentSpec(
         example=example, h_values=(2.0**-3,), gammas=(1e-6, 1e-4, 1e-2), jobs=jobs
@@ -630,6 +691,7 @@ def test_cli_config_file_rejects_a_null_list_key(tmp_path, capsys):
     ("--tol", "2"),
     ("--gamma", ""),
     ("--h", " "),
+    ("--delta", "1e-15"),
 ])
 def test_cli_rejects_non_finite_and_out_of_range_numbers(flags, capsys):
     code = run_cli("solve", "--example", "1", "--h", "2^-3", *flags)

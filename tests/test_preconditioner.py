@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 from dense_backend import DenseShiftedSolver, PhysicalDstSolver
 
-from pintopt.bench import ExperimentSpec, cell_grid, make_inner_solver
+from pintopt.bench import make_inner_solver, mesh_setup
 from pintopt.discretize import TimeSpaceGrid, build_stiffness, stencil
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
@@ -313,8 +313,7 @@ def test_apply_in_place_equals_the_fresh_result(example):
     # in place, as GMRES calls it on a basis row, and into another array,
     # the apply writes the same bits as the fresh one, on either backend
     grid = TimeSpaceGrid(m1=7, n=8)
-    problem = get_problem(f"example{example}", 1e-2)
-    inner, _ = make_inner_solver(problem, grid, ExperimentSpec(example=example))
+    inner, _ = make_inner_solver(get_problem(f"example{example}", 1e-2).a, grid, None)
     pc = RbdEpsPreconditioner(grid, 1e-2, choose_epsilon(grid), inner=inner)
     r = np.random.default_rng(21).standard_normal(pc.size)
     want = pc.apply_inverse(r)
@@ -348,15 +347,9 @@ def test_arnoldi_step_makes_no_system_sized_array(example):
     # 0.13 MB on the sine transform (the round-off guard's small arrays)
     # and 0.59 MB on multigrid, the fine level's prolonged correction,
     # which the sparse product returns fresh; an N-vector is 0.49 MB
-    h = 2.0**-5
-    grid = cell_grid(h)
-    problem = get_problem(f"example{example}", 1e-2)
-    inner, bands = make_inner_solver(problem, grid, ExperimentSpec(example=example))
+    grid, inner, stiffness = mesh_setup(example, None, 2.0**-5)
     fresh = 0
-    if isinstance(inner, DstShiftedSolver):
-        stiffness = inner.laplacian_eigs
-    else:
-        stiffness = build_stiffness(bands)
+    if not isinstance(inner, DstShiftedSolver):
         fresh = 8 * inner.levels[0].skew_size * 2 * 2 * (grid.n // 2 + 1)
     op = AllAtOnceOperator(grid, stiffness, 1e-2)
     pc = RbdEpsPreconditioner(grid, 1e-2, choose_epsilon(grid), inner=inner)

@@ -6,8 +6,6 @@ V(1,1) cycle built from np.tril and Kronecker-product transfers, down to the
 one-point grid.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +14,6 @@ from dense_backend import DenseShiftedSolver, PhysicalDstSolver
 
 from pintopt.discretize import TimeSpaceGrid, build_stiffness, stencil
 from pintopt.multigrid import MgShiftedSolver, sweep
-from pintopt.problems import get_problem
 from pintopt.shifted import DstShiftedSolver
 
 
@@ -141,42 +138,6 @@ def test_hierarchy_sizes_and_rejection():
         assert fine.defect.shape == (coarse.skew_size, fine.skew_size)
     with pytest.raises(ValueError):
         MgShiftedSolver(TimeSpaceGrid(m1=6, n=4), wavy_coeff)
-
-
-def test_hierarchy_built_once_per_grid_and_coefficient():
-    # every gamma of example 2 hands over the same coefficient, so the cells
-    # of a sweep share one hierarchy; each cell still gets its own solver
-    grid = TimeSpaceGrid(m1=15, n=4)
-    first = MgShiftedSolver(grid, get_problem("example2", 1e-4).a)
-    second = MgShiftedSolver(grid, get_problem("example2", 1.0).a)
-    assert second is not first and second.levels is first.levels
-    other_grid = MgShiftedSolver(TimeSpaceGrid(m1=15, n=8), get_problem("example2", 1.0).a)
-    assert other_grid.levels is not first.levels
-    assert other_grid.levels[0].diag[0] != first.levels[0].diag[0]
-    other_coeff = MgShiftedSolver(grid, wavy_coeff)
-    assert other_coeff.levels is not first.levels
-    assert other_coeff.levels is MgShiftedSolver(grid, wavy_coeff).levels
-
-
-@dataclasses.dataclass
-class UnhashableCoeff:
-    scale: float
-
-    def __call__(self, x1, x2):
-        return self.scale * wavy_coeff(x1, x2)
-
-
-def test_unhashable_coefficient_builds_its_own_hierarchy():
-    # a coefficient that cannot key the cache is built afresh per solver and
-    # solves as the same function passed hashable
-    grid = TimeSpaceGrid(m1=7, n=4)
-    coeff = UnhashableCoeff(2.0)
-    first, second = MgShiftedSolver(grid, coeff), MgShiftedSolver(grid, coeff)
-    assert first.levels is not second.levels
-    sigmas = np.array([0.5 + 0.3j, 1.2])
-    rhs = np.random.default_rng(9).standard_normal((grid.m, 1, 2)) + 0j
-    want = MgShiftedSolver(grid, lambda x1, x2: 2.0 * wavy_coeff(x1, x2)).factor(sigmas)(rhs)
-    assert np.array_equal(first.factor(sigmas)(rhs), want)
 
 
 def to_skew(level, field):
