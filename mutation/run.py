@@ -79,13 +79,14 @@ MUTANTS = [
     ("src/pintopt/bench.py", "EPS_FLOOR = math.sqrt(np.finfo(float).eps)",
      "EPS_FLOOR = np.finfo(float).eps",
      "eps floor at u instead of sqrt(u): a delta whose round-off moves e_h runs"),
-    ("src/pintopt/bench.py", "choose_epsilon(cell_grid(finest), self.delta)",
-     "choose_epsilon(cell_grid(max(self.h_values)), self.delta)",
+    ("src/pintopt/bench.py", "fine = cell_grid(finest)", "fine = cell_grid(max(self.h_values))",
      "eps floor checked at the coarsest h: the finer cells of a sweep pass under it"),
     ("src/pintopt/bench.py", MESH_SETUP, MESH_SETUP_WITHOUT_INNER,
      "set-up kept per (example, h) without inner: an mg cell reuses a sine transform"),
     ("src/pintopt/bench.py", 'f"{x:.2e}"', 'f"{x:.3e}"',
      "four significant digits in the tables instead of three"),
+    ("src/pintopt/discretize.py", "    fields[0] /= np.sqrt(problem.gamma)\n", "",
+     "error_norm compares sqrt(gamma) y, not y, with the exact state"),
     ("src/pintopt/operators.py", "elif np.shares_memory(out, x):", "elif False:",
      "the operator writes into its own input when out aliases it"),
     ("src/pintopt/multigrid.py", "self.prolong.T / 4 @", "self.prolong.T / 2 @",

@@ -22,8 +22,8 @@ from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm
 from .gmres import DEFAULT_MAXIT, gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
-from .problems import get_problem
-from .rbd import RbdEpsPreconditioner, choose_epsilon
+from .problems import EXAMPLES, get_problem
+from .rbd import RbdEpsPreconditioner, rate_constant
 
 # N-length float64 arrays a cell of N unknowns holds besides its
 # (maxit + 1, N) GMRES basis, by inner backend. Measured as a cell's rise in
@@ -65,8 +65,8 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.example not in (1, 2):
-            raise ConfigurationError(f"unknown example {self.example!r}; choose 1 or 2")
+        if self.example not in EXAMPLES:
+            raise ConfigurationError(f"unknown example {self.example!r}; choose from {list(EXAMPLES)}")
         if self.inner not in (None, "dst", "mg"):
             raise ConfigurationError(f"unknown inner solver {self.inner!r}")
         object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
@@ -88,7 +88,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"maxit must be >= 1, got {self.maxit}")
         if not 0 < self.delta < 1:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        eps = choose_epsilon(cell_grid(finest), self.delta)
+        fine = cell_grid(finest)
+        eps = rate_constant(self.delta, fine.tau, fine.horizon)
         if eps < EPS_FLOOR:  # eps is nearly proportional to a delta this small
             raise ConfigurationError(
                 f"delta = {self.delta:g} gives eps = {eps:.2e} at h = 2^-{mesh_level(finest)}, "
@@ -196,7 +197,7 @@ def mesh_setup(example, inner, h):
     each cell its own solve and work arrays.
     """
     grid = cell_grid(h)
-    a = get_problem(f"example{example}", 1.0).a  # any weight: a does not depend on it
+    a = get_problem(example, 1.0).a  # any weight: a does not depend on it
     backend, bands = make_inner_solver(a, grid, inner)
     if isinstance(backend, shifted.DstShiftedSolver):
         return grid, backend, backend.laplacian_eigs
@@ -226,13 +227,15 @@ def solve_cell(spec, gamma, h):
     operator is the vector ``DstShiftedSolver.laplacian_eigs`` of the
     diagonal Lambda, which the matvec applies as one broadcast product,
     ``assemble_rhs`` rotates the right-hand side once with
-    ``shifted.dst2d`` and ``error_norm`` rotates the state and the adjoint
-    back, so GMRES, the matvec and the preconditioner run no sine
-    transform. The transform is orthogonal, so the iterates are those of
-    the physical-basis solve up to round-off. ``shifted.dst2d`` is read in
+    ``shifted.dst2d`` and ``error_norm`` rotates the solution back, so
+    GMRES, the matvec and the preconditioner run no sine transform. The
+    transform is orthogonal, so the iterates are those of the
+    physical-basis solve up to round-off. ``shifted.dst2d`` is read in
     every cell, never kept, so a wrapper set on it sees every rotation.
     Multigrid cells are solved in the physical basis, with the assembled
-    stiffness.
+    stiffness. The solution goes to ``error_norm`` as ``gmres_solve``
+    returns it: the vector's layout and the scaling of its state half are
+    those of ``assemble_rhs``, which ``error_norm`` undoes.
 
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
@@ -243,14 +246,14 @@ def solve_cell(spec, gamma, h):
     ``failure`` names the last iteration and the relative residual.
     """
     grid, inner, stiffness = mesh_setup(spec.example, spec.inner, h)
-    problem = get_problem(f"example{spec.example}", gamma)
+    problem = get_problem(spec.example, gamma)
     transform = shifted.dst2d if isinstance(inner, shifted.DstShiftedSolver) else None
 
     op = AllAtOnceOperator(grid, stiffness, gamma)
     rhs = assemble_rhs(problem, grid, transform)
-    prec = RbdEpsPreconditioner(grid, gamma, choose_epsilon(grid, spec.delta), inner)
+    eps = rate_constant(spec.delta, grid.tau, grid.horizon)
+    prec = RbdEpsPreconditioner(grid, gamma, eps, inner)
 
-    mn = grid.m * grid.n
     start = time.perf_counter()
     try:
         report = gmres_solve(
@@ -258,7 +261,7 @@ def solve_cell(spec, gamma, h):
         )
     except (FloatingPointError, MemoryError) as exc:
         return CellResult(
-            gamma=gamma, h=h, dof=2 * mn, iterations=0,
+            gamma=gamma, h=h, dof=rhs.size, iterations=0,
             converged=False, cpu_seconds=time.perf_counter() - start, failure=str(exc),
         )
     cpu = time.perf_counter() - start
@@ -269,18 +272,13 @@ def solve_cell(spec, gamma, h):
             f"GMRES stopped unconverged at iteration {report.iterations}: preconditioned "
             f"relative residual {report.residuals[-1] / report.residuals[0]:.3e} > tol {spec.tol:g}"
         )
-    iterations, converged = report.iterations, report.converged
-    state = report.x[:mn] / np.sqrt(gamma)
-    adjoint = report.x[mn:]
+    iterations, converged, x = report.iterations, report.converged, report.x
     # free the Krylov basis before the error check, whose arrays would
     # otherwise come on top of it
     del report
-    err = None
-    if problem.exact_y is not None and problem.exact_p is not None:
-        err = float(error_norm(state, adjoint, problem, grid, transform))
     return CellResult(
-        gamma=gamma, h=h, dof=2 * mn, iterations=iterations,
-        converged=converged, cpu_seconds=cpu, error=err, failure=failure,
+        gamma=gamma, h=h, dof=rhs.size, iterations=iterations, converged=converged,
+        cpu_seconds=cpu, error=float(error_norm(x, problem, grid, transform)), failure=failure,
     )
 
 

@@ -19,6 +19,7 @@ from dataclasses import asdict
 import yaml
 
 from .bench import ConfigurationError, ExperimentSpec, aligned_text, run_experiment, write_csv
+from .problems import EXAMPLES
 from .validation import run_validation
 
 
@@ -69,7 +70,8 @@ def file_path(value):
 Setting = namedtuple("Setting", "flag key field convert help")
 
 SETTINGS = (
-    Setting("--example", "example", "example", integer, "problem to solve, 1 or 2 (required)"),
+    Setting("--example", "example", "example", integer,
+            f"problem to solve, {' or '.join(map(str, EXAMPLES))} (required)"),
     Setting("--h", "h", "h_values", lambda v: parse_list(v, parse_h_token),
             "comma list of mesh sizes, e.g. 2^-5,2^-6"),
     Setting("--gamma", "gamma", "gammas", lambda v: parse_list(v, float),

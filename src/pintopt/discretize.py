@@ -20,7 +20,10 @@ Block vectors over time are laid out time-major (block k contiguous). The
 assembled right-hand side follows the scaled coupled-system convention: the
 top half stacks the weighted target samples at t_0..t_{n-1}, the bottom half
 stacks minus sqrt(gamma) times the weighted source samples at t_1..t_n with
-the initial state folded into the first block.
+the initial state folded into the first block. The solution has the same
+two halves: sqrt(gamma) times the state at t_1..t_n, then the adjoint at
+t_0..t_{n-1}. This module owns that layout: :func:`assemble_rhs` writes
+it and :func:`error_norm` reads it back.
 """
 
 from dataclasses import dataclass
@@ -167,36 +170,38 @@ def assemble_rhs(problem, grid, transform=None):
     return rhs.reshape(-1)
 
 
-def error_norm(y_approx, p_approx, problem, grid, transform=None):
-    """Worst-over-levels discrete L2 error of the state/adjoint pair.
+def error_norm(x, problem, grid, transform=None):
+    """Worst-over-levels discrete L2 error of a solution of the coupled system.
 
-    The state is compared at t_1..t_n and the adjoint at t_0..t_{n-1} (the
-    levels actually stored). Each of the 2n stored fields is measured on
-    its own — the result is the largest single-level error, where the
-    discrete L2 norm of a grid function is h times its Euclidean norm.
-    (Combining the paired y/p levels euclideanly instead would overshoot
-    the benchmark error columns by ~30% where the two parts are comparable;
-    the per-level maximum reproduces them to three digits.)
+    ``x`` is the length-2mn solution as ``gmres_solve`` returns it, laid out
+    as :func:`assemble_rhs` lays out the right-hand side: sqrt(gamma) times
+    the state at t_1..t_n, then the adjoint at t_0..t_{n-1}. It is read
+    back by the exact inverse of that layout: split as (2, n, m1, m1), the
+    state half divided by sqrt(gamma), and, when ``transform`` is given,
+    both halves carried back to grid values by one call
+    ``transform(fields, out=fields)`` on a fresh copy, so ``x`` itself is
+    left as it is.
 
-    The exact solutions are evaluated once on all levels, with the times
-    shaped (n, 1, 1). ``transform``, when given, carries each of the state
-    and the adjoint, as a stack of n (m1, m1) grid functions, back to grid
-    values before they are compared: one call each, into a fresh array, as
-    the approximations may be views of a solution the caller still reads.
+    Each of the 2n stored fields is measured on its own — the result is the
+    largest single-level error, where the discrete L2 norm of a grid
+    function is h times its Euclidean norm. (Combining the paired y/p
+    levels euclideanly instead would overshoot the benchmark error columns
+    by ~30% where the two parts are comparable; the per-level maximum
+    reproduces them to three digits.) The exact solutions are evaluated
+    once on all levels, with the times shaped (n, 1, 1).
     """
-    if problem.exact_y is None or problem.exact_p is None:
-        raise ValueError("problem carries no exact solution to compare against")
     X1, X2 = grid.interior_points()
-    m1, n, tau = grid.m1, grid.n, grid.tau
+    n, tau = grid.n, grid.tau
     levels = np.arange(n)[:, None, None]
+    fields = np.array(x, dtype=float).reshape(2, n, grid.m1, grid.m1)
+    fields[0] /= np.sqrt(problem.gamma)
+    if transform is not None:
+        transform(fields, out=fields)
     worst = 0.0
     for approx, exact, times in (
-        (y_approx, problem.exact_y, (levels + 1) * tau),
-        (p_approx, problem.exact_p, levels * tau),
+        (fields[0], problem.exact_y, (levels + 1) * tau),
+        (fields[1], problem.exact_p, levels * tau),
     ):
-        approx = np.asarray(approx).reshape(n, m1, m1)
-        if transform is not None:
-            approx = transform(approx)
         err = (approx - exact(X1, X2, times)).reshape(n, -1)
         # one dot product per level keeps the sums those of the level loop
         worst = max(worst, *(float(e @ e) for e in err))

@@ -1,22 +1,24 @@
 """Benchmark problem definitions for the tracking-type control solver.
 
 A problem bundles the diffusion coefficient, source term f, tracking target
-g, initial state y0 and (when available) the closed-form state/adjoint pair
-used to measure discretization error. All space-time callables are vectorized
-over numpy arrays with signature (x1, x2, t) -> array; purely spatial ones
-take (x1, x2).
+g, initial state y0 and the closed-form state/adjoint pair used to measure
+discretization error. All space-time callables are vectorized over numpy
+arrays with signature (x1, x2, t) -> array; purely spatial ones take
+(x1, x2).
 
 The diffusion coefficient ``a`` is a function of position only, the same
 for every gamma.
 
-Two built-in problems are registered:
+:data:`EXAMPLES` is the one list of the examples there are: it maps each
+example's number to the function that makes it, which :func:`get_problem`
+calls.
 
-``example1``
+``1``
     Constant unit diffusion. The target is reached up to the regularization
     tail: y(x, t) = exp(-t) sin(pi x1) sin(pi x2) and the adjoint vanishes
     identically, so f carries the whole dynamics.
 
-``example2``
+``2``
     Small variable diffusion a(x) = 1e-5 sin(pi x1 x2), which is positive in
     the interior but decays to zero toward two of the edges. State
     y = exp(-t) x1 (1 - x1) x2 (1 - x2) and adjoint
@@ -25,7 +27,7 @@ Two built-in problems are registered:
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,9 +41,8 @@ class ParabolicControlProblem:
     f: Callable
     g: Callable
     y0: Callable
-    exact_y: Optional[Callable] = None
-    exact_p: Optional[Callable] = None
-    name: str = ""
+    exact_y: Callable
+    exact_p: Callable
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -60,7 +61,6 @@ def _example1(gamma):
         y0=shape,
         exact_y=lambda x1, x2, t: np.exp(-t) * shape(x1, x2),
         exact_p=lambda x1, x2, t: np.zeros(np.broadcast(x1, x2, t).shape),
-        name="example1",
     )
 
 
@@ -109,24 +109,16 @@ def _example2(gamma):
         y0=bump,
         exact_y=lambda x1, x2, t: np.exp(-t) * bump(x1, x2),
         exact_p=lambda x1, x2, t: gamma * np.sin(np.pi * t) * sines(x1, x2),
-        name="example2",
     )
 
 
-_REGISTRY = {"example1": _example1, "example2": _example2}
+EXAMPLES = {1: _example1, 2: _example2}
 
 
-def problem_names():
-    """Names accepted by :func:`get_problem`, sorted."""
-    return sorted(_REGISTRY)
+def get_problem(example, gamma):
+    """Instantiate the example numbered ``example`` with the given weight.
 
-
-def get_problem(name, gamma):
-    """Instantiate a registered benchmark problem with the given weight."""
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown problem {name!r}; available: {', '.join(problem_names())}"
-        ) from None
-    return builder(gamma)
+    A number that is no key of :data:`EXAMPLES` raises KeyError; the
+    validated entry point, ``bench.ExperimentSpec``, names the keys.
+    """
+    return EXAMPLES[example](gamma)

@@ -86,25 +86,17 @@ def eps_spectrum(n, eps):
 def rate_constant(delta, tau, horizon):
     """Damping level delta sqrt(tau) / (delta sqrt(tau) + 2 sqrt(T)).
 
-    Choosing eps equal to this value makes 2 eps sqrt(n) / (1 - eps) = delta,
-    the quantity that controls both the field-of-values bound and the
-    certified residual contraction factor of the preconditioned iteration.
+    This is the solver's corner damping factor eps, the certified level of
+    the theorem: it makes 2 eps sqrt(n) / (1 - eps) = delta, the quantity
+    that controls both the field-of-values bound and the residual
+    contraction, so every solve contracts its residual by at least
+    :func:`contraction_factor` of ``delta`` per iteration, a bound
+    independent of the matrix size and of gamma. eps is O(sqrt(tau)).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"damping level must lie in (0, 1), got {delta}")
     root = delta * np.sqrt(tau)
     return root / (root + 2.0 * np.sqrt(horizon))
-
-
-def choose_epsilon(grid, delta=0.5):
-    """Corner damping factor of the solver: the certified level of the theorem.
-
-    Returns :func:`rate_constant` at ``delta``, so that
-    2 eps sqrt(n) / (1 - eps) = delta and every solve contracts its residual
-    by at least :func:`contraction_factor` of ``delta`` per iteration, a bound
-    independent of the matrix size and of gamma. eps is O(sqrt(tau)).
-    """
-    return rate_constant(delta, grid.tau, grid.horizon)
 
 
 def contraction_factor(delta):

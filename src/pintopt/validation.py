@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .discretize import TimeSpaceGrid, build_stiffness, stencil
 from .gmres import gmres_solve
-from .rbd import choose_epsilon, contraction_factor, rate_constant
+from .rbd import contraction_factor, rate_constant
 
 RANK_REL_TOL = 1e-10
 
@@ -484,7 +484,7 @@ def run_validation(delta=0.5):
     Returns (results, all_passed). Configurations cover square grids with
     1 and 9 interior points, 2/4/8 time steps, regularization weights from
     1e-8 to 1, and non-identity mass fixtures. Each grid runs at two damping
-    levels: the solver's certified eps of :func:`choose_epsilon` at
+    levels: the solver's certified eps of :func:`rate_constant` at
     ``delta`` (tag "rate", with the certified-rate checks) and the smaller
     min(1/2, tau/2) (tag "step").
     """
@@ -495,7 +495,8 @@ def run_validation(delta=0.5):
             grid = TimeSpaceGrid(m1=m1, n=n)
             unit = stencil(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float)))
             stiff_fd = build_stiffness(unit).toarray()
-            levels = (("step", min(0.5, grid.tau / 2.0)), ("rate", choose_epsilon(grid, delta)))
+            certified = rate_constant(delta, grid.tau, grid.horizon)
+            levels = (("step", min(0.5, grid.tau / 2.0)), ("rate", certified))
             for gamma in (1e-8, 1e-4, 1.0):
                 for level, eps in levels:
                     configs.append((

@@ -46,8 +46,8 @@ from pintopt.discretize import (
 from pintopt.gmres import gmres_solve
 from pintopt.multigrid import MgShiftedSolver
 from pintopt.operators import AllAtOnceOperator
-from pintopt.problems import get_problem
-from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon, rate_constant
+from pintopt.problems import EXAMPLES, ParabolicControlProblem, get_problem
+from pintopt.rbd import RbdEpsPreconditioner, rate_constant
 
 FAST = dict(h_values=(2.0**-3,), gammas=(1e-4, 1e-2))
 GIB = 2**30
@@ -60,6 +60,22 @@ def csv_text(results):
 
 
 # ------------------------------------------------------------ spec checks
+
+
+def test_spec_accepts_every_example_the_registry_builds():
+    for example in EXAMPLES:
+        spec = ExperimentSpec(example=example, h_values=(2.0**-3,), gammas=(1.0,))
+        assert isinstance(get_problem(spec.example, 1.0), ParabolicControlProblem)
+
+
+def test_example_given_as_float_solves_that_example():
+    # the spec and the registry agree on which numbers name an example
+    cells = dict(h_values=(2.0**-3,), gammas=(1.0,))
+    want = run_experiment(ExperimentSpec(example=1, **cells))
+    got = run_experiment(ExperimentSpec(example=1.0, **cells))
+    assert [(r.dof, r.iterations, r.converged, r.error) for r in got] == [
+        (r.dof, r.iterations, r.converged, r.error) for r in want
+    ]
 
 
 def test_spec_rejects_bad_values():
@@ -227,8 +243,8 @@ def test_constant_diffusion_detection():
     def detect(coeff):
         return constant_diffusion_value(stencil(grid, coeff), grid)
 
-    assert detect(get_problem("example1", 1e-4).a) == 1.0
-    assert detect(get_problem("example2", 1e-4).a) is None
+    assert detect(get_problem(1, 1e-4).a) == 1.0
+    assert detect(get_problem(2, 1e-4).a) is None
     assert detect(lambda x1, x2: np.full(np.shape(x1), 3.0)) == 3.0
     # one edge sample off the constant changes two diagonal and two coupling entries
     assert detect(lambda x1, x2: np.where((x1 == 0.0625) & (x2 == 0.125), 3.5, 3.0)) is None
@@ -363,23 +379,22 @@ def test_solve_cell_runs_the_certified_damping(monkeypatch):
 def physical_basis_cell(spec, gamma, h):
     """The cell solved with the 5-point stiffness and the physical-basis DST solve."""
     grid = TimeSpaceGrid.from_h(h, n=round(1 / h))
-    problem = get_problem(f"example{spec.example}", gamma)
+    problem = get_problem(spec.example, gamma)
     op = AllAtOnceOperator(grid, build_stiffness(stencil(grid, problem.a)), gamma)
-    prec = RbdEpsPreconditioner(grid, gamma, choose_epsilon(grid), PhysicalDstSolver(grid))
+    eps = rate_constant(spec.delta, grid.tau, grid.horizon)
+    prec = RbdEpsPreconditioner(grid, gamma, eps, PhysicalDstSolver(grid))
     report = gmres_solve(
         op.matvec, assemble_rhs(problem, grid), apply_prec=prec.apply_inverse,
         tol=spec.tol, maxit=spec.maxit,
     )
-    mn = grid.m * grid.n
-    error = error_norm(report.x[:mn] / np.sqrt(gamma), report.x[mn:], problem, grid)
-    return report.iterations, error
+    return report.iterations, error_norm(report.x, problem, grid)
 
 
 @pytest.mark.parametrize("gamma", [1e-10, 1e-2])
 def test_sine_basis_cell_matches_the_physical_basis(gamma, monkeypatch):
     # the cell runs in the sine basis: the same iterates as the physical-basis
-    # solve, and dst2d only to rotate the rhs, the state and the adjoint,
-    # however many iterations the cell takes
+    # solve, and dst2d only to rotate the rhs and the solution back, however
+    # many iterations the cell takes
     calls = []
     original = shifted.dst2d
 
@@ -393,7 +408,7 @@ def test_sine_basis_cell_matches_the_physical_basis(gamma, monkeypatch):
     res = solve_cell(spec, gamma, 2.0**-4)
     assert res.iterations == want_iterations
     assert res.error == pytest.approx(want_error, rel=1e-12)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_rows_run_in_table_order():

@@ -16,6 +16,7 @@ from pintopt.discretize import (
     stencil,
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
+from pintopt.shifted import dst2d
 from pintopt.validation import eps_circulant_matrix
 
 
@@ -159,7 +160,10 @@ def test_stiffness_accepts_boundary_vanishing_coefficient():
 
 
 def make_problem(f, g, y0, gamma=1.0):
-    return ParabolicControlProblem(gamma=gamma, a=ones_coeff, f=f, g=g, y0=y0)
+    zero = lambda x1, x2, t: np.zeros(np.broadcast(x1, x2, t).shape)
+    return ParabolicControlProblem(
+        gamma=gamma, a=ones_coeff, f=f, g=g, y0=y0, exact_y=zero, exact_p=zero
+    )
 
 
 def test_rhs_homogeneous_data_is_zero():
@@ -174,7 +178,7 @@ def test_rhs_homogeneous_data_is_zero():
 def test_rhs_example1_scalar_loop_oracle():
     gamma = 1e-2
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
-    problem = get_problem("example1", gamma=gamma)
+    problem = get_problem(1, gamma=gamma)
     b = assemble_rhs(problem, grid)
 
     m1, m, n = grid.m1, grid.m, grid.n
@@ -207,7 +211,7 @@ def test_rhs_example1_scalar_loop_oracle():
 
 def test_rhs_unit_gamma_bottom_half():
     grid = TimeSpaceGrid(m1=3, n=3, horizon=1.0)
-    problem = get_problem("example1", gamma=1.0)
+    problem = get_problem(1, gamma=1.0)
     b = assemble_rhs(problem, grid)
     mn = grid.m * grid.n
     # with sqrt(gamma) = 1 the bottom half is exactly minus the source stack
@@ -250,35 +254,37 @@ def test_rhs_linear_in_data():
 # error measure
 
 
-def test_error_norm_zero_for_exact():
-    grid = TimeSpaceGrid(m1=3, n=4, horizon=1.0)
-    problem = get_problem("example1", gamma=1e-4)
-    xs = np.arange(1, grid.m1 + 1) * grid.h
-    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
+def exact_vector(problem, grid):
+    """The exact solution in the layout of assemble_rhs.
+
+    sqrt(gamma) times the state at t_1..t_n, then the adjoint at
+    t_0..t_{n-1}, each level a row-major grid function.
+    """
+    X1, X2 = grid.interior_points()
     y = np.concatenate(
         [problem.exact_y(X1, X2, k * grid.tau).ravel() for k in range(1, grid.n + 1)]
     )
     p = np.concatenate(
         [problem.exact_p(X1, X2, k * grid.tau).ravel() for k in range(0, grid.n)]
     )
-    assert error_norm(y, p, problem, grid) == 0.0
+    return np.concatenate([np.sqrt(problem.gamma) * y, p])
+
+
+def test_error_norm_zero_for_exact():
+    grid = TimeSpaceGrid(m1=3, n=4, horizon=1.0)
+    # sqrt(gamma) = 2^-7, so scaling the state by it and back is exact
+    problem = get_problem(1, gamma=2.0**-14)
+    assert error_norm(exact_vector(problem, grid), problem, grid) == 0.0
 
 
 def test_error_norm_constant_level():
     # one corrupted level with constant error 1 on a 3x3 grid, h = 1/4:
     # e_h = h * sqrt(9) = 0.75
     grid = TimeSpaceGrid(m1=3, n=4, horizon=1.0)
-    problem = get_problem("example1", gamma=1e-4)
-    xs = np.arange(1, grid.m1 + 1) * grid.h
-    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-    y = np.concatenate(
-        [problem.exact_y(X1, X2, k * grid.tau).ravel() for k in range(1, grid.n + 1)]
-    )
-    p = np.concatenate(
-        [problem.exact_p(X1, X2, k * grid.tau).ravel() for k in range(0, grid.n)]
-    )
-    y[2 * grid.m : 3 * grid.m] += 1.0
-    assert error_norm(y, p, problem, grid) == pytest.approx(0.75, abs=1e-14)
+    problem = get_problem(1, gamma=1e-4)
+    x = exact_vector(problem, grid)
+    x[2 * grid.m : 3 * grid.m] += np.sqrt(problem.gamma)  # the state half holds sqrt(gamma) y
+    assert error_norm(x, problem, grid) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_error_norm_takes_levelwise_maximum():
@@ -286,28 +292,28 @@ def test_error_norm_takes_levelwise_maximum():
     # is the worst single field, here the p level with constant error 2
     # (h * sqrt(9 * 4) = 1.5), not the euclidean stack h * 3 * sqrt(5)
     grid = TimeSpaceGrid(m1=3, n=4, horizon=1.0)
-    problem = get_problem("example1", gamma=1e-4)
-    xs = np.arange(1, grid.m1 + 1) * grid.h
-    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-    y = np.concatenate(
-        [problem.exact_y(X1, X2, k * grid.tau).ravel() for k in range(1, grid.n + 1)]
-    )
-    p = np.concatenate(
-        [problem.exact_p(X1, X2, k * grid.tau).ravel() for k in range(0, grid.n)]
-    )
-    y[2 * grid.m : 3 * grid.m] += 1.0
-    p[2 * grid.m : 3 * grid.m] += 2.0
-    assert error_norm(y, p, problem, grid) == pytest.approx(1.5, abs=1e-14)
-
-
-def test_error_norm_requires_exact_solution():
-    grid = TimeSpaceGrid(m1=3, n=2, horizon=1.0)
-    problem = make_problem(
-        lambda u, v, s: u, lambda u, v, s: v, lambda u, v: u * v
-    )
+    problem = get_problem(1, gamma=1e-4)
     mn = grid.m * grid.n
-    with pytest.raises(ValueError):
-        error_norm(np.zeros(mn), np.zeros(mn), problem, grid)
+    x = exact_vector(problem, grid)
+    x[2 * grid.m : 3 * grid.m] += np.sqrt(problem.gamma)
+    x[mn + 2 * grid.m : mn + 3 * grid.m] += 2.0
+    assert error_norm(x, problem, grid) == pytest.approx(1.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-2, 1.0])
+@pytest.mark.parametrize("example", [1, 2])
+def test_error_norm_inverts_the_rhs_layout(example, gamma):
+    # the exact solution laid out as assemble_rhs lays out the right-hand
+    # side reads back as zero error, in the grid basis and in the sine basis
+    grid = TimeSpaceGrid.from_h(2.0**-3, n=8)
+    problem = get_problem(example, gamma)
+    x = exact_vector(problem, grid)
+    scale = max(1.0, np.max(np.abs(x)))
+    assert error_norm(x, problem, grid) <= 1e-15 * scale
+    rotated = dst2d(x.reshape(2, grid.n, grid.m1, grid.m1)).reshape(-1)
+    kept = rotated.copy()
+    assert error_norm(rotated, problem, grid, transform=dst2d) <= 1e-14 * scale
+    assert np.array_equal(rotated, kept)  # the solution is read, not written
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +337,12 @@ def rhs_level_loop(problem, grid):
     return np.concatenate([top, -np.sqrt(problem.gamma) * bot])
 
 
-def error_level_loop(y, p, problem, grid):
-    """The worst-level error measured one time level at a time."""
+def error_level_loop(x, problem, grid):
+    """The worst-level error of a solution vector, measured one time level at a time."""
     X1, X2 = grid.interior_points()
     m, n = grid.m, grid.n
-    y = y.reshape(n, m)
-    p = p.reshape(n, m)
+    y = x[: m * n].reshape(n, m) / np.sqrt(problem.gamma)
+    p = x[m * n :].reshape(n, m)
     worst = 0.0
     for k in range(1, n + 1):
         ey = y[k - 1] - problem.exact_y(X1, X2, k * grid.tau).ravel()
@@ -350,11 +356,9 @@ def error_level_loop(y, p, problem, grid):
 def test_all_levels_at_once_match_the_level_loop(example, level):
     # sampling with times shaped (n, 1, 1) must give the loop's numbers exactly
     grid = TimeSpaceGrid.from_h(2.0**-level, n=2**level)
-    problem = get_problem(f"example{example}", gamma=1e-4)
+    problem = get_problem(example, gamma=1e-4)
     assert np.array_equal(assemble_rhs(problem, grid), rhs_level_loop(problem, grid))
     rng = np.random.default_rng(level)
-    mn = grid.m * grid.n
-    y = rng.standard_normal(mn) * 1e-3
-    p = rng.standard_normal(mn) * 1e-3
-    assert error_norm(y, p, problem, grid) == error_level_loop(y, p, problem, grid)
+    x = rng.standard_normal(2 * grid.m * grid.n) * 1e-3
+    assert error_norm(x, problem, grid) == error_level_loop(x, problem, grid)
 

@@ -17,7 +17,7 @@ from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, ste
 from pintopt.gmres import SolveReport, gmres_solve
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
-from pintopt.rbd import RbdEpsPreconditioner, choose_epsilon, contraction_factor
+from pintopt.rbd import RbdEpsPreconditioner, contraction_factor, rate_constant
 
 
 def copy(v, out):
@@ -234,11 +234,10 @@ def test_contraction_bound_holds_on_premise_boundary(delta):
 
 def test_full_stack_small_problem_converges():
     grid = TimeSpaceGrid(m1=7, n=8)
-    problem = get_problem("example1", gamma=1e-6)
+    problem = get_problem(1, gamma=1e-6)
     op = AllAtOnceOperator(grid, build_stiffness(stencil(grid, problem.a)), problem.gamma)
-    pc = RbdEpsPreconditioner(
-        grid, problem.gamma, choose_epsilon(grid), inner=PhysicalDstSolver(grid)
-    )
+    eps = rate_constant(0.5, grid.tau, grid.horizon)
+    pc = RbdEpsPreconditioner(grid, problem.gamma, eps, inner=PhysicalDstSolver(grid))
     b = assemble_rhs(problem, grid)
     report = gmres_solve(op.matvec, b, apply_prec=pc.apply_inverse, tol=1e-6)
     assert report.converged

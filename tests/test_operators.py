@@ -231,7 +231,7 @@ def test_sine_basis_solve_matches_dense_solve(m1, n, gamma):
 def test_sine_basis_solve_residual(level, gamma):
     # example 1's right-hand side in the sine basis, as solve_cell assembles it
     grid = TimeSpaceGrid.from_h(2.0**-level, n=2**level)
-    b = assemble_rhs(get_problem("example1", gamma), grid, dst2d)
+    b = assemble_rhs(get_problem(1, gamma), grid, dst2d)
     op = AllAtOnceOperator(grid, sine_eigs(grid), gamma)
     x = solve_sine_basis(grid, sine_eigs(grid), gamma, b)
     assert np.linalg.norm(b - op.matvec(x)) <= 1e-13 * np.linalg.norm(b)

@@ -22,7 +22,6 @@ from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
 from pintopt.rbd import (
     RbdEpsPreconditioner,
-    choose_epsilon,
     contraction_factor,
     eps_spectrum,
     rate_constant,
@@ -313,8 +312,9 @@ def test_apply_in_place_equals_the_fresh_result(example):
     # in place, as GMRES calls it on a basis row, and into another array,
     # the apply writes the same bits as the fresh one, on either backend
     grid = TimeSpaceGrid(m1=7, n=8)
-    inner, _ = make_inner_solver(get_problem(f"example{example}", 1e-2).a, grid, None)
-    pc = RbdEpsPreconditioner(grid, 1e-2, choose_epsilon(grid), inner=inner)
+    inner, _ = make_inner_solver(get_problem(example, 1e-2).a, grid, None)
+    eps = rate_constant(0.5, grid.tau, grid.horizon)
+    pc = RbdEpsPreconditioner(grid, 1e-2, eps, inner=inner)
     r = np.random.default_rng(21).standard_normal(pc.size)
     want = pc.apply_inverse(r)
     out = np.empty_like(r)
@@ -352,7 +352,7 @@ def test_arnoldi_step_makes_no_system_sized_array(example):
     if not isinstance(inner, DstShiftedSolver):
         fresh = 8 * inner.levels[0].skew_size * 2 * 2 * (grid.n // 2 + 1)
     op = AllAtOnceOperator(grid, stiffness, 1e-2)
-    pc = RbdEpsPreconditioner(grid, 1e-2, choose_epsilon(grid), inner=inner)
+    pc = RbdEpsPreconditioner(grid, 1e-2, rate_constant(0.5, grid.tau, grid.horizon), inner)
     basis = np.empty((4, op.size))
     basis[0] = np.random.default_rng(22).standard_normal(op.size)
 
@@ -406,9 +406,6 @@ def test_rejects_bad_arguments():
 def test_rate_policy_value():
     # delta sqrt(tau) / (delta sqrt(tau) + 2 sqrt(T)) at delta=1/2, tau=1/8
     assert rate_constant(0.5, 0.125, 1.0) == pytest.approx(0.0812, abs=5e-5)
-    grid = TimeSpaceGrid(m1=3, n=8)
-    want = rate_constant(0.5, grid.tau, grid.horizon)
-    assert choose_epsilon(grid, delta=0.5) == want
 
 
 def test_rate_policy_rejects_bad_delta():

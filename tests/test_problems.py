@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from pintopt.problems import ParabolicControlProblem, get_problem, problem_names
+from pintopt.problems import EXAMPLES, ParabolicControlProblem, get_problem
 
 X1, X2, T = sp.symbols("x1 x2 t", real=True)
 
 
-def symbolic_fields(name, gamma):
-    if name == "example1":
+def symbolic_fields(example, gamma):
+    if example == 1:
         a = sp.Integer(1)
         y = sp.exp(-T) * sp.sin(sp.pi * X1) * sp.sin(sp.pi * X2)
         p = sp.Integer(0)
@@ -32,8 +32,8 @@ def symbolic_fields(name, gamma):
     return a, y, p
 
 
-def derived_source_and_target(name, gamma):
-    a, y, p = symbolic_fields(name, gamma)
+def derived_source_and_target(example, gamma):
+    a, y, p = symbolic_fields(example, gamma)
 
     def elliptic(u):
         return sp.diff(a * sp.diff(u, X1), X1) + sp.diff(a * sp.diff(u, X2), X2)
@@ -46,11 +46,11 @@ def derived_source_and_target(name, gamma):
     )
 
 
-@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("example", [1, 2], ids=["example1", "example2"])
 @pytest.mark.parametrize("gamma", [1e-8, 1e-2, 1.0])
-def test_source_and_target_satisfy_optimality_system(name, gamma):
-    problem = get_problem(name, gamma)
-    f_want, g_want = derived_source_and_target(name, sp.Float(gamma, 30))
+def test_source_and_target_satisfy_optimality_system(example, gamma):
+    problem = get_problem(example, gamma)
+    f_want, g_want = derived_source_and_target(example, sp.Float(gamma, 30))
     rng = np.random.default_rng(17)
     x1 = rng.uniform(0.05, 0.95, 50)
     x2 = rng.uniform(0.05, 0.95, 50)
@@ -61,9 +61,9 @@ def test_source_and_target_satisfy_optimality_system(name, gamma):
     assert np.max(np.abs(problem.g(x1, x2, t) - gw)) < 1e-12 * max(1, np.max(np.abs(gw)))
 
 
-@pytest.mark.parametrize("name", ["example1", "example2"])
-def test_exact_solution_boundary_and_endpoint_structure(name):
-    problem = get_problem(name, 1e-4)
+@pytest.mark.parametrize("example", [1, 2], ids=["example1", "example2"])
+def test_exact_solution_boundary_and_endpoint_structure(example):
+    problem = get_problem(example, 1e-4)
     xs = np.linspace(0.1, 0.9, 7)
     # initial condition is the t=0 trace of the exact state
     assert np.allclose(problem.exact_y(xs, xs, 0.0), problem.y0(xs, xs), atol=1e-15)
@@ -77,7 +77,7 @@ def test_exact_solution_boundary_and_endpoint_structure(name):
 
 
 def test_variable_coefficient_positive_inside_zero_on_two_edges():
-    problem = get_problem("example2", 1.0)
+    problem = get_problem(2, 1.0)
     xs = np.linspace(0.03, 0.97, 11)
     X1g, X2g = np.meshgrid(xs, xs, indexing="ij")
     assert np.all(problem.a(X1g, X2g) > 0)
@@ -88,13 +88,13 @@ def test_variable_coefficient_positive_inside_zero_on_two_edges():
 
 
 def test_registry_and_validation():
-    assert problem_names() == ["example1", "example2"]
-    with pytest.raises(ValueError, match="example1"):
-        get_problem("missing", 1.0)
+    assert list(EXAMPLES) == [1, 2]
+    with pytest.raises(KeyError):
+        get_problem(3, 1.0)
     with pytest.raises(ValueError):
-        get_problem("example1", 0.0)
+        get_problem(1, 0.0)
     with pytest.raises(ValueError):
-        get_problem("example1", -2.0)
-    problem = get_problem("example1", 0.5)
+        get_problem(1, -2.0)
+    problem = get_problem(1, 0.5)
     assert isinstance(problem, ParabolicControlProblem)
-    assert problem.gamma == 0.5 and problem.name == "example1"
+    assert problem.gamma == 0.5
