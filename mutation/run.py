@@ -87,14 +87,28 @@ MUTANTS = [
      "four significant digits in the tables instead of three"),
     ("src/pintopt/discretize.py", "    fields[0] /= np.sqrt(problem.gamma)\n", "",
      "error_norm compares sqrt(gamma) y, not y, with the exact state"),
+    ("src/pintopt/discretize.py", "        np.copyto(out, x)\n        fields = out\n",
+     "        fields = x\n",
+     "the error check rescales and rotates the cell's solution in place"),
     ("src/pintopt/operators.py", "elif np.shares_memory(out, x):", "elif False:",
      "the operator writes into its own input when out aliases it"),
     ("src/pintopt/multigrid.py", "self.prolong.T / 4 @", "self.prolong.T / 2 @",
      "R = P'/2 instead of the full-weighting P'/4"),
     ("src/pintopt/multigrid.py",
-     "if any((level.diag[:, None] + sigmas == 0).any() for level in self.levels):",
+     "if any((level.diag[:, None] + real == 0).any() for level in self.levels):",
      "if False:",
      "a shift that zeroes a coarse diagonal divides by zero in the cycle"),
+    ("src/pintopt/multigrid.py", "                reuse.cycle.refill(sigmas)\n",
+     "                pass\n",
+     "a handed-back multigrid solve keeps the reciprocals of the last cell's shifts"),
+    ("src/pintopt/shifted.py", "        solve = _DstSolve() if reuse is None else reuse\n",
+     "        if reuse is not None:\n            return reuse\n        solve = _DstSolve()\n",
+     "a handed-back sine-transform solve keeps the reciprocals of the last cell's shifts"),
+    ("src/pintopt/rbd.py", "        if reuse.inner is inner:\n", "        if True:\n",
+     "a preconditioner hands another backend's solve to its factor"),
+    ("src/pintopt/bench.py", "if self.basis is None or self.basis.shape != shape:",
+     "if self.basis is None:",
+     "a mesh's basis keeps its first cell's rows when maxit changes"),
     ("src/pintopt/multigrid.py", "np.stack([north.ravel(), west.ravel()], axis=1)",
      "np.stack([west.ravel(), north.ravel()], axis=1)",
      "swapped weights of a pair: (i-1, j) gets the coupling of (i, j-1)"),

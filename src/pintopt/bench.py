@@ -19,18 +19,25 @@ import numpy as np
 
 from . import shifted
 from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm, stencil
-from .gmres import DEFAULT_MAXIT, gmres_solve
+from .gmres import DEFAULT_MAXIT, capped_maxit, gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
 from .problems import EXAMPLES, get_problem
 from .rbd import RbdEpsPreconditioner, rate_constant
 
-# N-length float64 arrays a cell of N unknowns holds besides its
-# (maxit + 1, N) GMRES basis, by inner backend. Measured as a cell's rise in
-# peak RSS less its k + 1 basis rows, at gamma = 1, h = 2^-6 and 2^-7: 6.92
-# and 6.16 with the sine transform (example 1); 10.43 and 9.42 with
-# multigrid on example 2, 10.57 and 9.45 on example 1. Multigrid keeps its
-# V-cycle's arrays, about three N-vectors over all levels, for the whole cell.
+# N-length float64 arrays a process solving cells of N unknowns holds besides
+# their (maxit + 1, N) GMRES basis, by inner backend: what mesh_setup keeps
+# for the cells of a mesh (the right-hand side, the solution, the operator's
+# and the preconditioner's work arrays, the reciprocals of the inner solves
+# or multigrid's V-cycle, about 3.6 N-vectors over all levels), and what a
+# cell makes and frees. The error check runs beside the kept basis, with its
+# copy of the solution in the basis's first row. Measured as a first cell's
+# rise in peak RSS less its k + 1 basis rows, at gamma = 1, h = 2^-6 and
+# 2^-7: 5.80 and 5.18 with the sine transform (example 1); 10.09 and 9.15
+# with multigrid on example 2, 10.17 and 9.16 on example 1. The sine
+# transform keeps a margin of one array over its measure: the problem
+# callbacks' temporaries, the largest part of what a cell makes, differ
+# between problems.
 WORKING_ARRAYS = {"dst": 7, "mg": 11}
 
 CSV_COLUMNS = ("gamma", "h", "dof", "iter", "cpu_s", "e_h", "e_h_raw")
@@ -65,7 +72,8 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.example not in EXAMPLES:
+        # a bool is no example number, though True == 1 is a key
+        if isinstance(self.example, bool) or self.example not in EXAMPLES:
             raise ConfigurationError(f"unknown example {self.example!r}; choose from {list(EXAMPLES)}")
         if self.inner not in (None, "dst", "mg"):
             raise ConfigurationError(f"unknown inner solver {self.inner!r}")
@@ -98,15 +106,16 @@ class ExperimentSpec:
             )
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        # gmres_solve reserves its basis in full, and run_experiment runs up to
-        # min(jobs, cells) cells at once: at worst the largest ones together.
+        # each process keeps the workspace of the mesh it solves last, with the
+        # basis reserved in full for maxit, and run_experiment runs up to
+        # min(jobs, cells) processes at once: at worst on the largest cells.
         # Example 2 has a variable coefficient, so its cells run multigrid
         sizes = sorted((2 * g.m * g.n for g in map(cell_grid, self.h_values)), reverse=True)
         together = [size for size in sizes for _ in self.gammas][: self.jobs]
         total = sum(together)
         arrays = WORKING_ARRAYS["mg" if self.inner == "mg" or self.example == 2 else "dst"]
         available = available_memory()
-        need = sum(8 * size * (min(self.maxit, size) + 1 + arrays) for size in together)
+        need = sum(8 * size * (capped_maxit(size, self.maxit) + 1 + arrays) for size in together)
         if available is not None and need > available:
             fits = (available // 8 - (1 + arrays) * total) // total
             advice = f"the largest maxit that fits is {fits}" if fits >= 1 else "no maxit fits"
@@ -183,9 +192,40 @@ def make_inner_solver(a, grid, inner):
     return MgShiftedSolver(grid, a), bands
 
 
+class MeshSetup:
+    """The set-up and the workspace that the gamma cells of one mesh share.
+
+    ``grid``, ``backend`` and ``stiffness`` depend on the mesh and the
+    coefficient only, and no cell writes them. The rest is memory of the
+    system's size that every cell overwrites before it reads it: the
+    right-hand side ``rhs``, the GMRES solution ``x`` (its update vector
+    during the loop), the operator's ``work``, the Krylov basis of
+    :meth:`krylov_basis` and ``prec``, the last cell's preconditioner,
+    whose stack and inner solve the next cell's preconditioner takes over.
+    So one cell at a time may use it.
+    """
+
+    def __init__(self, grid, backend, stiffness):
+        self.grid, self.backend, self.stiffness = grid, backend, stiffness
+        size = 2 * grid.m * grid.n
+        self.rhs = np.empty(size)
+        self.x = np.empty(size)
+        self.work = np.empty((grid.n, grid.m))
+        self.basis = None
+        self.prec = None
+
+    def krylov_basis(self, maxit):
+        """The ``(capped_maxit + 1, N)`` GMRES basis, reserved anew when that shape changes."""
+        shape = (capped_maxit(self.rhs.size, maxit) + 1, self.rhs.size)
+        if self.basis is None or self.basis.shape != shape:
+            self.basis = None  # freed before the new one is reserved
+            self.basis = np.empty(shape)
+        return self.basis
+
+
 @functools.lru_cache(maxsize=1)
 def mesh_setup(example, inner, h):
-    """What every gamma cell of one mesh shares: the grid, the backend and K.
+    """The :class:`MeshSetup` of one mesh: built once, then written by each of its cells.
 
     A problem's coefficient does not depend on gamma, and neither does
     anything built from it, so the cells of one (example, inner, h) that a
@@ -193,15 +233,17 @@ def mesh_setup(example, inner, h):
     operator takes: the sine transform's ``laplacian_eigs``, or the CSR K
     for multigrid, assembled from the stencil the backend was chosen from.
     ``make_inner_solver`` and ``build_stiffness`` are looked up at call
-    time. No cell writes what this returns: a backend's ``factor`` gives
-    each cell its own solve and work arrays.
+    time. Those cells also share the workspace: each refills in place what
+    depends on gamma, so a cell after the first of its mesh makes no array
+    of the system's size. Under ``jobs`` each worker keeps its own, for
+    the cells of one mesh that it runs in a row.
     """
     grid = cell_grid(h)
     a = get_problem(example, 1.0).a  # any weight: a does not depend on it
     backend, bands = make_inner_solver(a, grid, inner)
     if isinstance(backend, shifted.DstShiftedSolver):
-        return grid, backend, backend.laplacian_eigs
-    return grid, backend, build_stiffness(bands)
+        return MeshSetup(grid, backend, backend.laplacian_eigs)
+    return MeshSetup(grid, backend, build_stiffness(bands))
 
 
 @dataclass(frozen=True)
@@ -222,10 +264,19 @@ def solve_cell(spec, gamma, h):
     """Assemble and solve one cell; wall time covers the GMRES loop only.
 
     The grid, the backend and the stiffness come from :func:`mesh_setup`,
-    built once for the cells of one mesh. A cell with the sine-transform
-    backend is solved in the sine basis: the stiffness handed to the
-    operator is the vector ``DstShiftedSolver.laplacian_eigs`` of the
-    diagonal Lambda, which the matvec applies as one broadcast product,
+    built once for the cells of one mesh, and so does every array of the
+    system's size: the right-hand side, the Krylov basis, the solution,
+    and the work arrays of the operator, the preconditioner and the inner
+    solves. The cell overwrites them; the previous cell of the mesh is
+    done with them. The right-hand side and the solution stay as this
+    cell left them until the next cell of the mesh starts, and the
+    operator's ``matvec`` without ``out`` returns a fresh array with this
+    cell's gamma, so a caller can still check the residual.
+
+    A cell with the sine-transform backend is solved in the sine basis:
+    the stiffness handed to the operator is the vector
+    ``DstShiftedSolver.laplacian_eigs`` of the diagonal Lambda, which the
+    matvec applies as one broadcast product,
     ``assemble_rhs`` rotates the right-hand side once with
     ``shifted.dst2d`` and ``error_norm`` rotates the solution back, so
     GMRES, the matvec and the preconditioner run no sine transform. The
@@ -235,7 +286,8 @@ def solve_cell(spec, gamma, h):
     Multigrid cells are solved in the physical basis, with the assembled
     stiffness. The solution goes to ``error_norm`` as ``gmres_solve``
     returns it: the vector's layout and the scaling of its state half are
-    those of ``assemble_rhs``, which ``error_norm`` undoes.
+    those of ``assemble_rhs``, which ``error_norm`` undoes in a copy that
+    it makes in the basis's first row, dead once the solution is formed.
 
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
@@ -245,19 +297,22 @@ def solve_cell(spec, gamma, h):
     that GMRES leaves unconverged keeps its iterations and error, and its
     ``failure`` names the last iteration and the relative residual.
     """
-    grid, inner, stiffness = mesh_setup(spec.example, spec.inner, h)
+    setup = mesh_setup(spec.example, spec.inner, h)
+    grid, inner = setup.grid, setup.backend
     problem = get_problem(spec.example, gamma)
     transform = shifted.dst2d if isinstance(inner, shifted.DstShiftedSolver) else None
 
-    op = AllAtOnceOperator(grid, stiffness, gamma)
-    rhs = assemble_rhs(problem, grid, transform)
+    op = AllAtOnceOperator(grid, setup.stiffness, gamma, work=setup.work)
+    rhs = assemble_rhs(problem, grid, transform, out=setup.rhs)
     eps = rate_constant(spec.delta, grid.tau, grid.horizon)
-    prec = RbdEpsPreconditioner(grid, gamma, eps, inner)
+    prec = setup.prec = RbdEpsPreconditioner(grid, gamma, eps, inner, reuse=setup.prec)
 
     start = time.perf_counter()
     try:
+        basis = setup.krylov_basis(spec.maxit)
         report = gmres_solve(
-            op.matvec, rhs, apply_prec=prec.apply_inverse, tol=spec.tol, maxit=spec.maxit
+            op.matvec, rhs, apply_prec=prec.apply_inverse, tol=spec.tol, maxit=spec.maxit,
+            basis=basis, out=setup.x,
         )
     except (FloatingPointError, MemoryError) as exc:
         return CellResult(
@@ -272,13 +327,10 @@ def solve_cell(spec, gamma, h):
             f"GMRES stopped unconverged at iteration {report.iterations}: preconditioned "
             f"relative residual {report.residuals[-1] / report.residuals[0]:.3e} > tol {spec.tol:g}"
         )
-    iterations, converged, x = report.iterations, report.converged, report.x
-    # free the Krylov basis before the error check, whose arrays would
-    # otherwise come on top of it
-    del report
+    error = error_norm(report.x, problem, grid, transform, out=basis[0])
     return CellResult(
-        gamma=gamma, h=h, dof=rhs.size, iterations=iterations, converged=converged,
-        cpu_seconds=cpu, error=float(error_norm(x, problem, grid, transform)), failure=failure,
+        gamma=gamma, h=h, dof=rhs.size, iterations=report.iterations,
+        converged=report.converged, cpu_seconds=cpu, error=float(error), failure=failure,
     )
 
 
@@ -288,6 +340,9 @@ def run_experiment(spec):
     if spec.jobs == 1 or len(cells) <= 1:
         return [solve_cell(spec, gamma, h) for h, gamma in cells]
     hs, gammas = zip(*cells)
+    # each worker keeps a workspace of its own; one kept here would only add
+    # to what the memory check counts
+    mesh_setup.cache_clear()
     # at most one process per cell: a forking pool starts all its workers at once
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(cells))) as pool:
         return list(pool.map(solve_cell, itertools.repeat(spec), gammas, hs))

@@ -143,7 +143,7 @@ def build_stiffness(bands):
     return sp.csr_matrix((bands[kept], columns[kept], indptr), shape=(m1 * m1,) * 2)
 
 
-def assemble_rhs(problem, grid, transform=None):
+def assemble_rhs(problem, grid, transform=None, out=None):
     """Assemble the length-2mn right-hand side of the coupled system.
 
     Top half, block k (k = 1..n): tau * g(., t_{k-1}).
@@ -156,21 +156,28 @@ def assemble_rhs(problem, grid, transform=None):
     ``transform(rhs, out=rhs)`` on the whole C-contiguous (2, n, m1, m1)
     float stack, and must write its result into ``out``, which is the
     input itself; the right-hand side comes out in its basis.
+
+    The right-hand side is written into ``out``, a float64 vector of length
+    2mn, and returned; without it, into a fresh array.
     """
     X1, X2 = grid.interior_points()
     n, tau = grid.n, grid.tau
     levels = np.arange(n)[:, None, None]
-    rhs = np.empty((2, n, grid.m1, grid.m1))
-    rhs[0] = tau * np.asarray(problem.g(X1, X2, levels * tau), dtype=float)
-    rhs[1] = tau * np.asarray(problem.f(X1, X2, (levels + 1) * tau), dtype=float)
+    if out is None:
+        out = np.empty(2 * grid.m * n)
+    elif out.shape != (2 * grid.m * n,) or out.dtype != float:
+        raise ValueError(f"out must be a float64 vector of length {2 * grid.m * n}")
+    rhs = out.reshape(2, n, grid.m1, grid.m1)
+    np.multiply(problem.g(X1, X2, levels * tau), tau, out=rhs[0])
+    np.multiply(problem.f(X1, X2, (levels + 1) * tau), tau, out=rhs[1])
     rhs[1, 0] += np.asarray(problem.y0(X1, X2), dtype=float)
     rhs[1] *= -np.sqrt(problem.gamma)
     if transform is not None:
         transform(rhs, out=rhs)
-    return rhs.reshape(-1)
+    return out
 
 
-def error_norm(x, problem, grid, transform=None):
+def error_norm(x, problem, grid, transform=None, out=None):
     """Worst-over-levels discrete L2 error of a solution of the coupled system.
 
     ``x`` is the length-2mn solution as ``gmres_solve`` returns it, laid out
@@ -179,8 +186,9 @@ def error_norm(x, problem, grid, transform=None):
     back by the exact inverse of that layout: split as (2, n, m1, m1), the
     state half divided by sqrt(gamma), and, when ``transform`` is given,
     both halves carried back to grid values by one call
-    ``transform(fields, out=fields)`` on a fresh copy, so ``x`` itself is
-    left as it is.
+    ``transform(fields, out=fields)`` on a copy, so ``x`` itself is left as
+    it is. The copy goes into ``out``, a float64 vector of x's length that
+    shares no memory with it, when given; else into a fresh array.
 
     Each of the 2n stored fields is measured on its own — the result is the
     largest single-level error, where the discrete L2 norm of a grid
@@ -193,7 +201,14 @@ def error_norm(x, problem, grid, transform=None):
     X1, X2 = grid.interior_points()
     n, tau = grid.n, grid.tau
     levels = np.arange(n)[:, None, None]
-    fields = np.array(x, dtype=float).reshape(2, n, grid.m1, grid.m1)
+    if out is None:
+        fields = np.array(x, dtype=float)
+    else:
+        if out.shape != np.shape(x) or out.dtype != float or np.shares_memory(out, x):
+            raise ValueError("out must be a float64 array of x's shape, sharing no memory with x")
+        np.copyto(out, x)
+        fields = out
+    fields = fields.reshape(2, n, grid.m1, grid.m1)
     fields[0] /= np.sqrt(problem.gamma)
     if transform is not None:
         transform(fields, out=fields)
@@ -202,7 +217,8 @@ def error_norm(x, problem, grid, transform=None):
         (fields[0], problem.exact_y, (levels + 1) * tau),
         (fields[1], problem.exact_p, levels * tau),
     ):
-        err = (approx - exact(X1, X2, times)).reshape(n, -1)
+        # approx is a view of this function's copy, so the difference may overwrite it
+        err = np.subtract(approx, exact(X1, X2, times), out=approx).reshape(n, -1)
         # one dot product per level keeps the sums those of the level loop
         worst = max(worst, *(float(e @ e) for e in err))
     return grid.h * np.sqrt(worst)

@@ -17,7 +17,10 @@ Each new direction is orthogonalised by classical Gram-Schmidt applied
 twice (CGS2): two passes of two matrix-vector products against the rows
 filled so far, which keeps the basis orthonormal to working precision like
 a two-pass modified Gram-Schmidt (Giraud, Langou & Rozloznik, 2005). The
-update ``c @ V`` of each pass goes into one kept vector.
+update ``c @ V`` of each pass goes into one kept vector, which receives the
+solution once the loop ends. A caller that solves many systems of one size
+can hand in both the basis and that vector, so that a solve allocates
+neither.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +54,12 @@ def _identity(v, out):
     np.copyto(out, v)
 
 
-def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
+def capped_maxit(size, maxit=None):
+    """The iteration limit gmres_solve runs: ``maxit`` or DEFAULT_MAXIT, at most ``size``."""
+    return min(size, DEFAULT_MAXIT if maxit is None else maxit)
+
+
+def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None, basis=None, out=None):
     """Solve A x = b with left preconditioning, from a zero initial guess.
 
     apply_op and apply_prec write A v and P^-1 v into ``out``, as
@@ -68,11 +76,14 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
     grow with ``maxit``, so a size-long default would ask for memory
     quadratic in the system size.
 
-    The basis is one ``(maxit + 1, size)`` array from ``np.empty``. Its pages
-    become resident as rows are written, but the kernel checks the whole
-    reservation at once, so ``ExperimentSpec`` checks it before any solve.
-    Besides it, the loop keeps one size-long vector for the Gram-Schmidt
-    update; the solution is the only other array of that size it makes.
+    The basis is one ``(maxit + 1, size)`` array, ``maxit`` as capped (see
+    :func:`capped_maxit`): ``basis`` when given, else one from ``np.empty``.
+    Its pages become resident as rows are written, but the kernel checks
+    the whole reservation at once, so ``ExperimentSpec`` checks it before
+    any solve. Besides it, the loop keeps one size-long vector for the
+    Gram-Schmidt update, ``out`` when given, and writes the solution into
+    it at the end: ``SolveReport.x`` is that vector. With both given, a
+    solve makes no array of the system's size.
 
     Raises FloatingPointError, naming the iteration, as soon as the
     preconditioned right-hand side norm or a new Hessenberg column is not
@@ -83,10 +94,15 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
         raise TypeError("only real systems are supported")
     b = b.astype(float, copy=False)
     size = b.size
-    maxit = min(size, DEFAULT_MAXIT if maxit is None else maxit)
+    maxit = capped_maxit(size, maxit)
     prec = apply_prec if apply_prec is not None else _identity
+    for name, array, shape in (("basis", basis, (maxit + 1, size)), ("out", out, (size,))):
+        if array is not None and (array.shape != shape or array.dtype != float):
+            raise ValueError(f"{name} must be a float64 array of shape {shape}")
 
-    basis = np.empty((maxit + 1, size))
+    if basis is None:
+        basis = np.empty((maxit + 1, size))
+    update = np.empty(size) if out is None else out
     prec(b, out=basis[0])
     beta = float(np.linalg.norm(basis[0]))
     if not np.isfinite(beta):
@@ -94,13 +110,12 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
             "GMRES iteration 0: preconditioned right-hand side is not finite"
         )
     if beta == 0.0:
+        update.fill(0.0)
         return SolveReport(
-            x=np.zeros(size), converged=True, iterations=0, residuals=[0.0],
-            basis=np.empty((0, size)),
+            x=update, converged=True, iterations=0, residuals=[0.0], basis=basis[:0],
         )
 
     basis[0] /= beta
-    update = np.empty(size)
     hess = np.zeros((maxit + 1, maxit))
     cs = np.zeros(maxit)
     sn = np.zeros(maxit)
@@ -153,7 +168,7 @@ def gmres_solve(apply_op, b, apply_prec=None, tol=1e-6, maxit=None):
             break
 
     y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k])
-    x = y @ basis[:k]
+    x = np.matmul(y, basis[:k], out=update)
     # on breakdown the last row is the unnormalised remainder, not a direction
     directions = k if breakdown else k + 1
     return SolveReport(

@@ -17,9 +17,10 @@ per shift. Components:
   shifted diagonal raises the sine-transform backend's "a shift makes the
   system singular" ValueError. The solve's workspace adds the shifts to
   the diagonal of every level, one reciprocal column per shift, and builds
-  no other matrix. Each level's weights are stored once and broadcast over
-  every shift and right-hand side, so one factored solve serves any number
-  of right-hand sides;
+  no other matrix. A solve handed back as ``factor(sigmas, reuse=solve)``
+  keeps its workspace and refills those columns in place. Each level's
+  weights are stored once and broadcast over every shift and right-hand
+  side, so one factored solve serves any number of right-hand sides;
 * smoother: lexicographic forward Gauss-Seidel, one pre-sweep from zero
   and one post-sweep. Point (i, j) needs the new values at (i-1, j) and
   (i, j-1), both on the anti-diagonal i + j = d - 1, and the old values at
@@ -59,12 +60,13 @@ and every ``factor`` and every solve reads it and writes none of it.
 
 Each factored solve keeps the arrays of its V-cycle for the batch width it
 last saw: per level a complex z and b, their zero positions zeroed once,
-and every front's views: its pair windows of z, all from one sliding window
-view of that z, and its rows of b, of the reciprocal diagonal and of two
-scratch rows, so a sweep only calls ufuncs. A solve scatters its right-hand
-sides into the finest b and gathers the result from the finest z; apart
-from the sparse products' outputs it makes no array. That workspace makes a
-solve non-reentrant: two calls of one solve must not run at the same time.
+the skewed reciprocals of the shifted diagonal, and every front's views:
+its pair windows of z, all from one sliding window view of that z, and its
+rows of b, of the reciprocal diagonal and of two scratch rows, so a sweep
+only calls ufuncs. A solve scatters its right-hand sides into the finest
+b and gathers the result from the finest z; apart from the sparse
+products' outputs it makes no array. That workspace makes a solve
+non-reentrant: two calls of one solve must not run at the same time.
 
 The fine grid needs m1 = 2^l - 1 points per dimension, so the hierarchy
 halves it down to the one-point grid: 63, 31, 15, 7, 3, 1. There one sweep
@@ -107,6 +109,11 @@ class Level:
         self.skew_size = start[-1]
         i, j = np.divmod(np.arange(m1 * m1), m1)
         self.skew_index = start[i + j + 1] + 1 + i - first[i + j + 1]
+        # the diagonal in skewed order, and the positions that hold a point
+        self.points = np.zeros((self.skew_size, 1), bool)
+        self.points[self.skew_index] = True
+        self.skew_diag = np.zeros((self.skew_size, 1))
+        self.skew_diag[self.skew_index, 0] = self.diag
         # the weights of each point's couplings to the pair (i-1, j), (i, j-1)
         # and to the pair (i, j+1), (i+1, j), in skewed order. K is symmetric,
         # so east and south are the west and north bands shifted by one
@@ -151,18 +158,27 @@ class Level:
         upper_matrix = sp.csr_matrix((upper[self.skew_index].ravel(), (rows, cols)), shape=shape)
         self.defect = (self.prolong.T / 4 @ upper_matrix).tocsr()
 
-    def front_views(self, z, b, sigmas):
+    def reciprocals(self, sigmas, out):
+        """1 / (diag + sigma) for each of the k ``sigmas``, into the skewed (positions, k) ``out``.
+
+        Only the rows of points are written, in place, so the zero
+        positions of ``out`` keep what they hold. Returns ``out``.
+        """
+        np.add(self.skew_diag, sigmas, out=out, where=self.points)
+        return np.divide(1.0, out, out=out, where=self.points)
+
+    def front_views(self, z, b, inv_diag):
         """Every front's views for :func:`sweep` on the skewed (positions, l k) z and b.
 
-        The reciprocal of the diagonal shifted by each of the k ``sigmas``
-        is broadcast over the l right-hand sides of that shift. A front's
-        neighbor pairs are (n, 2, columns) windows of one sliding window
-        view of z, two rows each. Two scratch rows are made here and kept
-        alive by the views.
+        ``inv_diag`` is the skewed (positions, k) array of
+        :meth:`reciprocals`, the reciprocal of the diagonal shifted by each
+        of k shifts; a front reads its rows, broadcast over the l
+        right-hand sides of each shift, so a refill of ``inv_diag`` reaches
+        the views. A front's neighbor pairs are (n, 2, columns) windows of
+        one sliding window view of z, two rows each. Two scratch rows are
+        made here and kept alive by the views.
         """
-        k = sigmas.size
-        inv_diag = np.zeros((self.skew_size, k), complex)
-        inv_diag[self.skew_index] = 1.0 / (self.diag[:, None] + sigmas)
+        k = inv_diag.shape[1]
         zr, br = z.view(float), b.view(float)
         pairs = np.lib.stride_tricks.sliding_window_view(zr, 2, axis=0).swapaxes(1, 2)
         acc = np.empty((self.m1, 1, zr.shape[1]))
@@ -215,41 +231,63 @@ class MgShiftedSolver:
             levels.insert(0, coarse)
         self.levels = tuple(levels)
 
-    def factor(self, sigmas):
+    def factor(self, sigmas, reuse=None):
         sigmas = np.asarray(sigmas, dtype=complex)
-        if any((level.diag[:, None] + sigmas == 0).any() for level in self.levels):
+        # the diagonals are real, so only a real shift can zero one
+        real = sigmas.real[sigmas.imag == 0]
+        if any((level.diag[:, None] + real == 0).any() for level in self.levels):
             raise ValueError("a shift makes the system singular")
-        top = self.levels[0]
-        cycle = None
+        if reuse is None or reuse.levels is not self.levels:
+            return _MgSolve(self.levels, sigmas)
+        reuse.sigmas = sigmas
+        if reuse.cycle is not None:
+            if reuse.cycle.inv_diag[0].shape[1] == sigmas.size:
+                reuse.cycle.refill(sigmas)
+            else:
+                reuse.cycle = None
+        return reuse
 
-        def solve(rhs, out=None):
-            nonlocal cycle
-            k = rhs.shape[-1]
-            if k != sigmas.size:
-                raise ValueError(f"expected {sigmas.size} shifts on the last axis, got {k}")
-            if out is None:
-                out = np.empty(rhs.shape, complex)
-            elif not (out.shape == rhs.shape and out.dtype == complex and out.flags.c_contiguous):
-                raise ValueError(f"out must be a C-contiguous complex array of shape {rhs.shape}")
-            width = rhs[0].size
-            if cycle is None or cycle.width != width:
-                cycle = _VCycle(self.levels, sigmas, width)
-            cycle.b[0][top.skew_index] = rhs.reshape(-1, width)
-            cycle.run()
-            # mode="clip": with the default "raise", numpy buffers out
-            np.take(cycle.z[0], top.skew_index, axis=0, out=out.reshape(-1, width), mode="clip")
-            return out
 
-        return solve
+class _MgSolve:
+    """The solve of :meth:`MgShiftedSolver.factor`: one V-cycle on the whole stack.
+
+    ``cycle`` is the :class:`_VCycle` of the batch width last solved, made
+    on the first solve and again when the width changes.
+    """
+
+    def __init__(self, levels, sigmas):
+        self.levels = levels
+        self.sigmas = sigmas
+        self.cycle = None
+
+    def __call__(self, rhs, out=None):
+        k = rhs.shape[-1]
+        if k != self.sigmas.size:
+            raise ValueError(f"expected {self.sigmas.size} shifts on the last axis, got {k}")
+        if out is None:
+            out = np.empty(rhs.shape, complex)
+        elif not (out.shape == rhs.shape and out.dtype == complex and out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous complex array of shape {rhs.shape}")
+        width = rhs[0].size
+        if self.cycle is None or self.cycle.width != width:
+            self.cycle = None  # freed before the new one is made
+            self.cycle = _VCycle(self.levels, self.sigmas, width)
+        top, cycle = self.levels[0], self.cycle
+        cycle.b[0][top.skew_index] = rhs.reshape(-1, width)
+        cycle.run()
+        # mode="clip": with the default "raise", numpy buffers out
+        np.take(cycle.z[0], top.skew_index, axis=0, out=out.reshape(-1, width), mode="clip")
+        return out
 
 
 class _VCycle:
     """The kept arrays of one V(1,1) cycle for one batch width, in skewed order.
 
-    Per level: the solution z, the right-hand side b and every front's views
-    of them and of the skewed reciprocal of the shifted diagonal. The zero
-    positions are zeroed here, once: the sweeps never write them, and the
-    transfers map them to zero.
+    Per level: the solution z, the right-hand side b, the skewed reciprocal
+    of the diagonal shifted by each of the k shifts, and every front's
+    views of them. The zero positions are zeroed here, once: the sweeps
+    never write them, and the transfers map them to zero. :meth:`refill`
+    moves the cycle to other shifts of the same count.
     """
 
     def __init__(self, levels, sigmas, width):
@@ -257,10 +295,17 @@ class _VCycle:
         self.width = width
         self.z = [np.zeros((level.skew_size, width), complex) for level in levels]
         self.b = [np.zeros_like(z) for z in self.z]
+        self.inv_diag = [np.zeros((level.skew_size, sigmas.size), complex) for level in levels]
+        self.refill(sigmas)
         self.fronts = [
-            level.front_views(z, b, sigmas)
-            for level, z, b in zip(levels, self.z, self.b)
+            level.front_views(z, b, inv)
+            for level, z, b, inv in zip(levels, self.z, self.b, self.inv_diag)
         ]
+
+    def refill(self, sigmas):
+        """Write the reciprocals of ``sigmas`` in place, where every front's views see them."""
+        for level, inv in zip(self.levels, self.inv_diag):
+            level.reciprocals(sigmas, out=inv)
 
     def run(self, depth=0):
         """One V-cycle on level depth from a zero initial guess, into its z."""

@@ -10,8 +10,10 @@ with alpha = tau / sqrt(gamma) and the space-time evolution matrix
 T = B x I + tau I x K, where B is the backward-difference bidiagonal and K
 the stiffness matrix. The operator applies the full 2mn x 2mn matrix on a
 (2, n, m) view of its input without ever forming Kronecker products: T' w
-and then T u go through one (n, m) work array that the operator keeps, and
-the two halves of the result are written straight into the output.
+and then T u go through one (n, m) work array that the operator keeps (or
+that its caller lends it, so that operators built one after the other for
+one grid share it), and the two halves of the result are written straight
+into the output.
 
 K is either an (m, m) matrix, applied by one sparse product per time
 level, or a diagonal given as its length-m vector of entries, such as the
@@ -25,7 +27,7 @@ import numpy as np
 class AllAtOnceOperator:
     """Applies the coupled space-time system matrix block by block."""
 
-    def __init__(self, grid, stiffness, gamma):
+    def __init__(self, grid, stiffness, gamma, work=None):
         if not gamma > 0:
             raise ValueError(f"regularization weight must be positive, got {gamma}")
         m = grid.m
@@ -39,15 +41,20 @@ class AllAtOnceOperator:
         self.diagonal = stiffness.ndim == 1
         self.alpha = grid.tau / np.sqrt(gamma)
         self.size = 2 * grid.m * grid.n
-        # T' w, then T u
-        self._work = np.empty((grid.n, m))
+        # T' w, then T u; a lent work array is only ever overwritten
+        if work is None:
+            work = np.empty((grid.n, m))
+        elif work.shape != (grid.n, m) or work.dtype != float:
+            raise ValueError(f"work must be a float64 array of shape {(grid.n, m)}")
+        self._work = work
 
     def matvec(self, x, out=None):
         """Apply the full 2mn x 2mn saddle-point matrix to ``x``.
 
         The result is written into ``out``, a float64 vector of length 2mn
         that shares no memory with ``x``, and returned; without ``out`` it is
-        a fresh array. The work array makes the operator non-reentrant.
+        a fresh array. The work array makes the operator non-reentrant, and
+        so do operators that share one: only one of them may run at a time.
         """
         x = np.asarray(x)
         if x.shape != (self.size,):

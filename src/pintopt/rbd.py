@@ -126,9 +126,17 @@ class RbdEpsPreconditioner:
     stack in the same order. So is the one work buffer ``_stack``, the
     forward product's real ``(m, 2, 2 (n//2 + 1))`` view of the complex
     stack that the inner solve overwrites with its solution.
+
+    ``reuse`` is a preconditioner of the same grid that the caller will not
+    apply again, such as the one of the previous gamma of a sweep. This one
+    takes over its ``_stack``, and, when both have the same ``inner``, its
+    solve: the first application hands it to ``inner.factor(sigmas,
+    reuse=solve)``, which refills its arrays for the new shifts. ``reuse``
+    keeps neither, so it cannot be applied afterwards, and two live
+    preconditioners never share memory.
     """
 
-    def __init__(self, grid, gamma, eps, inner):
+    def __init__(self, grid, gamma, eps, inner, reuse=None):
         if not gamma > 0:
             raise ValueError(f"regularization weight must be positive, got {gamma}")
         self.grid = grid
@@ -148,9 +156,18 @@ class RbdEpsPreconditioner:
         back, back_conj = (np.fft.irfft(u, n, norm="ortho").T for u in (units, units.conj()))
         self._forward = np.stack([rows.conj() / d, rows * d]).view(float)
         self._inverse = np.block([[back_conj * d, -back / d], [back_conj * d, back / d]])
-        self._stack = np.empty((grid.m, 2, 2 * half))
-        # factored on the first apply
-        self._solve = None
+        # factored on the first apply, from the spent solve of reuse if any
+        self._solve = self._spent = None
+        shape = (grid.m, 2, 2 * half)
+        if reuse is None:
+            self._stack = np.empty(shape)
+            return
+        if getattr(reuse._stack, "shape", None) != shape:
+            raise ValueError(f"reuse must be an unspent preconditioner of a {shape} stack")
+        self._stack = reuse._stack
+        if reuse.inner is inner:
+            self._spent = reuse._solve
+        reuse._stack = reuse._solve = reuse._spent = None
 
     def apply_inverse(self, r, out=None):
         """P^-1 r for a real vector r of length 2 m n, both halves one after the other.
@@ -175,7 +192,12 @@ class RbdEpsPreconditioner:
         n, m = self.grid.n, self.grid.m
         half = n // 2 + 1
         if self._solve is None:
-            self._solve = self.inner.factor(self.spectrum.lambdas[:half] + self.alpha)
+            sigmas = self.spectrum.lambdas[:half] + self.alpha
+            if self._spent is None:
+                self._solve = self.inner.factor(sigmas)
+            else:
+                self._solve = self.inner.factor(sigmas, reuse=self._spent)
+                self._spent = None
         # [transpose half (Ceps' + alpha W), plain half (Ceps + alpha W)]; the
         # transpose half has shifts conj(lambda_k) + alpha, and since M and K
         # are real its spectrum enters conjugated and leaves conjugated

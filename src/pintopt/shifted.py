@@ -35,6 +35,16 @@ complex, C-contiguous ``(m, l, k)`` stack, positions first, and solves
 written into ``out``, a C-contiguous complex array of that shape, and
 returned; ``out`` may be ``rhs`` itself, and without it the solution is a
 fresh array. No backend takes another layout.
+
+Every solve that ``factor(sigmas)`` returns owns its arrays (the
+reciprocals of the shifted diagonal, a multigrid solve's V-cycle), so two
+solves of one backend may be alive and used in any order. The two
+backends of the solver also let a caller done with a solve hand it back
+as ``factor(sigmas, reuse=solve)`` (the dense oracle does not): the
+returned solve is ``solve`` itself, refilled in place for the new shifts
+where its arrays fit them, so a sweep over shifts of one size allocates
+them once. The old shifts are gone from it, and the caller must not use
+it for them again.
 """
 
 import numpy as np
@@ -104,8 +114,9 @@ class DstShiftedSolver:
     the row-major order of the grid functions. The right-hand sides and
     solutions of ``solve`` are S-transformed vectors, so a batched solve is
     one pointwise product with the reciprocal of the (m, 1, shifts)
-    denominator, which ``factor`` stores once. A physical-basis solve is
-    dst2d, this solve, dst2d.
+    denominator, which ``factor`` stores once, in the array of ``reuse``
+    when it has that shape and dtype. A physical-basis solve is dst2d, this
+    solve, dst2d.
     """
 
     def __init__(self, grid, diffusion=1.0):
@@ -116,17 +127,30 @@ class DstShiftedSolver:
         theta = 2.0 - 2.0 * np.cos(np.pi * h * np.arange(1, m1 + 1))
         self.laplacian_eigs = (diffusion * (theta[:, None] + theta[None, :]) / h**2).ravel()
 
-    def factor(self, sigmas):
-        denom = self.grid.tau * self.laplacian_eigs[:, None, None] + np.asarray(sigmas)
-        if np.min(np.abs(denom)) == 0.0:
+    def factor(self, sigmas, reuse=None):
+        sigmas = np.asarray(sigmas)
+        scaled = self.grid.tau * self.laplacian_eigs[:, None, None]
+        shape, dtype = (scaled.size, 1, sigmas.size), np.result_type(scaled, sigmas)
+        solve = _DstSolve() if reuse is None else reuse
+        if solve.inverse is None or solve.inverse.shape != shape or solve.inverse.dtype != dtype:
+            solve.inverse = np.empty(shape, dtype)
+        # the denominator first, in place, then its reciprocal
+        inverse = np.add(scaled, sigmas, out=solve.inverse)
+        if not inverse.all():
             raise ValueError("a shift makes the system singular")
-        inverse = 1.0 / denom
-        count = denom.shape[-1]
-
-        def solve(rhs, out=None):
-            if rhs.shape[-1] != count:
-                raise ValueError(f"expected {count} shifts on the last axis, got {rhs.shape[-1]}")
-            return np.multiply(rhs, inverse, out=out)
-
+        np.divide(1.0, inverse, out=inverse)
         return solve
+
+
+class _DstSolve:
+    """The solve of :meth:`DstShiftedSolver.factor`: one product with ``inverse``."""
+
+    def __init__(self):
+        self.inverse = None
+
+    def __call__(self, rhs, out=None):
+        count = self.inverse.shape[-1]
+        if rhs.shape[-1] != count:
+            raise ValueError(f"expected {count} shifts on the last axis, got {rhs.shape[-1]}")
+        return np.multiply(rhs, self.inverse, out=out)
 

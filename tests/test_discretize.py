@@ -316,6 +316,29 @@ def test_error_norm_inverts_the_rhs_layout(example, gamma):
     assert np.array_equal(rotated, kept)  # the solution is read, not written
 
 
+@pytest.mark.parametrize("transform", [None, dst2d], ids=["grid", "sine"])
+def test_rhs_and_error_norm_into_kept_memory(transform):
+    # assemble_rhs into out writes the bits of a fresh assembly; error_norm
+    # copies x into out, reads the same error and leaves x as it was
+    grid = TimeSpaceGrid.from_h(2.0**-3, n=8)
+    problem = get_problem(2, 1e-2)
+    want = assemble_rhs(problem, grid, transform)
+    out = np.full(want.size, np.nan)
+    assert assemble_rhs(problem, grid, transform, out=out) is out
+    assert np.array_equal(out, want)
+    x = np.random.default_rng(9).standard_normal(want.size)
+    kept = x.copy()
+    copy = np.full(x.size, np.nan)
+    assert error_norm(x, problem, grid, transform, out=copy) == error_norm(
+        x, problem, grid, transform
+    )
+    assert np.array_equal(x, kept)
+    with pytest.raises(ValueError, match="sharing no memory with x"):
+        error_norm(x, problem, grid, transform, out=x)
+    with pytest.raises(ValueError, match="out must be a float64 vector"):
+        assemble_rhs(problem, grid, transform, out=np.empty(want.size + 1))
+
+
 # ---------------------------------------------------------------------------
 # all levels at once
 

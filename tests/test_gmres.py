@@ -174,6 +174,28 @@ def test_zero_rhs_returns_zero():
     assert np.array_equal(report.x, np.zeros(7))
 
 
+def test_a_lent_basis_and_out_give_the_same_solve():
+    # the caller's basis and out hold what gmres_solve would allocate: the
+    # same iterates bit for bit, the solution in out, the basis in its rows
+    rng = np.random.default_rng(30)
+    A = np.eye(12) + 0.3 * rng.standard_normal((12, 12))
+    b = rng.standard_normal(12)
+    want = gmres_solve(partial(np.matmul, A), b, tol=1e-10, maxit=20)
+    basis, out = np.full((13, 12), np.nan), np.full(12, np.nan)
+    got = gmres_solve(partial(np.matmul, A), b, tol=1e-10, maxit=20, basis=basis, out=out)
+    assert got.x is out and np.array_equal(out, want.x)
+    assert got.residuals == want.residuals
+    assert np.shares_memory(got.basis, basis) and np.array_equal(got.basis, want.basis)
+    # maxit is capped at the size before the basis is checked
+    assert gmres_solve(partial(np.matmul, A), b, maxit=10**6, basis=basis).converged
+    zero = gmres_solve(copy, np.zeros(12), basis=basis, out=out)
+    assert zero.x is out and np.array_equal(out, np.zeros(12))
+    with pytest.raises(ValueError, match=r"basis must be a float64 array of shape \(6, 12\)"):
+        gmres_solve(copy, b, maxit=5, basis=basis)
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        gmres_solve(copy, b, out=np.empty(13))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_operator_output_raises_at_its_iteration(bad):

@@ -212,6 +212,20 @@ def test_matvec_rejects_an_out_that_aliases_the_input():
         op.matvec(x[: op.size], out=np.empty(op.size + 1))
 
 
+def test_operators_sharing_a_work_array_apply_their_own_gamma():
+    # two operators of one grid on one lent work array, used one after the
+    # other, each give the bits of an operator with its own work array
+    grid = TimeSpaceGrid(m1=3, n=4)
+    K = build_stiffness(stencil(grid, wavy_coeff))
+    work = np.full((grid.n, grid.m), np.nan)
+    x = np.random.default_rng(8).standard_normal(2 * grid.m * grid.n)
+    for gamma in (1e-2, 1e-6, 1e-2):
+        op = AllAtOnceOperator(grid, K, gamma, work=work)
+        assert np.array_equal(op.matvec(x), AllAtOnceOperator(grid, K, gamma).matvec(x))
+    with pytest.raises(ValueError, match="work must be a float64 array"):
+        AllAtOnceOperator(grid, K, 1.0, work=np.empty((grid.m, grid.n + 1)))
+
+
 # ---------------------------------------------------------------------------
 # the exact sine-basis solve of tests/dense_backend.py
 

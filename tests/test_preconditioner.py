@@ -324,6 +324,32 @@ def test_apply_in_place_equals_the_fresh_result(example):
     assert np.array_equal(r, want)
 
 
+@pytest.mark.parametrize("example", [1, 2])
+def test_a_preconditioner_taking_over_another_applies_its_own_gamma(example):
+    # each gamma's preconditioner takes over the stack and the inner solve
+    # of the one before it, and applies the bits of a fresh one
+    grid = TimeSpaceGrid(m1=7, n=8)
+    inner, _ = make_inner_solver(get_problem(example, 1e-2).a, grid, None)
+    eps = rate_constant(0.5, grid.tau, grid.horizon)
+    r = np.random.default_rng(25).standard_normal(2 * grid.m * grid.n)
+    previous = None
+    for gamma in (1e-2, 1e-6, 1.0, 1e-2):
+        pc = RbdEpsPreconditioner(grid, gamma, eps, inner, reuse=previous)
+        want = RbdEpsPreconditioner(grid, gamma, eps, inner).apply_inverse(r)
+        assert np.array_equal(pc.apply_inverse(r), want)
+        if previous is not None:
+            assert previous._stack is None and previous._solve is None
+        previous = pc
+    # another backend takes the stack only; a spent one is refused
+    other = RbdEpsPreconditioner(grid, 1e-2, eps, DstShiftedSolver(grid), reuse=previous)
+    fresh = RbdEpsPreconditioner(grid, 1e-2, eps, DstShiftedSolver(grid))
+    assert np.array_equal(other.apply_inverse(r), fresh.apply_inverse(r))
+    with pytest.raises(ValueError, match="unspent preconditioner"):
+        RbdEpsPreconditioner(grid, 1e-2, eps, inner, reuse=previous)
+    with pytest.raises(ValueError, match="unspent preconditioner"):
+        RbdEpsPreconditioner(TimeSpaceGrid(m1=7, n=4), 1e-2, eps, inner, reuse=other)
+
+
 def test_warm_apply_allocation_budget():
     # one warm apply allocates the returned vector and the solved half
     # spectrum, not a handful of full-size complex temporaries
@@ -347,7 +373,8 @@ def test_arnoldi_step_makes_no_system_sized_array(example):
     # 0.13 MB on the sine transform (the round-off guard's small arrays)
     # and 0.59 MB on multigrid, the fine level's prolonged correction,
     # which the sparse product returns fresh; an N-vector is 0.49 MB
-    grid, inner, stiffness = mesh_setup(example, None, 2.0**-5)
+    setup = mesh_setup(example, None, 2.0**-5)
+    grid, inner, stiffness = setup.grid, setup.backend, setup.stiffness
     fresh = 0
     if not isinstance(inner, DstShiftedSolver):
         fresh = 8 * inner.levels[0].skew_size * 2 * 2 * (grid.n // 2 + 1)

@@ -194,7 +194,8 @@ def test_coarse_operators_rediscretized():
 def sweep_on_level(level, sigmas, b, z=None):
     """One wavefront sweep on a level for every column of an (m, 2 k) stack."""
     z_skew = to_skew(level, np.zeros_like(b) if z is None else z)
-    sweep(level.front_views(z_skew, to_skew(level, b), sigmas), from_zero=z is None)
+    inv_diag = level.reciprocals(sigmas, np.zeros((level.skew_size, sigmas.size), complex))
+    sweep(level.front_views(z_skew, to_skew(level, b), inv_diag), from_zero=z is None)
     return z_skew[level.skew_index]
 
 
@@ -335,6 +336,36 @@ def test_interleaved_factors_solve_independently():
     # solves of the two do not disturb each other either
     for (i, _), rhs, want in zip(order, stacks, alone):
         assert np.array_equal(solves[i](rhs, out=rhs), want)
+
+
+@pytest.mark.parametrize("name", ["dst", "mg"])
+def test_a_handed_back_solve_refills_for_new_shifts(name):
+    # factor(sigmas, reuse=solve) returns that solve, refilled in place: it
+    # solves bit for bit as a fresh factor of the new shifts, whether it
+    # has solved before or not, and also for another number of shifts
+    grid = TimeSpaceGrid(m1=7, n=4)
+    solver = backend(name, grid) if name == "dst" else MgShiftedSolver(grid, wavy_coeff)
+    rng = np.random.default_rng(31)
+    shifts = [
+        np.array([0.3 + 0.2j, 1.5 - 0.4j]),
+        np.array([0.05 + 0.87j, 2.0 + 0j]),
+        np.array([1.0 + 0j, 0.7 - 0.1j, 0.2 + 0.4j]),
+    ]
+    solve = solver.factor(shifts[0])
+    for sigmas in shifts[1:] + shifts[:1]:
+        rhs = rng.standard_normal((grid.m, 2, sigmas.size)) + 0j
+        solve(np.ones((grid.m, 2, solve_count(solve)), complex))
+        assert solver.factor(sigmas, reuse=solve) is solve
+        assert np.array_equal(solve(rhs), solver.factor(sigmas)(rhs))
+    unsolved = solver.factor(shifts[0])
+    assert solver.factor(shifts[1], reuse=unsolved) is unsolved
+    rhs = rng.standard_normal((grid.m, 1, 2)) + 0j
+    assert np.array_equal(unsolved(rhs), solver.factor(shifts[1])(rhs))
+
+
+def solve_count(solve):
+    """The number of shifts a solve of either backend is factored for."""
+    return solve.inverse.shape[-1] if hasattr(solve, "inverse") else solve.sigmas.size
 
 
 @pytest.mark.parametrize("shifts", [2, 1])
