@@ -85,11 +85,18 @@ MUTANTS = [
      "set-up kept per (example, h) without inner: an mg cell reuses a sine transform"),
     ("src/pintopt/bench.py", 'f"{x:.2e}"', 'f"{x:.3e}"',
      "four significant digits in the tables instead of three"),
-    ("src/pintopt/discretize.py", "    fields[0] /= np.sqrt(problem.gamma)\n", "",
+    ("src/pintopt/discretize.py", "(0, problem.exact_y, times[1:], np.sqrt(problem.gamma))",
+     "(0, problem.exact_y, times[1:], 1.0)",
      "error_norm compares sqrt(gamma) y, not y, with the exact state"),
-    ("src/pintopt/discretize.py", "        np.copyto(out, x)\n        fields = out\n",
-     "        fields = x\n",
-     "the error check rescales and rotates the cell's solution in place"),
+    ("src/pintopt/discretize.py",
+     "halves, diff = np.reshape(x, (2, grid.n, grid.m)), out.reshape(2, grid.n, grid.m)",
+     "halves = diff = np.reshape(x, (2, grid.n, grid.m))",
+     "the error check writes its difference into the cell's solution"),
+    ("src/pintopt/discretize.py", "    rhs[1, 0] -= root * space[problem.y0]\n", "",
+     "the right-hand side without the initial state in its first block"),
+    ("src/pintopt/bench.py", "sample_space(problem, grid, shifted.dst2d if sine else None)",
+     "sample_space(problem, grid, None)",
+     "a sine-basis mesh keeps its space samples in the grid basis"),
     ("src/pintopt/operators.py", "elif np.shares_memory(out, x):", "elif False:",
      "the operator writes into its own input when out aliases it"),
     ("src/pintopt/multigrid.py", "self.prolong.T / 4 @", "self.prolong.T / 2 @",

@@ -14,11 +14,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import shifted
-from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm, stencil
+from .discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, error_norm, sample_space, stencil
 from .gmres import DEFAULT_MAXIT, capped_maxit, gmres_solve
 from .multigrid import MgShiftedSolver
 from .operators import AllAtOnceOperator
@@ -31,13 +32,13 @@ from .rbd import RbdEpsPreconditioner, rate_constant
 # and the preconditioner's work arrays, the reciprocals of the inner solves
 # or multigrid's V-cycle, about 3.6 N-vectors over all levels), and what a
 # cell makes and frees. The error check runs beside the kept basis, with its
-# copy of the solution in the basis's first row. Measured as a first cell's
-# rise in peak RSS less its k + 1 basis rows, at gamma = 1, h = 2^-6 and
-# 2^-7: 5.80 and 5.18 with the sine transform (example 1); 10.09 and 9.15
-# with multigrid on example 2, 10.17 and 9.16 on example 1. The sine
-# transform keeps a margin of one array over its measure: the problem
-# callbacks' temporaries, the largest part of what a cell makes, differ
-# between problems.
+# difference in the basis's first row. Measured as a first cell's rise in
+# peak RSS less its k + 1 basis rows, at gamma = 1, h = 2^-6 and 2^-7: 5.40
+# and 4.75 with the sine transform (example 1); 10.03 and 9.21 with
+# multigrid on example 2, 10.21 and 9.18 on example 1. A cell makes no
+# array from the problem data, which are sampled once per mesh at the size
+# of a few grids. Each value rounds its measure up, the sine transform's
+# with a margin of more than one array.
 WORKING_ARRAYS = {"dst": 7, "mg": 11}
 
 CSV_COLUMNS = ("gamma", "h", "dof", "iter", "cpu_s", "e_h", "e_h_raw")
@@ -77,15 +78,24 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown example {self.example!r}; choose from {list(EXAMPLES)}")
         if self.inner not in (None, "dst", "mg"):
             raise ConfigurationError(f"unknown inner solver {self.inner!r}")
-        object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        if not self.h_values or not self.gammas:
-            raise ConfigurationError("the sweep needs at least one h and one gamma")
-        for name in ("h_values", "gammas", "tol", "delta"):
+        # a bool is no count and no number, though it is an int
+        for name, kind, noun in (("h_values", Real, "a tuple of real numbers"),
+                                 ("gammas", Real, "a tuple of real numbers"),
+                                 ("tol", Real, "a real number"), ("delta", Real, "a real number"),
+                                 ("maxit", Integral, "an integer"),
+                                 ("jobs", Integral, "an integer")):
             values = getattr(self, name)
-            for value in values if isinstance(values, tuple) else (values,):
+            many = name in ("h_values", "gammas")
+            if many and not isinstance(values, (tuple, list)):
+                raise ConfigurationError(f"{name} must be {noun}, got {values!r}")
+            for value in values if many else (values,):
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigurationError(f"{name} must be {noun}, got {values!r}")
                 if not math.isfinite(value):
                     raise ConfigurationError(f"{name} must be a finite number, got {value}")
+            object.__setattr__(self, name, tuple(map(float, values)) if many else values)
+        if not self.h_values or not self.gammas:
+            raise ConfigurationError("the sweep needs at least one h and one gamma")
         finest = max(self.h_values, key=mesh_level)
         for g in self.gammas:
             if g <= 0:
@@ -195,8 +205,10 @@ def make_inner_solver(a, grid, inner):
 class MeshSetup:
     """The set-up and the workspace that the gamma cells of one mesh share.
 
-    ``grid``, ``backend`` and ``stiffness`` depend on the mesh and the
-    coefficient only, and no cell writes them. The rest is memory of the
+    ``grid``, ``backend``, ``stiffness`` and ``space``, the example's space
+    data sampled on the mesh in the solve's basis (see
+    :func:`pintopt.discretize.sample_space`), depend on the mesh and the
+    example only, and no cell writes them. The rest is memory of the
     system's size that every cell overwrites before it reads it: the
     right-hand side ``rhs``, the GMRES solution ``x`` (its update vector
     during the loop), the operator's ``work``, the Krylov basis of
@@ -205,8 +217,8 @@ class MeshSetup:
     So one cell at a time may use it.
     """
 
-    def __init__(self, grid, backend, stiffness):
-        self.grid, self.backend, self.stiffness = grid, backend, stiffness
+    def __init__(self, grid, backend, stiffness, space):
+        self.grid, self.backend, self.stiffness, self.space = grid, backend, stiffness, space
         size = 2 * grid.m * grid.n
         self.rhs = np.empty(size)
         self.x = np.empty(size)
@@ -227,23 +239,27 @@ class MeshSetup:
 def mesh_setup(example, inner, h):
     """The :class:`MeshSetup` of one mesh: built once, then written by each of its cells.
 
-    A problem's coefficient does not depend on gamma, and neither does
-    anything built from it, so the cells of one (example, inner, h) that a
-    process solves in a row share one set-up. The stiffness is what the
-    operator takes: the sine transform's ``laplacian_eigs``, or the CSR K
-    for multigrid, assembled from the stencil the backend was chosen from.
-    ``make_inner_solver`` and ``build_stiffness`` are looked up at call
-    time. Those cells also share the workspace: each refills in place what
-    depends on gamma, so a cell after the first of its mesh makes no array
-    of the system's size. Under ``jobs`` each worker keeps its own, for
-    the cells of one mesh that it runs in a row.
+    A problem's coefficient and space functions do not depend on gamma, and
+    neither does anything built from them, so the cells of one
+    (example, inner, h) that a process solves in a row share one set-up.
+    The stiffness is what the operator takes: the sine transform's
+    ``laplacian_eigs``, or the CSR K for multigrid, assembled from the
+    stencil the backend was chosen from. The space functions are sampled
+    once, and on a sine-transform mesh rotated into the sine basis by one
+    ``shifted.dst2d`` call on their stack, the only sine transform of the
+    mesh's cells. ``make_inner_solver``, ``build_stiffness`` and
+    ``shifted.dst2d`` are looked up at call time. Those cells also share
+    the workspace: each refills in place what depends on gamma, so a cell
+    after the first of its mesh makes no array of the system's size. Under
+    ``jobs`` each worker keeps its own, for the cells of one mesh that it
+    runs in a row.
     """
     grid = cell_grid(h)
-    a = get_problem(example, 1.0).a  # any weight: a does not depend on it
-    backend, bands = make_inner_solver(a, grid, inner)
-    if isinstance(backend, shifted.DstShiftedSolver):
-        return MeshSetup(grid, backend, backend.laplacian_eigs)
-    return MeshSetup(grid, backend, build_stiffness(bands))
+    problem = get_problem(example, 1.0)  # any weight: gamma is only in the coefficients
+    backend, bands = make_inner_solver(problem.a, grid, inner)
+    sine = isinstance(backend, shifted.DstShiftedSolver)
+    space = sample_space(problem, grid, shifted.dst2d if sine else None)
+    return MeshSetup(grid, backend, backend.laplacian_eigs if sine else build_stiffness(bands), space)
 
 
 @dataclass(frozen=True)
@@ -276,18 +292,16 @@ def solve_cell(spec, gamma, h):
     A cell with the sine-transform backend is solved in the sine basis:
     the stiffness handed to the operator is the vector
     ``DstShiftedSolver.laplacian_eigs`` of the diagonal Lambda, which the
-    matvec applies as one broadcast product,
-    ``assemble_rhs`` rotates the right-hand side once with
-    ``shifted.dst2d`` and ``error_norm`` rotates the solution back, so
-    GMRES, the matvec and the preconditioner run no sine transform. The
-    transform is orthogonal, so the iterates are those of the
-    physical-basis solve up to round-off. ``shifted.dst2d`` is read in
-    every cell, never kept, so a wrapper set on it sees every rotation.
-    Multigrid cells are solved in the physical basis, with the assembled
-    stiffness. The solution goes to ``error_norm`` as ``gmres_solve``
-    returns it: the vector's layout and the scaling of its state half are
-    those of ``assemble_rhs``, which ``error_norm`` undoes in a copy that
-    it makes in the basis's first row, dead once the solution is formed.
+    matvec applies as one broadcast product, and the mesh's space samples
+    are already rotated, so ``assemble_rhs`` writes the right-hand side in
+    the sine basis and ``error_norm`` measures the solution there: no
+    sine transform runs in a cell after the one that set up its mesh. The
+    transform is orthonormal, so the iterates and the error are those of
+    the physical-basis solve up to round-off. Multigrid cells are solved in
+    the physical basis, with the assembled stiffness. The solution goes to ``error_norm`` as
+    ``gmres_solve`` returns it, with the layout and the scaling of
+    ``assemble_rhs``; ``error_norm`` writes its difference with the exact
+    solution into the basis's first row, dead once the solution is formed.
 
     A FloatingPointError from the preconditioner's round-off guard, or
     from GMRES when the operator or the preconditioner produces a NaN or
@@ -300,10 +314,9 @@ def solve_cell(spec, gamma, h):
     setup = mesh_setup(spec.example, spec.inner, h)
     grid, inner = setup.grid, setup.backend
     problem = get_problem(spec.example, gamma)
-    transform = shifted.dst2d if isinstance(inner, shifted.DstShiftedSolver) else None
 
     op = AllAtOnceOperator(grid, setup.stiffness, gamma, work=setup.work)
-    rhs = assemble_rhs(problem, grid, transform, out=setup.rhs)
+    rhs = assemble_rhs(problem, grid, setup.space, out=setup.rhs)
     eps = rate_constant(spec.delta, grid.tau, grid.horizon)
     prec = setup.prec = RbdEpsPreconditioner(grid, gamma, eps, inner, reuse=setup.prec)
 
@@ -327,7 +340,7 @@ def solve_cell(spec, gamma, h):
             f"GMRES stopped unconverged at iteration {report.iterations}: preconditioned "
             f"relative residual {report.residuals[-1] / report.residuals[0]:.3e} > tol {spec.tol:g}"
         )
-    error = error_norm(report.x, problem, grid, transform, out=basis[0])
+    error = error_norm(report.x, problem, grid, setup.space, out=basis[0])
     return CellResult(
         gamma=gamma, h=h, dof=rhs.size, iterations=report.iterations,
         converged=report.converged, cpu_seconds=cpu, error=float(error), failure=failure,

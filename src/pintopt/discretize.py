@@ -24,6 +24,17 @@ the initial state folded into the first block. The solution has the same
 two halves: sqrt(gamma) times the state at t_1..t_n, then the adjoint at
 t_0..t_{n-1}. This module owns that layout: :func:`assemble_rhs` writes
 it and :func:`error_norm` reads it back.
+
+Both work in the basis of the space samples they are given.
+:func:`sample_space` samples each space function of a problem once on the
+grid, and may rotate all of them with one transform call, such as the
+orthonormal 2-D sine transform of :func:`pintopt.shifted.dst2d`. A field's
+values on all levels are then one matrix product of its terms' time
+coefficients with those samples, so neither function evaluates a problem
+callback on the space-time grid or transforms a stack of levels:
+:func:`assemble_rhs` writes the right-hand side in the samples' basis, and
+:func:`error_norm` measures a solution in it, where an orthonormal
+transform leaves every level's norm as it is.
 """
 
 from dataclasses import dataclass
@@ -143,82 +154,106 @@ def build_stiffness(bands):
     return sp.csr_matrix((bands[kept], columns[kept], indptr), shape=(m1 * m1,) * 2)
 
 
-def assemble_rhs(problem, grid, transform=None, out=None):
+def sample_space(problem, grid, transform=None):
+    """The problem's space data on the grid: each space function sampled once.
+
+    Returns a dict that maps each distinct space function of the problem
+    (those of the terms of f, g, exact_y and exact_p, and y0) to its m
+    samples on the interior nodes. ``transform``, when given, maps a stack
+    of (m1, m1) grid functions over its last two axes (such as
+    :func:`pintopt.shifted.dst2d`); it is called once, as
+    ``transform(stack, out=stack)`` on the C-contiguous float stack of all
+    the samples, and puts every sample in its basis.
+
+    Gamma enters a problem's data only through the term coefficients, and
+    every gamma of an example names the same space functions, so the result
+    serves every gamma of one example on this grid.
+    """
+    fields = (problem.f, problem.g, problem.exact_y, problem.exact_p)
+    functions = dict.fromkeys([problem.y0, *(fn for terms in fields for *_, fn in terms)])
+    X1, X2 = grid.interior_points()
+    stack = np.array([fn(X1, X2) for fn in functions], dtype=float)
+    if transform is not None:
+        transform(stack, out=stack)
+    return dict(zip(functions, stack.reshape(len(functions), grid.m)))
+
+
+def _combine(terms, times, scale, space, out):
+    """Write the sum of ``terms`` at ``times``, times ``scale``, into ``out``, one row per time.
+
+    Row k is the sum over terms of scale * coefficient * time(times[k])
+    times the term's samples in ``space``: one outer product per term,
+    formed together as one (times, terms) by (terms, m) matrix product.
+    """
+    coeffs = np.array([scale * c * time(times) for c, time, _ in terms]).reshape(-1, times.size)
+    np.dot(coeffs.T, np.array([space[fn] for *_, fn in terms]).reshape(-1, out.shape[1]), out=out)
+
+
+def assemble_rhs(problem, grid, space, out=None):
     """Assemble the length-2mn right-hand side of the coupled system.
 
     Top half, block k (k = 1..n): tau * g(., t_{k-1}).
     Bottom half, block k: -sqrt(gamma) * (tau * f(., t_k) + [k == 1] y0).
 
-    The data are sampled once on all levels, with the times shaped (n, 1, 1)
-    against the (m1, m1) interior grid. ``transform``, when given, maps a
-    stack of (m1, m1) grid functions over its last two axes (such as
-    :func:`pintopt.shifted.dst2d`). It is called once, as
-    ``transform(rhs, out=rhs)`` on the whole C-contiguous (2, n, m1, m1)
-    float stack, and must write its result into ``out``, which is the
-    input itself; the right-hand side comes out in its basis.
+    ``space`` is the :func:`sample_space` of this example on ``grid``, and
+    the right-hand side comes out in its basis. Each half is the time
+    coefficients of its field's terms times their space samples, written
+    straight into the half; the initial state is then folded into the first
+    block of the bottom half.
 
     The right-hand side is written into ``out``, a float64 vector of length
     2mn, and returned; without it, into a fresh array.
     """
-    X1, X2 = grid.interior_points()
     n, tau = grid.n, grid.tau
-    levels = np.arange(n)[:, None, None]
+    times = np.arange(n + 1) * tau
     if out is None:
         out = np.empty(2 * grid.m * n)
     elif out.shape != (2 * grid.m * n,) or out.dtype != float:
         raise ValueError(f"out must be a float64 vector of length {2 * grid.m * n}")
-    rhs = out.reshape(2, n, grid.m1, grid.m1)
-    np.multiply(problem.g(X1, X2, levels * tau), tau, out=rhs[0])
-    np.multiply(problem.f(X1, X2, (levels + 1) * tau), tau, out=rhs[1])
-    rhs[1, 0] += np.asarray(problem.y0(X1, X2), dtype=float)
-    rhs[1] *= -np.sqrt(problem.gamma)
-    if transform is not None:
-        transform(rhs, out=rhs)
+    rhs = out.reshape(2, n, grid.m)
+    root = np.sqrt(problem.gamma)
+    _combine(problem.g, times[:-1], tau, space, rhs[0])
+    _combine(problem.f, times[1:], -root * tau, space, rhs[1])
+    rhs[1, 0] -= root * space[problem.y0]
     return out
 
 
-def error_norm(x, problem, grid, transform=None, out=None):
+def error_norm(x, problem, grid, space, out=None):
     """Worst-over-levels discrete L2 error of a solution of the coupled system.
 
     ``x`` is the length-2mn solution as ``gmres_solve`` returns it, laid out
     as :func:`assemble_rhs` lays out the right-hand side: sqrt(gamma) times
-    the state at t_1..t_n, then the adjoint at t_0..t_{n-1}. It is read
-    back by the exact inverse of that layout: split as (2, n, m1, m1), the
-    state half divided by sqrt(gamma), and, when ``transform`` is given,
-    both halves carried back to grid values by one call
-    ``transform(fields, out=fields)`` on a copy, so ``x`` itself is left as
-    it is. The copy goes into ``out``, a float64 vector of x's length that
-    shares no memory with it, when given; else into a fresh array.
+    the state at t_1..t_n, then the adjoint at t_0..t_{n-1}, in the basis of
+    ``space``, the :func:`sample_space` of this example on ``grid``. The
+    error is measured in that basis, with the same per-level dot products:
+    each half's exact solution, scaled as the half is, is formed from
+    ``space`` and taken from the half, and the state half's norms are
+    divided by gamma. The 2-D sine transform is orthonormal, so in the sine
+    basis the norms are those of the grid basis up to round-off. The
+    difference is written into ``out``, a float64 vector of x's length that
+    shares no memory with it, when given; else into a fresh array. So ``x``
+    itself is left as it is.
 
     Each of the 2n stored fields is measured on its own — the result is the
     largest single-level error, where the discrete L2 norm of a grid
     function is h times its Euclidean norm. (Combining the paired y/p
     levels euclideanly instead would overshoot the benchmark error columns
     by ~30% where the two parts are comparable; the per-level maximum
-    reproduces them to three digits.) The exact solutions are evaluated
-    once on all levels, with the times shaped (n, 1, 1).
+    reproduces them to three digits.)
     """
-    X1, X2 = grid.interior_points()
-    n, tau = grid.n, grid.tau
-    levels = np.arange(n)[:, None, None]
+    times = np.arange(grid.n + 1) * grid.tau
     if out is None:
-        fields = np.array(x, dtype=float)
-    else:
-        if out.shape != np.shape(x) or out.dtype != float or np.shares_memory(out, x):
-            raise ValueError("out must be a float64 array of x's shape, sharing no memory with x")
-        np.copyto(out, x)
-        fields = out
-    fields = fields.reshape(2, n, grid.m1, grid.m1)
-    fields[0] /= np.sqrt(problem.gamma)
-    if transform is not None:
-        transform(fields, out=fields)
+        out = np.empty(np.shape(x))
+    elif out.shape != np.shape(x) or out.dtype != float or np.shares_memory(out, x):
+        raise ValueError("out must be a float64 array of x's shape, sharing no memory with x")
+    halves, diff = np.reshape(x, (2, grid.n, grid.m)), out.reshape(2, grid.n, grid.m)
     worst = 0.0
-    for approx, exact, times in (
-        (fields[0], problem.exact_y, (levels + 1) * tau),
-        (fields[1], problem.exact_p, levels * tau),
+    for half, terms, levels, scale in (
+        (0, problem.exact_y, times[1:], np.sqrt(problem.gamma)),
+        (1, problem.exact_p, times[:-1], 1.0),
     ):
-        # approx is a view of this function's copy, so the difference may overwrite it
-        err = np.subtract(approx, exact(X1, X2, times), out=approx).reshape(n, -1)
+        _combine(terms, levels, -scale, space, diff[half])
+        diff[half] += halves[half]
         # one dot product per level keeps the sums those of the level loop
-        worst = max(worst, *(float(e @ e) for e in err))
+        worst = max(worst, max(float(e @ e) for e in diff[half]) / scale**2)
     return grid.h * np.sqrt(worst)

@@ -20,6 +20,7 @@ from pintopt.discretize import (
     assemble_rhs,
     build_stiffness,
     error_norm,
+    sample_space,
     stencil,
 )
 from pintopt.gmres import gmres_solve
@@ -101,8 +102,9 @@ def test_exact_discrete_solution_gives_table_1_errors(h):
     got = []
     for gamma in GAMMAS:
         problem = get_problem(1, gamma)
-        x = solve_sine_basis(grid, eigs, gamma, assemble_rhs(problem, grid, dst2d))
-        got.append(error_norm(x, problem, grid, dst2d))
+        space = sample_space(problem, grid, dst2d)
+        x = solve_sine_basis(grid, eigs, gamma, assemble_rhs(problem, grid, space))
+        got.append(error_norm(x, problem, grid, space))
     assert [f"{e:.2e}" for e in got] == [f"{e:.2e}" for e in EXAMPLE1_TARGETS[h][1]]
 
 
@@ -188,13 +190,13 @@ def test_criterion_6_gmres_unit_properties():
     # final reported residual vs an independent recomputation, full stack
     grid = TimeSpaceGrid(m1=7, n=8)
     K = build_stiffness(stencil(grid, lambda x1, x2: np.ones_like(np.asarray(x1, float))))
-    from pintopt.discretize import assemble_rhs
+    from pintopt.discretize import assemble_rhs, sample_space
     from pintopt.operators import AllAtOnceOperator
     from pintopt.problems import get_problem
 
     problem = get_problem(1, 1e-6)
     op = AllAtOnceOperator(grid, K, 1e-6)
-    rhs = assemble_rhs(problem, grid)
+    rhs = assemble_rhs(problem, grid, sample_space(problem, grid))
     prec = RbdEpsPreconditioner(grid, 1e-6, grid.tau / 2, PhysicalDstSolver(grid))
     rep = gmres_solve(op.matvec, rhs, apply_prec=prec.apply_inverse, tol=1e-8)
     true_res = np.linalg.norm(prec.apply_inverse(rhs - op.matvec(rep.x)))

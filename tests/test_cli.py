@@ -41,6 +41,7 @@ from pintopt.discretize import (
     assemble_rhs,
     build_stiffness,
     error_norm,
+    sample_space,
     stencil,
 )
 from pintopt.gmres import gmres_solve
@@ -97,6 +98,23 @@ def test_spec_rejects_bad_values():
         ExperimentSpec(example=1, gammas=(0.0,))
     with pytest.raises(ConfigurationError, match="jobs"):
         ExperimentSpec(example=1, jobs=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("maxit", 2.5),
+    ("maxit", True),
+    ("jobs", 1.5),
+    ("tol", "1e-6"),
+    ("h_values", 0.25),
+    ("gammas", (1e-4, None)),
+    ("delta", 0.5 + 0j),
+], ids=lambda v: repr(v))
+def test_spec_rejects_values_of_the_wrong_type(field, value):
+    # each would reach a TypeError inside run_experiment; the spec names the
+    # field and the value in one line, before any cell is solved
+    with pytest.raises(ConfigurationError, match=f"^{field} must be ") as caught:
+        ExperimentSpec(example=1, **{**dict(h_values=(2.0**-3,), gammas=(1.0,)), field: value})
+    assert "\n" not in str(caught.value) and repr(value) in str(caught.value)
 
 
 def test_empty_h_or_gamma_list_is_a_configuration_error():
@@ -391,10 +409,13 @@ def test_a_warm_cell_is_a_cold_cell(monkeypatch, example):
 
 @pytest.mark.parametrize("example", [1, 2])
 def test_a_warm_cell_allocates_no_system_sized_array(example):
-    # after the first cell of a mesh, a cell refills the kept workspace;
-    # what it still makes is the problem callbacks' temporaries of half an
-    # N-vector each (0.92 N-vectors at the peak on example 1, 1.74 on
-    # example 2). A cold cell reserves its (101, N) basis: 106 and 111
+    # after the first cell of a mesh, a cell refills the kept workspace and
+    # combines the problem data from the mesh's space samples; what it still
+    # makes is the preconditioner's small arrays and, on example 2, the
+    # V-cycle's sparse-product outputs: 0.66 N-vectors at the peak on
+    # example 1, 1.49 on example 2. A cell that sampled the problem
+    # callbacks on the whole space-time grid would peak at 1.74 on example 2.
+    # A cold cell reserves its (101, N) basis: 106 and 111
     h = 2.0**-5
     spec = ExperimentSpec(example=example)
     assert solve_cell(spec, 1e-2, h).converged
@@ -405,7 +426,7 @@ def test_a_warm_cell_allocates_no_system_sized_array(example):
     finally:
         tracemalloc.stop()
     assert result.converged
-    assert peak < 2 * 8 * result.dof
+    assert peak < 1.6 * 8 * result.dof
 
 
 def test_dst_rejects_variable_coefficient_before_solving():
@@ -444,18 +465,20 @@ def physical_basis_cell(spec, gamma, h):
     op = AllAtOnceOperator(grid, build_stiffness(stencil(grid, problem.a)), gamma)
     eps = rate_constant(spec.delta, grid.tau, grid.horizon)
     prec = RbdEpsPreconditioner(grid, gamma, eps, PhysicalDstSolver(grid))
+    space = sample_space(problem, grid)
     report = gmres_solve(
-        op.matvec, assemble_rhs(problem, grid), apply_prec=prec.apply_inverse,
+        op.matvec, assemble_rhs(problem, grid, space), apply_prec=prec.apply_inverse,
         tol=spec.tol, maxit=spec.maxit,
     )
-    return report.iterations, error_norm(report.x, problem, grid)
+    return report.iterations, error_norm(report.x, problem, grid, space)
 
 
 @pytest.mark.parametrize("gamma", [1e-10, 1e-2])
 def test_sine_basis_cell_matches_the_physical_basis(gamma, monkeypatch):
-    # the cell runs in the sine basis: the same iterates as the physical-basis
-    # solve, and dst2d only to rotate the rhs and the solution back, however
-    # many iterations the cell takes
+    # the cell runs in the sine basis: the same iterates and error as the
+    # physical-basis solve. The cell that builds the mesh rotates its space
+    # samples with at most one dst2d, and a warm cell runs none, however
+    # many iterations it takes
     calls = []
     original = shifted.dst2d
 
@@ -466,10 +489,12 @@ def test_sine_basis_cell_matches_the_physical_basis(gamma, monkeypatch):
     spec = ExperimentSpec(example=1)
     want_iterations, want_error = physical_basis_cell(spec, gamma, 2.0**-4)
     monkeypatch.setattr(shifted, "dst2d", counted)
-    res = solve_cell(spec, gamma, 2.0**-4)
-    assert res.iterations == want_iterations
-    assert res.error == pytest.approx(want_error, rel=1e-12)
-    assert len(calls) == 2
+    for most in (1, 0):  # the cold cell, then a warm one
+        calls.clear()
+        res = solve_cell(spec, gamma, 2.0**-4)
+        assert res.iterations == want_iterations
+        assert res.error == pytest.approx(want_error, rel=1e-12)
+        assert len(calls) <= most
 
 
 def test_rows_run_in_table_order():

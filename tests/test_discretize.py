@@ -13,10 +13,12 @@ from pintopt.discretize import (
     assemble_rhs,
     build_stiffness,
     error_norm,
+    sample_space,
     stencil,
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
 from pintopt.shifted import dst2d
+from term_fields import field
 from pintopt.validation import eps_circulant_matrix
 
 
@@ -160,26 +162,31 @@ def test_stiffness_accepts_boundary_vanishing_coefficient():
 
 
 def make_problem(f, g, y0, gamma=1.0):
-    zero = lambda x1, x2, t: np.zeros(np.broadcast(x1, x2, t).shape)
     return ParabolicControlProblem(
-        gamma=gamma, a=ones_coeff, f=f, g=g, y0=y0, exact_y=zero, exact_p=zero
+        gamma=gamma, a=ones_coeff, f=f, g=g, y0=y0, exact_y=(), exact_p=()
     )
+
+
+def rhs(problem, grid, transform=None):
+    """The right-hand side of ``problem`` assembled from its own space samples."""
+    return assemble_rhs(problem, grid, sample_space(problem, grid, transform))
 
 
 def test_rhs_homogeneous_data_is_zero():
     grid = TimeSpaceGrid(m1=3, n=4, horizon=1.0)
-    zero3 = lambda x1, x2, t: np.zeros_like(x1)
     zero2 = lambda x1, x2: np.zeros_like(x1)
-    b = assemble_rhs(make_problem(zero3, zero3, zero2, gamma=0.01), grid)
-    assert b.shape == (2 * grid.m * grid.n,)
-    assert np.all(b == 0)
+    zero1 = lambda t: np.zeros_like(t)
+    for terms in ((), ((1.0, zero1, ones_coeff), (2.0, np.exp, zero2))):
+        b = rhs(make_problem(terms, terms, zero2, gamma=0.01), grid)
+        assert b.shape == (2 * grid.m * grid.n,)
+        assert np.all(b == 0)
 
 
 def test_rhs_example1_scalar_loop_oracle():
     gamma = 1e-2
     grid = TimeSpaceGrid.from_h(0.25, n=4, horizon=1.0)
     problem = get_problem(1, gamma=gamma)
-    b = assemble_rhs(problem, grid)
+    b = rhs(problem, grid)
 
     m1, m, n = grid.m1, grid.m, grid.n
     h, tau = grid.h, grid.tau
@@ -212,14 +219,14 @@ def test_rhs_example1_scalar_loop_oracle():
 def test_rhs_unit_gamma_bottom_half():
     grid = TimeSpaceGrid(m1=3, n=3, horizon=1.0)
     problem = get_problem(1, gamma=1.0)
-    b = assemble_rhs(problem, grid)
+    b = rhs(problem, grid)
     mn = grid.m * grid.n
     # with sqrt(gamma) = 1 the bottom half is exactly minus the source stack
     f_stack = np.empty(mn)
     xs = np.arange(1, grid.m1 + 1) * grid.h
     X1, X2 = np.meshgrid(xs, xs, indexing="ij")
     for k in range(1, grid.n + 1):
-        blk = grid.tau * problem.f(X1, X2, k * grid.tau).ravel()
+        blk = grid.tau * field(problem.f, X1, X2, k * grid.tau).ravel()
         if k == 1:
             blk = blk + problem.y0(X1, X2).ravel()
         f_stack[(k - 1) * grid.m : k * grid.m] = blk
@@ -231,22 +238,22 @@ def test_rhs_linear_in_data():
     grid = TimeSpaceGrid(m1=3, n=2, horizon=1.0)
     c1, c2 = rng.standard_normal(2)
 
-    def trig(u, v, s):
-        return np.sin(3 * u) * np.cos(v) * np.exp(-s)
+    def scaled(c, terms):
+        return tuple((c * coefficient, time, space) for coefficient, time, space in terms)
 
-    def poly(u, v, s):
-        return u * v + s
-
+    # sin(3u) cos(v) exp(-s) and u v + s as terms
+    trig = ((1.0, lambda s: np.exp(-s), lambda u, v: np.sin(3 * u) * np.cos(v)),)
+    poly = ((1.0, np.ones_like, lambda u, v: u * v), (1.0, lambda s: s, ones_coeff))
     d1 = make_problem(trig, poly, lambda u, v: u + v, gamma=0.25)
     d2 = make_problem(poly, trig, lambda u, v: u * v, gamma=0.25)
     combo = make_problem(
-        lambda u, v, s: c1 * trig(u, v, s) + c2 * poly(u, v, s),
-        lambda u, v, s: c1 * poly(u, v, s) + c2 * trig(u, v, s),
+        scaled(c1, trig) + scaled(c2, poly),
+        scaled(c1, poly) + scaled(c2, trig),
         lambda u, v: c1 * (u + v) + c2 * (u * v),
         gamma=0.25,
     )
-    b = assemble_rhs(combo, grid)
-    want = c1 * assemble_rhs(d1, grid) + c2 * assemble_rhs(d2, grid)
+    b = rhs(combo, grid)
+    want = c1 * rhs(d1, grid) + c2 * rhs(d2, grid)
     assert np.max(np.abs(b - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
@@ -262,10 +269,10 @@ def exact_vector(problem, grid):
     """
     X1, X2 = grid.interior_points()
     y = np.concatenate(
-        [problem.exact_y(X1, X2, k * grid.tau).ravel() for k in range(1, grid.n + 1)]
+        [field(problem.exact_y, X1, X2, k * grid.tau).ravel() for k in range(1, grid.n + 1)]
     )
     p = np.concatenate(
-        [problem.exact_p(X1, X2, k * grid.tau).ravel() for k in range(0, grid.n)]
+        [field(problem.exact_p, X1, X2, k * grid.tau).ravel() for k in range(0, grid.n)]
     )
     return np.concatenate([np.sqrt(problem.gamma) * y, p])
 
@@ -274,7 +281,8 @@ def test_error_norm_zero_for_exact():
     grid = TimeSpaceGrid(m1=3, n=4, horizon=1.0)
     # sqrt(gamma) = 2^-7, so scaling the state by it and back is exact
     problem = get_problem(1, gamma=2.0**-14)
-    assert error_norm(exact_vector(problem, grid), problem, grid) == 0.0
+    space = sample_space(problem, grid)
+    assert error_norm(exact_vector(problem, grid), problem, grid, space) == 0.0
 
 
 def test_error_norm_constant_level():
@@ -284,7 +292,8 @@ def test_error_norm_constant_level():
     problem = get_problem(1, gamma=1e-4)
     x = exact_vector(problem, grid)
     x[2 * grid.m : 3 * grid.m] += np.sqrt(problem.gamma)  # the state half holds sqrt(gamma) y
-    assert error_norm(x, problem, grid) == pytest.approx(0.75, abs=1e-14)
+    space = sample_space(problem, grid)
+    assert error_norm(x, problem, grid, space) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_error_norm_takes_levelwise_maximum():
@@ -297,7 +306,8 @@ def test_error_norm_takes_levelwise_maximum():
     x = exact_vector(problem, grid)
     x[2 * grid.m : 3 * grid.m] += np.sqrt(problem.gamma)
     x[mn + 2 * grid.m : mn + 3 * grid.m] += 2.0
-    assert error_norm(x, problem, grid) == pytest.approx(1.5, abs=1e-14)
+    space = sample_space(problem, grid)
+    assert error_norm(x, problem, grid, space) == pytest.approx(1.5, abs=1e-14)
 
 
 @pytest.mark.parametrize("gamma", [1e-6, 1e-2, 1.0])
@@ -309,10 +319,11 @@ def test_error_norm_inverts_the_rhs_layout(example, gamma):
     problem = get_problem(example, gamma)
     x = exact_vector(problem, grid)
     scale = max(1.0, np.max(np.abs(x)))
-    assert error_norm(x, problem, grid) <= 1e-15 * scale
+    assert error_norm(x, problem, grid, sample_space(problem, grid)) <= 1e-15 * scale
     rotated = dst2d(x.reshape(2, grid.n, grid.m1, grid.m1)).reshape(-1)
     kept = rotated.copy()
-    assert error_norm(rotated, problem, grid, transform=dst2d) <= 1e-14 * scale
+    sine = sample_space(problem, grid, dst2d)
+    assert error_norm(rotated, problem, grid, sine) <= 1e-14 * scale
     assert np.array_equal(rotated, kept)  # the solution is read, not written
 
 
@@ -322,21 +333,20 @@ def test_rhs_and_error_norm_into_kept_memory(transform):
     # copies x into out, reads the same error and leaves x as it was
     grid = TimeSpaceGrid.from_h(2.0**-3, n=8)
     problem = get_problem(2, 1e-2)
-    want = assemble_rhs(problem, grid, transform)
+    space = sample_space(problem, grid, transform)
+    want = assemble_rhs(problem, grid, space)
     out = np.full(want.size, np.nan)
-    assert assemble_rhs(problem, grid, transform, out=out) is out
+    assert assemble_rhs(problem, grid, space, out=out) is out
     assert np.array_equal(out, want)
     x = np.random.default_rng(9).standard_normal(want.size)
     kept = x.copy()
     copy = np.full(x.size, np.nan)
-    assert error_norm(x, problem, grid, transform, out=copy) == error_norm(
-        x, problem, grid, transform
-    )
+    assert error_norm(x, problem, grid, space, out=copy) == error_norm(x, problem, grid, space)
     assert np.array_equal(x, kept)
     with pytest.raises(ValueError, match="sharing no memory with x"):
-        error_norm(x, problem, grid, transform, out=x)
+        error_norm(x, problem, grid, space, out=x)
     with pytest.raises(ValueError, match="out must be a float64 vector"):
-        assemble_rhs(problem, grid, transform, out=np.empty(want.size + 1))
+        assemble_rhs(problem, grid, space, out=np.empty(want.size + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +360,8 @@ def rhs_level_loop(problem, grid):
     top = np.empty(m * n)
     bot = np.empty(m * n)
     for k in range(1, n + 1):
-        gk = np.asarray(problem.g(X1, X2, (k - 1) * tau), dtype=float).ravel()
-        fk = np.asarray(problem.f(X1, X2, k * tau), dtype=float).ravel()
+        gk = field(problem.g, X1, X2, (k - 1) * tau).ravel()
+        fk = field(problem.f, X1, X2, k * tau).ravel()
         top[(k - 1) * m : k * m] = tau * gk
         fblk = tau * fk
         if k == 1:
@@ -368,8 +378,8 @@ def error_level_loop(x, problem, grid):
     p = x[m * n :].reshape(n, m)
     worst = 0.0
     for k in range(1, n + 1):
-        ey = y[k - 1] - problem.exact_y(X1, X2, k * grid.tau).ravel()
-        ep = p[k - 1] - problem.exact_p(X1, X2, (k - 1) * grid.tau).ravel()
+        ey = y[k - 1] - field(problem.exact_y, X1, X2, k * grid.tau).ravel()
+        ep = p[k - 1] - field(problem.exact_p, X1, X2, (k - 1) * grid.tau).ravel()
         worst = max(worst, float(ey @ ey), float(ep @ ep))
     return grid.h * np.sqrt(worst)
 
@@ -377,11 +387,19 @@ def error_level_loop(x, problem, grid):
 @pytest.mark.parametrize("level", [3, 5])
 @pytest.mark.parametrize("example", [1, 2])
 def test_all_levels_at_once_match_the_level_loop(example, level):
-    # sampling with times shaped (n, 1, 1) must give the loop's numbers exactly
+    # one product of the time coefficients with the space samples per half
+    # gives the level loop's numbers to round-off: in the grid basis, and in
+    # the sine basis with the samples rotated once instead of the stack
     grid = TimeSpaceGrid.from_h(2.0**-level, n=2**level)
     problem = get_problem(example, gamma=1e-4)
-    assert np.array_equal(assemble_rhs(problem, grid), rhs_level_loop(problem, grid))
+    want = rhs_level_loop(problem, grid)
+    rotated = dst2d(want.reshape(2, grid.n, grid.m1, grid.m1)).reshape(-1)
+    for got, oracle in ((rhs(problem, grid), want), (rhs(problem, grid, dst2d), rotated)):
+        assert np.linalg.norm(got - oracle) <= 1e-15 * np.linalg.norm(oracle)
     rng = np.random.default_rng(level)
     x = rng.standard_normal(2 * grid.m * grid.n) * 1e-3
-    assert error_norm(x, problem, grid) == error_level_loop(x, problem, grid)
+    space = sample_space(problem, grid)
+    assert error_norm(x, problem, grid, space) == pytest.approx(
+        error_level_loop(x, problem, grid), rel=1e-15
+    )
 

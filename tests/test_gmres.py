@@ -13,7 +13,7 @@ import pytest
 from dense_backend import PhysicalDstSolver
 
 from pintopt import bench
-from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, stencil
+from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, sample_space, stencil
 from pintopt.gmres import SolveReport, gmres_solve
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
@@ -260,7 +260,7 @@ def test_full_stack_small_problem_converges():
     op = AllAtOnceOperator(grid, build_stiffness(stencil(grid, problem.a)), problem.gamma)
     eps = rate_constant(0.5, grid.tau, grid.horizon)
     pc = RbdEpsPreconditioner(grid, problem.gamma, eps, inner=PhysicalDstSolver(grid))
-    b = assemble_rhs(problem, grid)
+    b = assemble_rhs(problem, grid, sample_space(problem, grid))
     report = gmres_solve(op.matvec, b, apply_prec=pc.apply_inverse, tol=1e-6)
     assert report.converged
     assert 0 < report.iterations < 20

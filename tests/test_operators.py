@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from dense_backend import solve_sine_basis
 
-from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, stencil
+from pintopt.discretize import TimeSpaceGrid, assemble_rhs, build_stiffness, sample_space, stencil
 from pintopt.operators import AllAtOnceOperator
 from pintopt.problems import get_problem
 from pintopt.shifted import DstShiftedSolver, dst2d
@@ -245,7 +245,8 @@ def test_sine_basis_solve_matches_dense_solve(m1, n, gamma):
 def test_sine_basis_solve_residual(level, gamma):
     # example 1's right-hand side in the sine basis, as solve_cell assembles it
     grid = TimeSpaceGrid.from_h(2.0**-level, n=2**level)
-    b = assemble_rhs(get_problem(1, gamma), grid, dst2d)
+    problem = get_problem(1, gamma)
+    b = assemble_rhs(problem, grid, sample_space(problem, grid, dst2d))
     op = AllAtOnceOperator(grid, sine_eigs(grid), gamma)
     x = solve_sine_basis(grid, sine_eigs(grid), gamma, b)
     assert np.linalg.norm(b - op.matvec(x)) <= 1e-13 * np.linalg.norm(b)

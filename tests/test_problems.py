@@ -8,7 +8,9 @@ must satisfy the continuous optimality system
     g = -p_t - div(a grad p) + y
 
 so both are re-derived here with sympy from (y, p, a) alone and compared
-against the package's hand-coded callables at random points.
+at random points against the package's fields, each given as
+(coefficient, time, space) terms and summed pointwise here; the terms of y
+and p are compared with their defining expressions too.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import sympy as sp
 
 from pintopt.problems import EXAMPLES, ParabolicControlProblem, get_problem
+from term_fields import field
 
 X1, X2, T = sp.symbols("x1 x2 t", real=True)
 
@@ -40,25 +43,22 @@ def derived_source_and_target(example, gamma):
 
     f = sp.diff(y, T) - elliptic(y) - p / gamma
     g = -sp.diff(p, T) - elliptic(p) + y
-    return (
-        sp.lambdify((X1, X2, T), f, "numpy"),
-        sp.lambdify((X1, X2, T), g, "numpy"),
-    )
+    return tuple(sp.lambdify((X1, X2, T), e, "numpy") for e in (f, g, y, p))
 
 
 @pytest.mark.parametrize("example", [1, 2], ids=["example1", "example2"])
 @pytest.mark.parametrize("gamma", [1e-8, 1e-2, 1.0])
 def test_source_and_target_satisfy_optimality_system(example, gamma):
     problem = get_problem(example, gamma)
-    f_want, g_want = derived_source_and_target(example, sp.Float(gamma, 30))
+    wanted = derived_source_and_target(example, sp.Float(gamma, 30))
     rng = np.random.default_rng(17)
     x1 = rng.uniform(0.05, 0.95, 50)
     x2 = rng.uniform(0.05, 0.95, 50)
     t = rng.uniform(0.0, 1.0, 50)
-    fw = np.asarray(f_want(x1, x2, t), dtype=float)
-    gw = np.asarray(g_want(x1, x2, t), dtype=float)
-    assert np.max(np.abs(problem.f(x1, x2, t) - fw)) < 1e-12 * max(1, np.max(np.abs(fw)))
-    assert np.max(np.abs(problem.g(x1, x2, t) - gw)) < 1e-12 * max(1, np.max(np.abs(gw)))
+    fields = (problem.f, problem.g, problem.exact_y, problem.exact_p)
+    for terms, want in zip(fields, wanted):
+        w = np.broadcast_to(np.asarray(want(x1, x2, t), dtype=float), t.shape)
+        assert np.max(np.abs(field(terms, x1, x2, t) - w)) < 1e-12 * max(1, np.max(np.abs(w)))
 
 
 @pytest.mark.parametrize("example", [1, 2], ids=["example1", "example2"])
@@ -66,14 +66,14 @@ def test_exact_solution_boundary_and_endpoint_structure(example):
     problem = get_problem(example, 1e-4)
     xs = np.linspace(0.1, 0.9, 7)
     # initial condition is the t=0 trace of the exact state
-    assert np.allclose(problem.exact_y(xs, xs, 0.0), problem.y0(xs, xs), atol=1e-15)
+    assert np.allclose(field(problem.exact_y, xs, xs, 0.0), problem.y0(xs, xs), atol=1e-15)
     # adjoint vanishes at the final time
-    assert np.max(np.abs(problem.exact_p(xs, xs, 1.0))) < 1e-15
+    assert np.max(np.abs(field(problem.exact_p, xs, xs, 1.0))) < 1e-15
     # both vanish on the boundary of the square
     for edge in (np.zeros(7), np.ones(7)):
-        assert np.max(np.abs(problem.exact_y(edge, xs, 0.3))) < 1e-15
-        assert np.max(np.abs(problem.exact_y(xs, edge, 0.3))) < 1e-15
-        assert np.max(np.abs(problem.exact_p(edge, xs, 0.3))) < 1e-15
+        assert np.max(np.abs(field(problem.exact_y, edge, xs, 0.3))) < 1e-15
+        assert np.max(np.abs(field(problem.exact_y, xs, edge, 0.3))) < 1e-15
+        assert np.max(np.abs(field(problem.exact_p, edge, xs, 0.3))) < 1e-15
 
 
 def test_variable_coefficient_positive_inside_zero_on_two_edges():
