@@ -6,6 +6,7 @@ in the test file; the library's vectorized assembly must agree with them.
 
 import numpy as np
 import pytest
+from term_fields import field
 
 from pintopt.discretize import (
     DomainValidityError,
@@ -18,7 +19,6 @@ from pintopt.discretize import (
 )
 from pintopt.problems import ParabolicControlProblem, get_problem
 from pintopt.shifted import dst2d
-from term_fields import field
 from pintopt.validation import eps_circulant_matrix
 
 

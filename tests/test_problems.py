@@ -16,9 +16,9 @@ and p are compared with their defining expressions too.
 import numpy as np
 import pytest
 import sympy as sp
+from term_fields import field
 
 from pintopt.problems import EXAMPLES, ParabolicControlProblem, get_problem
-from term_fields import field
 
 X1, X2, T = sp.symbols("x1 x2 t", real=True)
 
